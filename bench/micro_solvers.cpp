@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks of the solver components: the GP
-// interior-point solve, the exact bisection relaxation, branch-and-bound
-// discretization, Algorithm 1, exact packing, and the end-to-end
-// pipelines on the paper's largest case.
+// interior-point reference solve, the exact bisection relaxation,
+// branch-and-bound discretization, Algorithm 1, exact packing, the
+// end-to-end pipelines on the paper's largest case, and the portfolio's
+// three GP+A lanes with the relaxation cache off and on.
 #include <benchmark/benchmark.h>
 
 #include "alloc/gpa.hpp"
@@ -67,6 +68,28 @@ void BM_GpaEndToEnd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpaEndToEnd)->DenseRange(0, 4);
+
+// The portfolio's GP+A lane shape: three greedy deviations per point
+// re-solve the identical root relaxation and branch-and-bound tree. With
+// the relaxation cache on (argument 1; the cache lives across
+// iterations, as in a long-running sweep or service) the repeats
+// collapse to lookups; argument 0 solves every lane cold.
+void BM_GpaThreeLanesRelaxCache(benchmark::State& state) {
+  const mfa::core::Problem p = vgg_problem(0.7);
+  mfa::core::RelaxationCache cache;
+  mfa::core::SolverContext context;
+  if (state.range(0) != 0) context.relax_cache = &cache;
+  for (auto _ : state) {
+    for (const double t : {0.0, 0.05, 0.10}) {
+      mfa::alloc::GpaOptions o;
+      o.greedy.t_max = t;
+      o.context = &context;
+      auto r = mfa::alloc::GpaSolver(o).solve(p);
+      benchmark::DoNotOptimize(r);
+    }
+  }
+}
+BENCHMARK(BM_GpaThreeLanesRelaxCache)->Arg(0)->Arg(1);
 
 void BM_PackingFeasibility(benchmark::State& state) {
   const mfa::core::Problem p = vgg_problem(0.7);

@@ -17,7 +17,7 @@
 // additionally writes the *deterministic* event log (no wall-clock
 // fields), byte-identical across runs for a fixed trace and thread
 // count. `post` speaks the versioned wire API (net/api.hpp): events go
-// up in batches as {"schema_version":1,"events":[...]}, outcomes come
+// up in batches as {"schema_version":2,"events":[...]}, outcomes come
 // back per event; `--resume` asks GET /v1/stats how far the daemon got
 // (e.g. after a crash + `mfallocd --recover`) and continues from there.
 //
@@ -345,7 +345,6 @@ int cmd_serve(const ArgParser& args) {
 
   mfa::service::ServerOptions options;
   options.warm_start = !args.flag_set("cold");
-  options.portfolio.gpa.use_interior_point = args.flag_set("interior-point");
   options.portfolio.run_exact = args.flag_set("exact");
   const auto jobs = args.int_or("jobs", options.solver_threads, 0, 4096);
   if (!jobs.is_ok()) return flag_error(args, jobs.status());
@@ -396,13 +395,6 @@ int cmd_serve(const ArgParser& args) {
           mfa::io::Json::number(static_cast<double>(cache.entries)));
   doc.set("cache_evictions",
           mfa::io::Json::number(static_cast<double>(cache.evictions)));
-  const auto models = server.model_cache_stats();
-  doc.set("model_cache_hits",
-          mfa::io::Json::number(static_cast<double>(models.hits)));
-  doc.set("model_cache_entries",
-          mfa::io::Json::number(static_cast<double>(models.entries)));
-  doc.set("model_cache_evictions",
-          mfa::io::Json::number(static_cast<double>(models.evictions)));
   doc.set("per_event", std::move(per_event));
   std::printf("%s\n", doc.dump(2).c_str());
 

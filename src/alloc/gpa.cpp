@@ -16,57 +16,26 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
   const Status valid = problem.validate();
   if (!valid.is_ok()) return valid;
 
-  // ---- Step 1: continuous relaxation (paper §3.2.1), memoized when a
-  // shared cache is configured (portfolio lanes solve identical roots),
-  // warm-started from options_.warm when set (the root bisection probes
-  // the seed ÎI once; the interior-point path seeds the barrier). Cache
-  // keys fold the seed in, so warm and cold entries never alias.
+  // ---- Step 1: continuous relaxation (paper §3.2.1) by bisection,
+  // memoized when a shared cache is configured (portfolio lanes solve
+  // identical roots), warm-started from options_.warm when set (the
+  // bisection probes the seed ÎI once). Cache keys fold the seed in, so
+  // warm and cold entries never alias.
   auto t0 = std::chrono::steady_clock::now();
-  // The interior-point seed needs a full (ÎI, N̂) point of the right
-  // shape; the bisection hint only needs ÎI.
-  const core::RelaxedSolution* warm =
-      options_.warm && options_.warm->ii > 0.0 &&
-              (!options_.use_interior_point ||
-               options_.warm->n_hat.size() == problem.num_kernels())
-          ? &*options_.warm
-          : nullptr;
-  core::CompiledModelCache* model_cache = options_.resolved_model_cache();
-  core::RelaxationCache* relax_cache = options_.resolved_relax_cache();
-  // An injected root (batched dispatch) replaces the whole step: no
-  // cache read or write — see GpaOptions::root_override.
-  const bool overridden = options_.root_override.has_value() &&
-                          options_.root_override->n_hat.size() ==
-                              problem.num_kernels();
-  auto solve_root = [this, &problem, warm,
-                     model_cache]() -> StatusOr<core::RelaxedSolution> {
-    if (options_.use_interior_point) {
-      return warm != nullptr
-                 ? core::solve_relaxation_gp(problem, options_.gp, *warm,
-                                             model_cache)
-                 : core::solve_relaxation_gp(problem, options_.gp,
-                                             model_cache);
-    }
-    return core::solve_relaxation(problem,
-                                  core::CuBounds::defaults(problem),
-                                  warm != nullptr ? warm->ii : 0.0);
+  const double hint =
+      options_.warm && options_.warm->ii > 0.0 ? options_.warm->ii : 0.0;
+  core::RelaxationCache* relax_cache =
+      options_.context != nullptr ? options_.context->relax_cache : nullptr;
+  const core::CuBounds bounds = core::CuBounds::defaults(problem);
+  auto solve_root = [&problem, &bounds, hint] {
+    return core::solve_relaxation(problem, bounds, hint);
   };
-  StatusOr<core::RelaxedSolution> relaxed = [&]() {
-    if (overridden) {
-      return StatusOr<core::RelaxedSolution>(*options_.root_override);
-    }
-    if (relax_cache == nullptr) return solve_root();
-    const core::Fingerprint key =
-        options_.use_interior_point
-            ? (warm != nullptr
-                   ? core::relaxation_gp_cache_key(problem, options_.gp,
-                                                   *warm)
-                   : core::relaxation_gp_cache_key(problem, options_.gp))
-            : core::relaxation_cache_key(problem,
-                                         core::CuBounds::defaults(problem),
-                                         warm != nullptr ? warm->ii : 0.0);
-    return StatusOr<core::RelaxedSolution>(
-        *relax_cache->get_or_solve(key, solve_root));
-  }();
+  StatusOr<core::RelaxedSolution> relaxed =
+      relax_cache == nullptr
+          ? solve_root()
+          : *relax_cache->get_or_solve(
+                core::relaxation_cache_key(problem, bounds, hint),
+                solve_root);
   const double seconds_relax = seconds_since(t0);
   if (!relaxed.is_ok()) return relaxed.status();
 

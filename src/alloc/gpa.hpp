@@ -1,18 +1,19 @@
 // GP+A — the paper's end-to-end heuristic (§3.2).
 //
 // Pipeline: continuous relaxation (GP) → branch-and-bound discretization
-// of N̂_k → greedy allocation (Algorithm 1). Each stage's wall-clock time
-// is recorded separately so the runtime comparison of §4 ("0.78 s to
-// 4.4 s, 100–1000× faster than MINLP") can be reproduced.
+// of N̂_k → greedy allocation (Algorithm 1). The relaxation is solved
+// exactly by bisection (core::solve_relaxation); the paper runs the same
+// convex program through GPkit, whose role core::solve_relaxation_gp
+// keeps as a reference. Each stage's wall-clock time is recorded
+// separately so the runtime comparison of §4 ("0.78 s to 4.4 s,
+// 100–1000× faster than MINLP") can be reproduced.
 #pragma once
 
 #include <optional>
 
 #include "alloc/greedy.hpp"
 #include "core/allocation.hpp"
-#include "core/compiled_cache.hpp"
 #include "core/problem.hpp"
-#include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
 #include "core/solver_context.hpp"
 #include "solver/discretize.hpp"
@@ -22,54 +23,18 @@
 namespace mfa::alloc {
 
 struct GpaOptions {
-  /// Solve the root relaxation with the interior-point GP solver (as the
-  /// paper does with GPkit) instead of the exact bisection. Both give
-  /// the same N̂_k to tolerance; bisection is the faster default.
-  bool use_interior_point = false;
-
   /// Warm start for the *root* relaxation, typically a related solve's
   /// (ÎI, N̂) — the allocation service seeds each event's re-solve from
-  /// its incumbent. Bisection probes warm->ii once as a bracket end;
-  /// the interior-point path seeds the barrier from the full point.
-  /// Always safe: a useless seed only costs the probe. Cache keys fold
-  /// the seed in, so warm entries never alias cold ones.
+  /// its incumbent. The root bisection probes warm->ii once as a bracket
+  /// end. Always safe: a useless seed only costs the probe. Cache keys
+  /// fold the seed in, so warm entries never alias cold ones.
   std::optional<core::RelaxedSolution> warm;
 
-  /// Externally computed root relaxation: when set, Step 1 is skipped —
-  /// this value feeds the discretizer directly and the relaxation cache
-  /// is bypassed for the root on purpose. The batched dispatcher
-  /// (runtime/batch.cpp) injects its lane results here: a batched-kernel
-  /// root is only tolerance-equal to the scalar solve, so publishing it
-  /// under a scalar cache key would poison byte-determinism for every
-  /// later scalar caller. `warm` is ignored when this is set.
-  std::optional<core::RelaxedSolution> root_override;
-
-  /// Shared solver resources (caches, budget, pool) — the single wiring
-  /// point; see core/solver_context.hpp. Not owned. The root solve and
-  /// every branch-and-bound node go through the context's relaxation
-  /// cache, and the interior-point root through its compiled-model
-  /// cache; both are byte-transparent accelerations.
+  /// Shared solver resources — the single wiring point; see
+  /// core/solver_context.hpp. Not owned. The root solve and every
+  /// branch-and-bound node go through the context's relaxation cache, a
+  /// byte-transparent acceleration.
   const core::SolverContext* context = nullptr;
-
-  /// DEPRECATED aliases (one more PR): per-field cache pointers from
-  /// before SolverContext existed. Still honored when `context` is null
-  /// or its corresponding field is null; prefer `context`.
-  core::RelaxationCache* relax_cache = nullptr;
-  core::CompiledModelCache* model_cache = nullptr;
-
-  /// Context-first resolution of the shared caches.
-  [[nodiscard]] core::RelaxationCache* resolved_relax_cache() const {
-    if (context != nullptr && context->relax_cache != nullptr) {
-      return context->relax_cache;
-    }
-    return relax_cache;
-  }
-  [[nodiscard]] core::CompiledModelCache* resolved_model_cache() const {
-    if (context != nullptr && context->model_cache != nullptr) {
-      return context->model_cache;
-    }
-    return model_cache;
-  }
 
   /// Migration-aware re-solve (lives next to the caches: the online
   /// service wires it per event like it wires the shared caches). When
@@ -81,7 +46,6 @@ struct GpaOptions {
   /// (GpaResult::stability_applied reports which happened). Not owned.
   const solver::StabilityOptions* stability = nullptr;
 
-  gp::SolverOptions gp;
   solver::DiscretizeOptions discretize;
   GreedyOptions greedy;
 };

@@ -64,7 +64,6 @@ void declare_serve(ArgParser& p) {
       .option("jobs", "N", "solver threads (1 = deterministic lanes)")
       .flag("cold", "disable the incumbent warm start")
       .option("log", "out.json", "also write the deterministic event log")
-      .flag("interior-point", "interior-point root relaxation")
       .flag("exact", "add the budgeted exact lane per event")
       .option("max-moves", "K",
               "stability budget: max CUs torn from surviving pipelines "

@@ -104,11 +104,10 @@ struct Problem;
 /// absent: they are the numeric side that warm events (Reprioritize,
 /// ResizePlatform) patch in place.
 ///
-/// Shared-ptr-owned and never mutated after capture(), the structure is
-/// the same split PR 5 gave compiled GP models: holders of structurally
-/// identical Problem snapshots share one skeleton, and pointer equality
-/// of `Problem::structure` is a constant-time witness that two
-/// instances differ only in numerics — which is what lets
+/// Shared-ptr-owned and never mutated after capture(): holders of
+/// structurally identical Problem snapshots share one skeleton, and
+/// pointer equality of `Problem::structure` is a constant-time witness
+/// that two instances differ only in numerics — which is what lets
 /// assign_numerics_from() refresh a snapshot buffer without touching
 /// (or allocating) any structural field. See service/composite.hpp for
 /// the publish-ring consumer.

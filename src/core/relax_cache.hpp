@@ -12,8 +12,8 @@
 //
 // The cache machinery itself — sharding, FIFO bounding, first-writer-
 // wins insertion, the determinism contract — is the generic
-// core::ShardedCache (core/sharded_cache.hpp), shared with the
-// compiled-GP model cache. A lookup hit returns exactly what the thread
+// core::ShardedCache (core/sharded_cache.hpp), shared with the greedy
+// placement cache. A lookup hit returns exactly what the thread
 // would have computed itself, which is how BatchRunner stays bit-for-bit
 // identical across thread counts with the cache enabled; the default
 // configuration (one shard, unbounded) reproduces the original

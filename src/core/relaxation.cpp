@@ -156,26 +156,6 @@ Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
   return Status::ok();
 }
 
-std::vector<StatusOr<RelaxedSolution>> solve_relaxation_batch(
-    const Problem& problem, const std::vector<CuBounds>& bounds,
-    const std::vector<double>& ii_hints) {
-  MFA_ASSERT(ii_hints.empty() || ii_hints.size() == bounds.size());
-  std::vector<StatusOr<RelaxedSolution>> out;
-  out.reserve(bounds.size());
-  for (std::size_t i = 0; i < bounds.size(); ++i) {
-    // Each lane runs the exact scalar probe sequence (the bisection has
-    // no cross-lane arithmetic to fuse), so lane results are bit-equal
-    // to individual solve_relaxation calls and remain compatible with
-    // relaxation_cache_key-addressed cache entries. The batch's saving
-    // is the shared thread-local scratch staying hot across lanes —
-    // sibling branch-and-bound children have the same kernel count, so
-    // no probe after the first lane's first ever reallocates.
-    out.push_back(solve_relaxation(problem, bounds[i],
-                                   ii_hints.empty() ? 0.0 : ii_hints[i]));
-  }
-  return out;
-}
-
 StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
                                            const CuBounds& bounds) {
   return solve_relaxation(problem, bounds, /*ii_hint=*/0.0);
@@ -260,79 +240,16 @@ gp::GpProblem build_relaxation_gp(const Problem& problem,
   return model;
 }
 
-namespace {
-
-/// Solves `model` through GpSolver, consulting the compiled-model cache
-/// when one is provided: a hit clones the artifact (shared structure,
-/// private coefficients) and re-patches it from *this* model's
-/// coefficients, so the solved bytes never depend on which structurally
-/// identical problem populated the entry. A miss compiles and publishes.
-gp::GpSolution solve_model(const gp::GpProblem& model,
-                           const gp::SolverOptions& options,
-                           const std::vector<double>* x0,
-                           CompiledModelCache* models) {
-  const gp::GpSolver solver(options);
-  if (models == nullptr || !options.use_compiled_kernel) {
-    return x0 != nullptr ? solver.solve(model, *x0) : solver.solve(model);
-  }
-  // Hash the structure once per solve: the same fingerprint is the
-  // cache key and the patch-compatibility check.
-  const Fingerprint structural = model.structural_fingerprint();
-  const Fingerprint key = compiled_model_cache_key(structural);
-  gp::CompiledModel prepared;
-  if (auto hit = models->lookup(key)) {
-    prepared = *hit;  // clone: shares structure, copies coefficients
-    prepared.patch_coefficients(model, options.variable_box, structural);
-  } else {
-    prepared = gp::CompiledModel::build(model, options.variable_box);
-    models->insert(key, prepared);  // stored copy shares the structure
-  }
-  return x0 != nullptr ? solver.solve(model, prepared, *x0)
-                       : solver.solve(model, prepared);
-}
-
-StatusOr<RelaxedSolution> solve_gp_impl(const Problem& problem,
-                                        const gp::SolverOptions& options,
-                                        const RelaxedSolution* warm,
-                                        CompiledModelCache* models) {
+StatusOr<RelaxedSolution> solve_relaxation_gp(
+    const Problem& problem, const gp::SolverOptions& options) {
   const CuBounds bounds = CuBounds::defaults(problem);
   for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
     if (bounds.lower[k] > bounds.upper[k]) {
       return Status{Code::kInfeasible, "empty CU bound interval"};
     }
   }
-  gp::GpProblem model = build_relaxation_gp(problem, bounds);
-  gp::GpSolution gp_sol;
-  if (warm != nullptr && warm->n_hat.size() == problem.num_kernels() &&
-      warm->ii > 0.0) {
-    // Seed x0 = (inflated ÎI, clamped N̂): the 5 % ÎI head-room makes the
-    // latency constraints strictly slack at the seed, so a seed taken
-    // from this problem's own (boundary) optimum re-enters the interior
-    // and phase I is skipped or trivial.
-    std::vector<double> x0(1 + problem.num_kernels());
-    x0[0] = warm->ii * 1.05;
-    for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-      x0[1 + k] =
-          std::clamp(warm->n_hat[k], bounds.lower[k],
-                     std::isfinite(bounds.upper[k]) && bounds.upper[k] > 0.0
-                         ? bounds.upper[k]
-                         : warm->n_hat[k]);
-    }
-    // A barrier restarted at a small t first drags a near-optimal seed
-    // back to the analytic center, wasting the whole warm start. Open
-    // with the duality-gap bound the seed plausibly has (warm_gap:
-    // ~1e-3 for a same-problem seed, wider for a neighboring problem's)
-    // so the path begins where the seed is useful; a poor seed only
-    // costs extra centering steps at the first stage, not correctness.
-    gp::SolverOptions warm_options = options;
-    const double m =
-        static_cast<double>(model.constraints().size()) +
-        2.0 * static_cast<double>(model.num_variables());  // + box rows
-    warm_options.t0 = std::max(options.t0, m / options.warm_gap);
-    gp_sol = solve_model(model, warm_options, &x0, models);
-  } else {
-    gp_sol = solve_model(model, options, nullptr, models);
-  }
+  const gp::GpSolution gp_sol =
+      gp::GpSolver(options).solve(build_relaxation_gp(problem, bounds));
   if (gp_sol.status == gp::GpStatus::kInfeasible) {
     return Status{Code::kInfeasible, "GP phase I proved infeasibility"};
   }
@@ -346,61 +263,12 @@ StatusOr<RelaxedSolution> solve_gp_impl(const Problem& problem,
   return sol;
 }
 
-}  // namespace
-
-StatusOr<RelaxedSolution> solve_relaxation_gp(const Problem& problem,
-                                              const gp::SolverOptions& options,
-                                              CompiledModelCache* models) {
-  return solve_gp_impl(problem, options, nullptr, models);
-}
-
-StatusOr<RelaxedSolution> solve_relaxation_gp(const Problem& problem,
-                                              const gp::SolverOptions& options,
-                                              const RelaxedSolution& warm,
-                                              CompiledModelCache* models) {
-  return solve_gp_impl(problem, options, &warm, models);
-}
-
 Fingerprint relaxation_cache_key(const Problem& problem,
                                  const CuBounds& bounds, double ii_hint) {
   Fingerprint key = relaxation_fingerprint(problem);
   mix_bounds(key, bounds);
   key.mix(ii_hint);
   key.mix(std::uint64_t{0xb15ec7});  // algorithm tag: bisection
-  return key;
-}
-
-Fingerprint relaxation_gp_cache_key(const Problem& problem,
-                                    const gp::SolverOptions& options) {
-  // The determinism contract requires the key to capture *every* solve
-  // input. If this assert fires, a SolverOptions field was added or
-  // resized: mix the new field below, then update the expected size.
-  static_assert(sizeof(gp::SolverOptions) == 9 * sizeof(double),
-                "SolverOptions changed: update relaxation_gp_cache_key");
-  Fingerprint key = relaxation_fingerprint(problem);
-  mix_bounds(key, CuBounds::defaults(problem));
-  key.mix(options.tolerance);
-  key.mix(options.t0);
-  key.mix(options.mu);
-  key.mix(static_cast<std::uint64_t>(options.max_outer));
-  key.mix(static_cast<std::uint64_t>(options.max_newton));
-  key.mix(options.newton_tol);
-  key.mix(options.feas_margin);
-  key.mix(options.variable_box);
-  key.mix(options.warm_gap);
-  key.mix(static_cast<std::uint64_t>(options.use_compiled_kernel));
-  key.mix(std::uint64_t{0x6b9});  // algorithm tag: interior point
-  return key;
-}
-
-Fingerprint relaxation_gp_cache_key(const Problem& problem,
-                                    const gp::SolverOptions& options,
-                                    const RelaxedSolution& warm) {
-  Fingerprint key = relaxation_gp_cache_key(problem, options);
-  key.mix(warm.ii);
-  for (double n : warm.n_hat) key.mix(n);
-  key.mix(std::uint64_t{warm.n_hat.size()});
-  key.mix(std::uint64_t{0x3a96});  // algorithm tag: warm-started barrier
   return key;
 }
 

@@ -14,14 +14,14 @@
 //                 monotone predicate. This is the paper's "GP step" in
 //                 closed form, and it accepts per-kernel bounds, which is
 //                 what the discretizer's branch-and-bound nodes need.
-//  * solve_gp() — the same model through the general gp::GpSolver, as the
-//                 paper does with GPkit. Used for cross-validation and to
-//                 exercise the GP substrate on the real problem.
+//  * solve_relaxation_gp() — the same model through the general
+//                 gp::GpSolver, as the paper does with GPkit. No production
+//                 path calls it: it is the GP-step reference the tests, the
+//                 fuzzer and the ablation bench check the bisection against.
 #pragma once
 
 #include <vector>
 
-#include "core/compiled_cache.hpp"
 #include "core/problem.hpp"
 #include "gp/solver.hpp"
 #include "support/fingerprint.hpp"
@@ -75,63 +75,20 @@ StatusOr<RelaxedSolution> solve_relaxation(const Problem& problem,
 Status solve_relaxation_into(const Problem& problem, const CuBounds& bounds,
                              double ii_hint, RelaxedSolution& out);
 
-/// Solves several bounds variants of one problem back to back — the
-/// discretizer routes sibling branch-and-bound children (which share the
-/// parent's kernel set and differ only in one tightened bound) through
-/// this. Lane i is bit-identical to
-/// solve_relaxation(problem, bounds[i], ii_hints[i]) — the bisection has
-/// no cross-lane arithmetic — so results stay interchangeable with
-/// individually cached entries under relaxation_cache_key. `ii_hints`
-/// may be empty (no hints) or one hint per lane.
-std::vector<StatusOr<RelaxedSolution>> solve_relaxation_batch(
-    const Problem& problem, const std::vector<CuBounds>& bounds,
-    const std::vector<double>& ii_hints);
-
 /// Builds the GP model (14)–(18) for the problem, with bounds folded in
 /// as monomial constraints. Variable 0 is ÎI; variable 1+k is N̂_k.
 gp::GpProblem build_relaxation_gp(const Problem& problem,
                                   const CuBounds& bounds);
 
-/// Solves the relaxation through the interior-point GP solver. When
-/// `models` is non-null (and the compiled kernel is enabled), the
-/// compiled artifact is fetched from / published to the cache by the GP
-/// model's structural fingerprint: a hit skips the whole lowering and
-/// only patches coefficients, producing byte-identical results to a
-/// fresh compile (see core/compiled_cache.hpp).
+/// Solves the relaxation through the interior-point GP solver (cold
+/// start, default bounds) — the paper's GP step; see file comment.
 StatusOr<RelaxedSolution> solve_relaxation_gp(
-    const Problem& problem, const gp::SolverOptions& options = {},
-    CompiledModelCache* models = nullptr);
-
-/// Warm-started interior-point solve: seeds the barrier from `warm`
-/// (e.g. a neighboring sweep point's relaxation). The ÎI seed is
-/// inflated a few percent so latency constraints start strictly slack;
-/// if the seed is still infeasible, phase I runs from it instead of from
-/// scratch. Converges to the cold-start optimum (to solver tolerance).
-/// `models` as above.
-StatusOr<RelaxedSolution> solve_relaxation_gp(const Problem& problem,
-                                              const gp::SolverOptions& options,
-                                              const RelaxedSolution& warm,
-                                              CompiledModelCache* models =
-                                                  nullptr);
+    const Problem& problem, const gp::SolverOptions& options = {});
 
 /// Cache key for a bisection solve of (problem, bounds, ii_hint): hashes
-/// every input the result depends on plus an algorithm tag, so entries
-/// never alias interior-point results. See core/relax_cache.hpp for the
-/// determinism contract this upholds.
+/// every input the result depends on plus an algorithm tag. See
+/// core/relax_cache.hpp for the determinism contract this upholds.
 Fingerprint relaxation_cache_key(const Problem& problem,
                                  const CuBounds& bounds, double ii_hint);
-
-/// Cache key for a default-bounds interior-point solve under `options`
-/// (solver options are folded in — they change the returned bits).
-Fingerprint relaxation_gp_cache_key(const Problem& problem,
-                                    const gp::SolverOptions& options);
-
-/// Cache key for a *warm-started* interior-point solve: the warm seed
-/// changes the returned bits (same optimum only to tolerance), so warm
-/// entries must never alias the cold ones — the seed's ÎI and N̂ are
-/// folded into the key.
-Fingerprint relaxation_gp_cache_key(const Problem& problem,
-                                    const gp::SolverOptions& options,
-                                    const RelaxedSolution& warm);
 
 }  // namespace mfa::core

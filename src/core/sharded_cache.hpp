@@ -1,18 +1,15 @@
 // Generic thread-safe sharded cache keyed by 128-bit fingerprints.
 //
 // This is the memoization substrate behind both RelaxationCache
-// (core/relax_cache.hpp, caching relaxation solves) and
-// CompiledModelCache (core/compiled_cache.hpp, caching compiled GP
-// structures). One template, one set of semantics:
+// (core/relax_cache.hpp, caching relaxation solves) and GreedyCache
+// (alloc/greedy.hpp, caching Algorithm 1 placements). One template, one
+// set of semantics:
 //
 // Determinism contract: a key must capture *all* inputs that determine
 // the cached bytes, so every thread that computes a given key computes
 // bit-identical values. Insertion is first-writer-wins; later writers
 // discard their copy. A lookup hit therefore returns exactly what the
-// thread would have computed itself. (The compiled-model cache relaxes
-// this to *structural* identity: every hit is re-patched with the
-// caller's coefficients, which restores the bit-identical guarantee —
-// see core/compiled_cache.hpp.)
+// thread would have computed itself.
 //
 // Entries are shared_ptr-owned, so a hit stays valid after eviction,
 // clear() or cache death.

@@ -15,9 +15,7 @@ double Monomial::eval(const std::vector<double>& x) const {
     MFA_ASSERT(v < x.size());
     MFA_ASSERT_MSG(x[v] > 0.0, "GP evaluation requires x > 0");
     // Fast-path the exponents allocation models are made of (x, x², 1/x):
-    // a multiply or divide instead of a ~20× costlier std::pow. (The
-    // compiled kernel needs no analogue — in log space an exponent is
-    // always a plain multiply; see gp/compiled.hpp.)
+    // a multiply or divide instead of a ~20× costlier std::pow.
     if (e == 1.0) {
       value *= x[v];
     } else if (e == 2.0) {

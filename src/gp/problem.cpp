@@ -92,40 +92,6 @@ void GpProblem::add_eq1(const Monomial& m, const std::string& label) {
           label.empty() ? label : label + " (>=)");
 }
 
-CompiledGp GpProblem::compile() const {
-  MFA_ASSERT_MSG(!objective_.empty(), "compile() before set_objective()");
-  detail::count_structure_compile();
-  CompiledGp out(num_variables());
-  out.add(objective_);
-  for (const Posynomial& p : constraints_) out.add(p);
-  return out;
-}
-
-Fingerprint GpProblem::structural_fingerprint() const {
-  MFA_ASSERT_MSG(!objective_.empty(),
-                 "structural_fingerprint() before set_objective()");
-  Fingerprint fp;
-  fp.mix(static_cast<std::uint64_t>(num_variables()));
-  // The exact ordered monomial/exponent sequence determines the lowered
-  // structure (row interning, duplicate merging, supports) completely;
-  // coefficients are deliberately excluded so a re-weighted problem maps
-  // to the same compiled model.
-  auto mix_posynomial = [&fp](const Posynomial& p) {
-    fp.mix(static_cast<std::uint64_t>(p.terms().size()));
-    for (const Monomial& m : p.terms()) {
-      fp.mix(static_cast<std::uint64_t>(m.exponents().size()));
-      for (const auto& [v, e] : m.exponents()) {
-        fp.mix(static_cast<std::uint64_t>(v));
-        fp.mix(e);
-      }
-    }
-  };
-  mix_posynomial(objective_);
-  fp.mix(static_cast<std::uint64_t>(constraints_.size()));
-  for (const Posynomial& c : constraints_) mix_posynomial(c);
-  return fp;
-}
-
 LseFunction GpProblem::compile(const Posynomial& p) const {
   const std::size_t rows = p.terms().size();
   LseFunction f;

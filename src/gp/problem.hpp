@@ -8,13 +8,12 @@
 //
 // The log-space compilation maps each posynomial to a log-sum-exp function
 //   F(y) = log Σ_t exp(A_t·y + b_t),  y = log x,
-// which is the form consumed by gp::Solver.
+// which is the form consumed by gp::GpSolver.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "gp/compiled.hpp"
 #include "gp/expr.hpp"
 #include "linalg/matrix.hpp"
 
@@ -73,22 +72,6 @@ class GpProblem {
   /// Compiles a posynomial into its log-space form over this problem's
   /// variable set.
   [[nodiscard]] LseFunction compile(const Posynomial& p) const;
-
-  /// Compiles the whole problem into the flat LSE IR consumed by the
-  /// solver's hot path: function 0 is the objective, functions 1..m the
-  /// posynomial constraints in order. Exponent rows are hash-consed and
-  /// duplicate monomials merged (see gp/compiled.hpp).
-  [[nodiscard]] CompiledGp compile() const;
-
-  /// 128-bit fingerprint of the problem's *structure*: the variable
-  /// count and the exact ordered sequence of monomial exponent rows of
-  /// the objective and every constraint — everything that determines
-  /// the compiled IR's shape — and deliberately not the coefficients.
-  /// Two problems with equal structural fingerprints compile() to
-  /// identical structures (same rows, same merge plan), so one compiled
-  /// model serves both after a patch_coefficients(); this is the
-  /// core::CompiledModelCache key.
-  [[nodiscard]] Fingerprint structural_fingerprint() const;
 
  private:
   std::vector<std::string> names_;

@@ -1,16 +1,11 @@
 #include "gp/solver.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <utility>
 
-#include "gp/batched.hpp"
-#include "gp/compiled.hpp"
 #include "linalg/decompose.hpp"
 
 namespace mfa::gp {
@@ -18,156 +13,6 @@ namespace {
 
 using linalg::Matrix;
 using linalg::Vector;
-
-// ---------------------------------------------------------------------------
-// Compiled path: barrier over the flat LSE IR. All evaluation scratch is
-// owned by the barrier and preallocated, so center() performs no per-
-// iteration allocation.
-// ---------------------------------------------------------------------------
-
-class CompiledBarrier {
- public:
-  CompiledBarrier(const CompiledGp& gp, const SolverOptions& opts)
-      : gp_(gp),
-        opts_(opts),
-        n_(gp.num_vars()),
-        grad_(n_),
-        hess_(n_, n_),
-        rhs_(n_),
-        step_(n_),
-        trial_(n_) {}
-
-  /// h(y) = t·F0(y) − Σ log(−F_i(y)), +inf outside the domain.
-  double merit(const Vector& y, double t) {
-    double h = t * gp_.value(0, y, ws_);
-    for (std::size_t f = 1; f < gp_.num_functions(); ++f) {
-      const double fi = gp_.value(f, y, ws_);
-      if (fi >= 0.0) return std::numeric_limits<double>::infinity();
-      h -= std::log(-fi);
-    }
-    return h;
-  }
-
-  /// Newton-minimizes the centering merit from y in place.
-  /// Returns false on an unrecoverable numeric failure.
-  /// `early_stop` (optional) is checked after every accepted step.
-  bool center(Vector& y, double t, int& newton_budget,
-              const std::function<bool(const Vector&)>& early_stop) {
-    while (newton_budget > 0) {
-      --newton_budget;
-      ++newton_used_;
-      // Assemble gradient and Hessian of the merit: the objective
-      // contributes t·∇F0 / t·∇²F0, each constraint κ·∇F_i and
-      // κ·∇²F_i + κ²·∇F_i∇F_iᵀ with κ = 1/(−F_i). With ∇²F = M − ggᵀ
-      // the fused weights are (t, t, −t) and (κ, κ, κ² − κ).
-      for (std::size_t i = 0; i < n_; ++i) {
-        grad_[i] = 0.0;
-        for (std::size_t j = 0; j < n_; ++j) hess_(i, j) = 0.0;
-      }
-      (void)gp_.prepare(0, y, ws_);
-      gp_.scatter(0, t, t, -t, grad_, hess_, ws_);
-      for (std::size_t f = 1; f < gp_.num_functions(); ++f) {
-        const double fi = gp_.prepare(f, y, ws_);
-        MFA_ASSERT_MSG(fi < 0.0, "centering left the barrier domain");
-        const double inv = 1.0 / (-fi);
-        gp_.scatter(f, inv, inv, inv * inv - inv, grad_, hess_, ws_);
-      }
-      // Newton step.
-      for (std::size_t i = 0; i < n_; ++i) rhs_[i] = -grad_[i];
-      if (!linalg::solve_spd_reuse(hess_, rhs_, spd_ws_, step_)) return false;
-      const double decrement = -linalg::dot(grad_, step_) / 2.0;
-      if (decrement < opts_.newton_tol) return true;  // centered
-      // Trust region in log space: far from all constraints the barrier
-      // Hessian vanishes and the Newton step explodes along affine
-      // directions; cap the step so iterates move at most a factor
-      // e^±kMaxLogStep per coordinate per iteration.
-      constexpr double kMaxLogStep = 8.0;
-      const double step_len = linalg::norm_inf(step_);
-      if (step_len > kMaxLogStep) step_ *= kMaxLogStep / step_len;
-      // Backtracking line search on the merit (Armijo, slope 0.3).
-      const double h0 = merit(y, t);
-      const double slope = linalg::dot(grad_, step_);
-      double alpha = 1.0;
-      double h_trial = 0.0;
-      for (;;) {
-        for (std::size_t i = 0; i < n_; ++i) {
-          trial_[i] = y[i] + alpha * step_[i];
-        }
-        h_trial = merit(trial_, t);
-        if (h_trial <= h0 + 0.3 * alpha * slope) break;
-        alpha *= 0.5;
-        if (alpha < 1e-14) return true;  // stalled: accept current center
-      }
-      y = trial_;
-      if (early_stop && early_stop(y)) return true;
-      // Numerical floor: when the merit stops moving, further Newton
-      // steps only burn budget — declare the point centered.
-      if (h0 - h_trial < 1e-13 * (1.0 + std::fabs(h0))) return true;
-    }
-    return true;  // budget exhausted; caller checks newton_budget
-  }
-
-  struct PathResult {
-    int outer = 0;
-    bool converged = false;  ///< duality-gap bound met (or early_stop hit)
-    bool numeric_ok = true;  ///< no unrecoverable Newton failure
-  };
-
-  /// Full barrier path from a strictly feasible y; y ends at the solution.
-  PathResult path(Vector& y, int& newton_budget,
-                  const std::function<bool(const Vector&)>& early_stop) {
-    const double m = static_cast<double>(gp_.num_functions() - 1);
-    double t = opts_.t0;
-    PathResult res;
-    while (res.outer < opts_.max_outer) {
-      ++res.outer;
-      if (!center(y, t, newton_budget, early_stop)) {
-        res.numeric_ok = false;
-        return res;
-      }
-      if (early_stop && early_stop(y)) {
-        res.converged = true;
-        return res;
-      }
-      if (m == 0.0 || m / t < opts_.tolerance) {
-        res.converged = true;
-        return res;
-      }
-      if (newton_budget <= 0) return res;
-      t *= opts_.mu;
-    }
-    return res;
-  }
-
-  [[nodiscard]] double max_constraint(const Vector& y) {
-    double worst = -std::numeric_limits<double>::infinity();
-    for (std::size_t f = 1; f < gp_.num_functions(); ++f) {
-      worst = std::max(worst, gp_.value(f, y, ws_));
-    }
-    return worst;
-  }
-
-  [[nodiscard]] int newton_used() const { return newton_used_; }
-
- private:
-  const CompiledGp& gp_;
-  const SolverOptions& opts_;
-  std::size_t n_;
-  GpWorkspace ws_;
-  linalg::SpdWorkspace spd_ws_;
-  Vector grad_;
-  Matrix hess_;
-  Vector rhs_;
-  Vector step_;
-  Vector trial_;
-  int newton_used_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Legacy interpretive path: dense LseFunction evaluation with per-call
-// buffers. Kept behind SolverOptions::use_compiled_kernel = false as the
-// cross-check and the bench/gp_kernel baseline.
-// ---------------------------------------------------------------------------
 
 /// Evaluates one LSE function's value, gradient and Hessian at y.
 struct Derivatives {
@@ -204,12 +49,17 @@ class Barrier {
   }
 
   /// Newton-minimizes the centering merit from y in place.
+  /// Returns false on an unrecoverable numeric failure.
+  /// `early_stop` (optional) is checked after every accepted step.
   bool center(Vector& y, double t, int& newton_budget,
               const std::function<bool(const Vector&)>& early_stop) const {
     const std::size_t n = y.size();
     while (newton_budget > 0) {
       --newton_budget;
       ++newton_used_;
+      // Assemble gradient and Hessian of the merit: the objective
+      // contributes t·∇F0 / t·∇²F0, each constraint κ·∇F_i and
+      // κ·∇²F_i + κ²·∇F_i∇F_iᵀ with κ = 1/(−F_i).
       Derivatives obj = eval_full(objective_, y);
       Vector grad = obj.grad * t;
       Matrix hess = obj.hess * t;
@@ -225,14 +75,20 @@ class Barrier {
           }
         }
       }
+      // Newton step.
       Vector rhs = grad * -1.0;
       auto step = linalg::solve_spd(hess, rhs);
       if (!step) return false;
       const double decrement = -linalg::dot(grad, *step) / 2.0;
       if (decrement < opts_.newton_tol) return true;  // centered
+      // Trust region in log space: far from all constraints the barrier
+      // Hessian vanishes and the Newton step explodes along affine
+      // directions; cap the step so iterates move at most a factor
+      // e^±kMaxLogStep per coordinate per iteration.
       constexpr double kMaxLogStep = 8.0;
       const double step_len = linalg::norm_inf(*step);
       if (step_len > kMaxLogStep) *step *= kMaxLogStep / step_len;
+      // Backtracking line search on the merit (Armijo, slope 0.3).
       const double h0 = merit(y, t);
       const double slope = linalg::dot(grad, *step);
       double alpha = 1.0;
@@ -248,12 +104,18 @@ class Barrier {
       }
       y = trial;
       if (early_stop && early_stop(y)) return true;
+      // Numerical floor: when the merit stops moving, further Newton
+      // steps only burn budget — declare the point centered.
       if (h0 - h_trial < 1e-13 * (1.0 + std::fabs(h0))) return true;
     }
     return true;  // budget exhausted; caller checks newton_budget
   }
 
-  using PathResult = CompiledBarrier::PathResult;
+  struct PathResult {
+    int outer = 0;
+    bool converged = false;  ///< duality-gap bound met (or early_stop hit)
+    bool numeric_ok = true;  ///< no unrecoverable Newton failure
+  };
 
   /// Full barrier path from a strictly feasible y; y ends at the solution.
   PathResult path(Vector& y, int& newton_budget,
@@ -289,6 +151,10 @@ class Barrier {
     return worst;
   }
 
+  [[nodiscard]] const std::vector<LseFunction>& constraints() const {
+    return constraints_;
+  }
+
   [[nodiscard]] int newton_used() const { return newton_used_; }
 
  private:
@@ -312,22 +178,19 @@ LseFunction augment_with_slack(const LseFunction& f) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Shared solve scaffolding
-// ---------------------------------------------------------------------------
-
-/// The barrier start point: y = 0, or log x0 clamped strictly inside the
-/// variable box when a warm seed is given.
-Vector initial_y(std::size_t n, const std::vector<double>* x0, double box) {
-  Vector y(n, 0.0);
-  if (x0 == nullptr) return y;
-  MFA_ASSERT_MSG(x0->size() == n, "warm-start point has wrong dimension");
-  const double cap = 0.999 * box;
-  for (std::size_t i = 0; i < n; ++i) {
-    MFA_ASSERT_MSG((*x0)[i] > 0.0, "warm-start point must be positive");
-    y[i] = std::clamp(std::log((*x0)[i]), -cap, cap);
+/// The phase-I barrier over (y, s): minimize s s.t. F_i(y) − s ≤ 0.
+Barrier phase1_barrier(const Barrier& main, std::size_t n,
+                       const SolverOptions& options) {
+  LseFunction slack_obj;
+  slack_obj.a = Matrix(1, n + 1);
+  slack_obj.a(0, n) = 1.0;  // F0(y, s) = s
+  slack_obj.b = Vector(1);
+  std::vector<LseFunction> slack_cons;
+  slack_cons.reserve(main.constraints().size());
+  for (const LseFunction& c : main.constraints()) {
+    slack_cons.push_back(augment_with_slack(c));
   }
-  return y;
+  return Barrier(std::move(slack_obj), std::move(slack_cons), options);
 }
 
 void export_point(const GpProblem& problem, const Vector& y,
@@ -342,35 +205,68 @@ void export_point(const GpProblem& problem, const Vector& y,
   sol.max_violation = std::exp(max_constraint) - 1.0;
 }
 
-/// Phase I + phase II over either barrier implementation. BarrierT must
-/// provide merit/center/path/max_constraint with the shared signatures;
-/// MakePhase1 builds the slack-augmented barrier on demand.
-template <typename BarrierT, typename MakePhase1>
-GpSolution run_two_phase(const GpProblem& problem, const SolverOptions& options,
-                         BarrierT& main_barrier, MakePhase1&& make_phase1,
-                         std::size_t num_constraints, Vector y) {
+}  // namespace
+
+const char* to_string(GpStatus status) {
+  switch (status) {
+    case GpStatus::kOptimal:
+      return "optimal";
+    case GpStatus::kInfeasible:
+      return "infeasible";
+    case GpStatus::kIterLimit:
+      return "iteration-limit";
+    case GpStatus::kNumeric:
+      return "numeric-failure";
+  }
+  return "unknown";
+}
+
+GpSolution GpSolver::solve(const GpProblem& problem) const {
   const std::size_t n = problem.num_variables();
+  // The posynomial constraints plus the variable box |y_j| ≤ Y, as the
+  // LSE rows ±y_j − Y ≤ 0. Y = 46 (the default) allows x ∈ [1e-20, 1e20],
+  // far beyond any meaningful allocation quantity.
+  std::vector<LseFunction> cons;
+  cons.reserve(problem.constraints().size() + 2 * n);
+  for (const Posynomial& p : problem.constraints()) {
+    cons.push_back(problem.compile(p));
+  }
+  for (std::size_t j = 0; j < n; ++j) {
+    for (double sign : {1.0, -1.0}) {
+      LseFunction bound;
+      bound.a = Matrix(1, n);
+      bound.a(0, j) = sign;
+      bound.b = Vector(1);
+      bound.b[0] = -options_.variable_box;
+      cons.push_back(std::move(bound));
+    }
+  }
+  const std::size_t num_constraints = cons.size();
+  const Barrier main_barrier(problem.compile(problem.objective()),
+                             std::move(cons), options_);
+
   GpSolution sol;
   sol.x.assign(n, 1.0);
-  int newton_budget = options.max_newton * options.max_outer;
+  int newton_budget = options_.max_newton * options_.max_outer;
+  Vector y(n, 0.0);
 
   // ---- Phase I: find a strictly feasible y (skipped if y already is).
   if (num_constraints > 0 &&
-      main_barrier.max_constraint(y) >= -options.feas_margin) {
-    auto phase1 = make_phase1();
+      main_barrier.max_constraint(y) >= -options_.feas_margin) {
+    const Barrier phase1 = phase1_barrier(main_barrier, n, options_);
     Vector ys(n + 1, 0.0);
     for (std::size_t i = 0; i < n; ++i) ys[i] = y[i];
     // s0 strictly above the worst violation keeps the start interior.
     ys[n] = main_barrier.max_constraint(y) + 1.0;
-    const double margin = options.feas_margin;
+    const double margin = options_.feas_margin;
     Vector yy(n);
     auto feasible_found = [&](const Vector& p) {
       // Check the *original* constraints at the y part of the iterate.
       for (std::size_t i = 0; i < n; ++i) yy[i] = p[i];
       return main_barrier.max_constraint(yy) < -margin;
     };
-    const auto p1 = phase1->path(ys, newton_budget, feasible_found);
-    sol.newton_iterations += phase1->newton_used();
+    const auto p1 = phase1.path(ys, newton_budget, feasible_found);
+    sol.newton_iterations += phase1.newton_used();
 
     for (std::size_t i = 0; i < n; ++i) yy[i] = ys[i];
     const double worst = main_barrier.max_constraint(yy);
@@ -400,755 +296,6 @@ GpSolution run_two_phase(const GpProblem& problem, const SolverOptions& options,
                : p2.numeric_ok ? GpStatus::kIterLimit
                                : GpStatus::kNumeric;
   return sol;
-}
-
-/// Barrier solve over a prepared artifact: no per-call IR mutation at
-/// all. The box rows are already part of the model, and the phase-I
-/// slack problem is derived through the structure-level cache only when
-/// phase I actually runs (a warm, strictly feasible seed never pays for
-/// the lowering — and a cold one pays it once per *structure*, not per
-/// solve).
-GpSolution solve_prepared(const GpProblem& problem, const CompiledModel& model,
-                          const SolverOptions& options,
-                          const std::vector<double>* x0) {
-  const std::size_t n = problem.num_variables();
-  MFA_ASSERT_MSG(model.num_vars() == n &&
-                     model.variable_box() == options.variable_box,
-                 "prepared model does not match the problem/options");
-  const CompiledGp& gp = model.gp();
-  CompiledBarrier main_barrier(gp, options);
-  CompiledGp slack_gp;  // assigned lazily; must outlive the barrier
-  std::unique_ptr<CompiledBarrier> phase1;
-  auto make_phase1 = [&]() -> CompiledBarrier* {
-    slack_gp = model.phase1();
-    phase1 = std::make_unique<CompiledBarrier>(slack_gp, options);
-    return phase1.get();
-  };
-  return run_two_phase(problem, options, main_barrier, make_phase1,
-                       gp.num_functions() - 1,
-                       initial_y(n, x0, options.variable_box));
-}
-
-GpSolution solve_compiled(const GpProblem& problem,
-                          const SolverOptions& options,
-                          const std::vector<double>* x0) {
-  // Y = 46 (the default variable_box) allows x ∈ [1e-20, 1e20], far
-  // beyond any meaningful allocation quantity; the box rows themselves
-  // now live in the compiled artifact (CompiledModel::build).
-  const CompiledModel model =
-      CompiledModel::build(problem, options.variable_box);
-  return solve_prepared(problem, model, options, x0);
-}
-
-GpSolution solve_legacy(const GpProblem& problem, const SolverOptions& options,
-                        const std::vector<double>* x0) {
-  const std::size_t n = problem.num_variables();
-  LseFunction obj = problem.compile(problem.objective());
-  std::vector<LseFunction> cons;
-  cons.reserve(problem.constraints().size() + 2 * n);
-  for (const Posynomial& p : problem.constraints()) {
-    cons.push_back(problem.compile(p));
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    for (double sign : {1.0, -1.0}) {
-      LseFunction bound;
-      bound.a = Matrix(1, n);
-      bound.a(0, j) = sign;
-      bound.b = Vector(1);
-      bound.b[0] = -options.variable_box;
-      cons.push_back(std::move(bound));
-    }
-  }
-  const std::size_t num_constraints = cons.size();
-  Barrier main_barrier(obj, cons, options);
-  std::unique_ptr<Barrier> phase1;
-  auto make_phase1 = [&]() -> Barrier* {
-    LseFunction slack_obj;
-    slack_obj.a = Matrix(1, n + 1);
-    slack_obj.a(0, n) = 1.0;  // F0(y, s) = s
-    slack_obj.b = Vector(1);
-    std::vector<LseFunction> slack_cons;
-    slack_cons.reserve(cons.size());
-    for (const LseFunction& c : cons) {
-      slack_cons.push_back(augment_with_slack(c));
-    }
-    phase1 = std::make_unique<Barrier>(std::move(slack_obj),
-                                       std::move(slack_cons), options);
-    return phase1.get();
-  };
-  return run_two_phase(problem, options, main_barrier, make_phase1,
-                       num_constraints,
-                       initial_y(n, x0, options.variable_box));
-}
-
-// ---------------------------------------------------------------------------
-// Batched lock-step driver (GpSolver::solve_batch). Every lane replays the
-// scalar two-phase barrier semantics — same centering criteria, trust
-// region, Armijo schedule, budget accounting and status mapping — but all
-// lanes advance through one fused batched assemble/solve per round. Each
-// lane runs its *own* t-ladder (its t advances when that lane centers):
-// a literally shared t would make a lane's trajectory depend on its
-// slowest batchmate, breaking the "results independent of group
-// formation" contract. Converged lanes retire early: they are frozen
-// (zero assemble weights, still computed) and physically compacted out
-// once active occupancy drops below half.
-// ---------------------------------------------------------------------------
-
-/// Per-lane path state, indexed by the lane's slot in the initial batch.
-struct BatchLaneState {
-  double t = 1.0;           ///< current barrier weight (per-lane ladder)
-  int outer = 0;            ///< barrier stages entered
-  int budget = 0;           ///< remaining Newton budget (shared by phases)
-  int newton_used = 0;      ///< Newton rounds this lane participated in
-  bool begin_center = true; ///< next round opens a new centering stage
-  bool active = true;
-  bool converged = false;
-  bool numeric_ok = true;
-};
-
-/// Early-stop hook for the batched path (phase I's feasibility check).
-/// Indices are *current-slot* indices; compact() keeps the hook's own
-/// lane-parallel state in sync with the path's compaction.
-class BatchEarlyStop {
- public:
-  virtual ~BatchEarlyStop() = default;
-  /// For every current slot with mask[slot] set, sets retire[slot] when
-  /// the lane's stop condition holds at its column of y.
-  virtual void check(const LaneArray& y, const std::vector<std::uint8_t>& mask,
-                     std::vector<std::uint8_t>& retire) = 0;
-  /// The path compacted to the given current-slot subset.
-  virtual void compact(const std::vector<std::uint32_t>& keep) = 0;
-};
-
-/// Phase-I early stop: retire a lane as soon as the *original*
-/// constraints are strictly satisfied at the y-part of its slack
-/// iterate. Evaluates the main model batched, directly on the slack
-/// iterate — the slack variable is the last row, so the main model's
-/// var-major reads never touch it.
-class FeasibilityStop final : public BatchEarlyStop {
- public:
-  FeasibilityStop(std::vector<const CompiledGp*> main_gps, double margin)
-      : gps_(std::move(main_gps)), margin_(margin) {
-    rebuild();
-  }
-
-  void check(const LaneArray& y, const std::vector<std::uint8_t>& mask,
-             std::vector<std::uint8_t>& retire) override {
-    const std::size_t L = model_->lanes();
-    bool any = false;
-    for (std::size_t l = 0; l < L; ++l) any = any || mask[l] != 0;
-    if (!any) return;
-    fval_.resize(L);
-    worst_.assign(L, -std::numeric_limits<double>::infinity());
-    for (std::size_t f = 1; f < model_->num_functions(); ++f) {
-      model_->value(f, y, ws_, fval_.data());
-      for (std::size_t l = 0; l < L; ++l) {
-        worst_[l] = std::max(worst_[l], fval_[l]);
-      }
-    }
-    for (std::size_t l = 0; l < L; ++l) {
-      if (mask[l] != 0 && worst_[l] < -margin_) retire[l] = 1;
-    }
-  }
-
-  void compact(const std::vector<std::uint32_t>& keep) override {
-    std::vector<const CompiledGp*> kept;
-    kept.reserve(keep.size());
-    for (const std::uint32_t slot : keep) kept.push_back(gps_[slot]);
-    gps_ = std::move(kept);
-    rebuild();
-  }
-
- private:
-  void rebuild() {
-    auto m = BatchedModel::build(gps_);
-    MFA_ASSERT_MSG(m.has_value(), "phase-I lanes lost their shared structure");
-    model_.emplace(std::move(*m));
-    // Presize here so check()'s value() calls stay allocation-free.
-    model_->ensure_workspace(ws_);
-  }
-
-  std::vector<const CompiledGp*> gps_;
-  std::optional<BatchedModel> model_;
-  BatchedWorkspace ws_;
-  std::vector<double> fval_;
-  std::vector<double> worst_;
-  double margin_;
-};
-
-/// Lock-step barrier path over the lanes of `gps0` (which must share one
-/// Structure). `states` and `y` are parallel to gps0 and indexed by the
-/// initial slot; y carries the start points in and the final iterates
-/// out. Every lane ends retired, with its converged/numeric_ok/budget/
-/// newton_used fields holding exactly what the scalar path() would have
-/// produced for it alone.
-void run_batched_path(const SolverOptions& opts,
-                      const std::vector<const CompiledGp*>& gps0,
-                      std::vector<BatchLaneState>& states,
-                      std::vector<Vector>& y, BatchEarlyStop* early) {
-  const std::size_t n = gps0.front()->num_vars();
-  const double m = static_cast<double>(gps0.front()->num_functions() - 1);
-  const std::size_t num_fun = gps0.front()->num_functions();
-
-  std::vector<const CompiledGp*> gps = gps0;
-  std::vector<std::uint32_t> origin(gps.size());
-  for (std::size_t i = 0; i < origin.size(); ++i) {
-    origin[i] = static_cast<std::uint32_t>(i);
-  }
-  auto built = BatchedModel::build(gps);
-  MFA_ASSERT_MSG(built.has_value(), "batched lanes must share one structure");
-  BatchedModel model = std::move(*built);
-
-  std::size_t L = gps.size();
-  LaneArray Y(n * L);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t l = 0; l < L; ++l) Y[j * L + l] = y[origin[l]][j];
-  }
-
-  BatchedWorkspace ws;
-  BatchedSpdWorkspace spd_ws;
-  LaneArray grad(n * L), hess(n * n * L), rhs(n * L), step(n * L),
-      trial(n * L);
-  // All evaluation/solve scratch is sized here, before the iteration
-  // loop: value()/scatter()/batched_spd_solve assert rather than grow.
-  model.ensure_workspace(ws);
-  reserve_spd_workspace(n, L, spd_ws, step);
-  std::vector<double> wg(L), wm(L), wr(L), fval(L), h0(L), h_acc(L), slope(L),
-      alpha(L), h_trial(L);
-  std::vector<std::uint8_t> ok(L), centered(L), searching(L), stepped(L),
-      dom(L), mask(L), retire(L);
-  // Scalar fallback scratch for lanes whose unregularized Cholesky fails.
-  Matrix a_s(n, n);
-  Vector b_s(n), x_s(n);
-  linalg::SpdWorkspace scalar_spd;
-
-  auto lane_state = [&](std::size_t slot) -> BatchLaneState& {
-    return states[origin[slot]];
-  };
-  auto retire_lane = [&](std::size_t slot, bool converged) {
-    BatchLaneState& st = lane_state(slot);
-    st.active = false;
-    st.converged = converged;
-    Vector& out = y[origin[slot]];
-    for (std::size_t j = 0; j < n; ++j) out[j] = Y[j * L + slot];
-  };
-
-  for (;;) {
-    // ---- Occupancy: stop when everyone retired; compact below half.
-    std::vector<std::uint32_t> live;
-    for (std::size_t l = 0; l < L; ++l) {
-      if (lane_state(l).active) live.push_back(static_cast<std::uint32_t>(l));
-    }
-    if (live.empty()) return;
-    if (live.size() * 2 < L) {
-      const std::size_t L2 = live.size();
-      std::vector<const CompiledGp*> gps2;
-      std::vector<std::uint32_t> origin2;
-      gps2.reserve(L2);
-      origin2.reserve(L2);
-      LaneArray Y2(n * L2);
-      for (std::size_t i = 0; i < L2; ++i) {
-        gps2.push_back(gps[live[i]]);
-        origin2.push_back(origin[live[i]]);
-        for (std::size_t j = 0; j < n; ++j) {
-          Y2[j * L2 + i] = Y[j * L + live[i]];
-        }
-      }
-      gps = std::move(gps2);
-      origin = std::move(origin2);
-      Y = std::move(Y2);
-      auto rebuilt = BatchedModel::build(gps);
-      MFA_ASSERT(rebuilt.has_value());
-      model = std::move(*rebuilt);
-      // Compaction only shrinks L, so this is a no-op resize-wise, but
-      // it keeps the sized-before-use invariant explicit.
-      model.ensure_workspace(ws);
-      if (early != nullptr) early->compact(live);
-      L = L2;
-      grad.resize(n * L);
-      hess.resize(n * n * L);
-      rhs.resize(n * L);
-      step.resize(n * L);
-      trial.resize(n * L);
-      wg.resize(L);
-      wm.resize(L);
-      wr.resize(L);
-      fval.resize(L);
-      h0.resize(L);
-      h_acc.resize(L);
-      slope.resize(L);
-      alpha.resize(L);
-      h_trial.resize(L);
-      ok.resize(L);
-      centered.resize(L);
-      searching.resize(L);
-      stepped.resize(L);
-      dom.resize(L);
-      mask.resize(L);
-      retire.resize(L);
-      live.clear();
-      for (std::size_t l = 0; l < L; ++l) {
-        live.push_back(static_cast<std::uint32_t>(l));
-      }
-    }
-
-    // ---- Round bookkeeping: open new centering stages, and give lanes
-    // whose budget is spent the same last early-stop/gap look the
-    // scalar path performs before returning.
-    std::fill(mask.begin(), mask.end(), std::uint8_t{0});
-    std::fill(retire.begin(), retire.end(), std::uint8_t{0});
-    bool any_exhausted = false;
-    for (std::size_t l = 0; l < L; ++l) {
-      BatchLaneState& st = lane_state(l);
-      if (!st.active) continue;
-      if (st.begin_center) {
-        if (st.outer >= opts.max_outer) {
-          retire_lane(l, /*converged=*/false);
-          continue;
-        }
-        ++st.outer;
-        st.begin_center = false;
-      }
-      if (st.budget <= 0) {
-        mask[l] = 1;
-        any_exhausted = true;
-      }
-    }
-    if (any_exhausted) {
-      if (early != nullptr) early->check(Y, mask, retire);
-      for (std::size_t l = 0; l < L; ++l) {
-        if (mask[l] == 0) continue;
-        const BatchLaneState& st = lane_state(l);
-        const bool conv =
-            retire[l] != 0 || m == 0.0 || m / st.t < opts.tolerance;
-        retire_lane(l, conv);
-      }
-    }
-    bool any_active = false;
-    for (std::size_t l = 0; l < L; ++l) any_active |= lane_state(l).active;
-    if (!any_active) continue;  // loop top handles termination
-
-    // ---- Assemble: one fused batched prepare/scatter pass per
-    // function, with per-lane barrier weights; retired lanes are frozen
-    // with zero weights. The centering merit h0 is accumulated from the
-    // same prepared values the scalar merit() recomputes.
-    grad.fill(0.0);
-    hess.fill(0.0);
-    for (std::size_t l = 0; l < L; ++l) {
-      BatchLaneState& st = lane_state(l);
-      if (st.active) {
-        --st.budget;
-        ++st.newton_used;
-        wg[l] = st.t;
-        wm[l] = st.t;
-        wr[l] = -st.t;
-      } else {
-        wg[l] = wm[l] = wr[l] = 0.0;
-      }
-    }
-    model.prepare(0, Y, ws, fval.data());
-    for (std::size_t l = 0; l < L; ++l) {
-      h0[l] = lane_state(l).active ? lane_state(l).t * fval[l] : 0.0;
-    }
-    model.scatter(0, wg.data(), wm.data(), wr.data(), grad, hess, ws);
-    for (std::size_t f = 1; f < num_fun; ++f) {
-      model.prepare(f, Y, ws, fval.data());
-      for (std::size_t l = 0; l < L; ++l) {
-        if (!lane_state(l).active) {
-          wg[l] = wm[l] = wr[l] = 0.0;
-          continue;
-        }
-        MFA_ASSERT_MSG(fval[l] < 0.0, "centering left the barrier domain");
-        const double inv = 1.0 / (-fval[l]);
-        wg[l] = inv;
-        wm[l] = inv;
-        wr[l] = inv * inv - inv;
-        h0[l] -= std::log(-fval[l]);
-      }
-      model.scatter(f, wg.data(), wm.data(), wr.data(), grad, hess, ws);
-    }
-
-    // ---- Newton systems: lock-step unregularized Cholesky; lanes that
-    // hit a bad pivot re-solve through the scalar escalating-
-    // regularization path (identical to what they would do alone).
-    for (std::size_t i = 0; i < n * L; ++i) rhs[i] = -grad[i];
-    batched_spd_solve(hess, rhs, n, L, spd_ws, step, ok.data());
-    for (std::size_t l = 0; l < L; ++l) {
-      if (!lane_state(l).active || ok[l] != 0) continue;
-      for (std::size_t i = 0; i < n; ++i) {
-        b_s[i] = rhs[i * L + l];
-        for (std::size_t j = 0; j < n; ++j) {
-          a_s(i, j) = hess[(i * n + j) * L + l];
-        }
-      }
-      if (!linalg::solve_spd_reuse(a_s, b_s, scalar_spd, x_s)) {
-        lane_state(l).numeric_ok = false;
-        retire_lane(l, /*converged=*/false);
-        continue;
-      }
-      for (std::size_t j = 0; j < n; ++j) step[j * L + l] = x_s[j];
-    }
-
-    // ---- Decrement test, trust region, and per-lane line-search prep.
-    std::fill(centered.begin(), centered.end(), std::uint8_t{0});
-    std::fill(searching.begin(), searching.end(), std::uint8_t{0});
-    std::fill(stepped.begin(), stepped.end(), std::uint8_t{0});
-    for (std::size_t l = 0; l < L; ++l) {
-      if (!lane_state(l).active) continue;
-      double dec = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        dec += grad[j * L + l] * step[j * L + l];
-      }
-      dec = -dec / 2.0;
-      if (dec < opts.newton_tol) {
-        centered[l] = 1;  // centered: no step this round
-        continue;
-      }
-      constexpr double kMaxLogStep = 8.0;
-      double step_len = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        step_len = std::max(step_len, std::fabs(step[j * L + l]));
-      }
-      if (step_len > kMaxLogStep) {
-        const double scale = kMaxLogStep / step_len;
-        for (std::size_t j = 0; j < n; ++j) step[j * L + l] *= scale;
-      }
-      double sl = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        sl += grad[j * L + l] * step[j * L + l];
-      }
-      slope[l] = sl;
-      alpha[l] = 1.0;
-      searching[l] = 1;
-    }
-
-    // ---- Lock-step Armijo backtracking: shared rounds, per-lane alpha.
-    // Non-searching lanes hold trial at their current (feasible) point
-    // so every batched merit evaluation stays inside the domain.
-    for (std::size_t i = 0; i < n * L; ++i) trial[i] = Y[i];
-    for (;;) {
-      bool any_search = false;
-      for (std::size_t l = 0; l < L; ++l) any_search |= searching[l] != 0;
-      if (!any_search) break;
-      for (std::size_t l = 0; l < L; ++l) {
-        if (searching[l] == 0) continue;
-        for (std::size_t j = 0; j < n; ++j) {
-          trial[j * L + l] = Y[j * L + l] + alpha[l] * step[j * L + l];
-        }
-      }
-      // Batched merit at the trial points; dom[l] == 0 flags +inf.
-      model.value(0, trial, ws, fval.data());
-      for (std::size_t l = 0; l < L; ++l) {
-        h_trial[l] = lane_state(l).t * fval[l];
-        dom[l] = 1;
-      }
-      for (std::size_t f = 1; f < num_fun; ++f) {
-        // Mirror of the scalar merit's early domain exit: once every
-        // searching lane has left the domain, the remaining constraint
-        // values cannot influence any lane's merit (violated lanes are
-        // +inf regardless), so skip them. Output-identical — the break
-        // only elides evaluations whose results would be masked.
-        bool any_live = false;
-        for (std::size_t l = 0; l < L; ++l) {
-          any_live |= searching[l] != 0 && dom[l] != 0;
-        }
-        if (!any_live) break;
-        model.value(f, trial, ws, fval.data());
-        for (std::size_t l = 0; l < L; ++l) {
-          if (searching[l] == 0 || dom[l] == 0) continue;
-          if (fval[l] >= 0.0) {
-            dom[l] = 0;
-          } else {
-            h_trial[l] -= std::log(-fval[l]);
-          }
-        }
-      }
-      for (std::size_t l = 0; l < L; ++l) {
-        if (searching[l] == 0) continue;
-        if (dom[l] != 0 &&
-            h_trial[l] <= h0[l] + 0.3 * alpha[l] * slope[l]) {
-          searching[l] = 0;
-          stepped[l] = 1;
-          h_acc[l] = h_trial[l];
-          for (std::size_t j = 0; j < n; ++j) {
-            Y[j * L + l] = trial[j * L + l];
-          }
-          continue;
-        }
-        alpha[l] *= 0.5;
-        if (alpha[l] < 1e-14) {
-          searching[l] = 0;
-          centered[l] = 1;  // stalled: accept current center
-        }
-      }
-    }
-
-    // ---- Early stop (phase I): checked for lanes that just stepped and
-    // for lanes that centered, exactly where the scalar path checks.
-    if (early != nullptr) {
-      std::fill(mask.begin(), mask.end(), std::uint8_t{0});
-      std::fill(retire.begin(), retire.end(), std::uint8_t{0});
-      bool any = false;
-      for (std::size_t l = 0; l < L; ++l) {
-        if (lane_state(l).active && (stepped[l] != 0 || centered[l] != 0)) {
-          mask[l] = 1;
-          any = true;
-        }
-      }
-      if (any) {
-        early->check(Y, mask, retire);
-        for (std::size_t l = 0; l < L; ++l) {
-          if (retire[l] != 0) retire_lane(l, /*converged=*/true);
-        }
-      }
-    }
-
-    // ---- Flat-merit floor, then post-center ladder bookkeeping.
-    for (std::size_t l = 0; l < L; ++l) {
-      BatchLaneState& st = lane_state(l);
-      if (!st.active) continue;
-      if (stepped[l] != 0 && centered[l] == 0 &&
-          h0[l] - h_acc[l] < 1e-13 * (1.0 + std::fabs(h0[l]))) {
-        centered[l] = 1;
-      }
-      if (centered[l] == 0) continue;
-      if (m == 0.0 || m / st.t < opts.tolerance) {
-        retire_lane(l, /*converged=*/true);
-      } else if (st.budget <= 0) {
-        retire_lane(l, /*converged=*/false);
-      } else {
-        st.t *= opts.mu;
-        st.begin_center = true;
-      }
-    }
-  }
-}
-
-std::atomic<std::int64_t> g_newton_iterations{0};
-
-}  // namespace
-
-std::int64_t total_newton_iterations() {
-  return g_newton_iterations.load(std::memory_order_relaxed);
-}
-
-const char* to_string(GpStatus status) {
-  switch (status) {
-    case GpStatus::kOptimal:
-      return "optimal";
-    case GpStatus::kInfeasible:
-      return "infeasible";
-    case GpStatus::kIterLimit:
-      return "iteration-limit";
-    case GpStatus::kNumeric:
-      return "numeric-failure";
-  }
-  return "unknown";
-}
-
-GpSolution GpSolver::solve(const GpProblem& problem) const {
-  GpSolution sol = options_.use_compiled_kernel
-                       ? solve_compiled(problem, options_, nullptr)
-                       : solve_legacy(problem, options_, nullptr);
-  g_newton_iterations.fetch_add(sol.newton_iterations,
-                                std::memory_order_relaxed);
-  return sol;
-}
-
-GpSolution GpSolver::solve(const GpProblem& problem,
-                           const std::vector<double>& x0) const {
-  GpSolution sol = options_.use_compiled_kernel
-                       ? solve_compiled(problem, options_, &x0)
-                       : solve_legacy(problem, options_, &x0);
-  g_newton_iterations.fetch_add(sol.newton_iterations,
-                                std::memory_order_relaxed);
-  return sol;
-}
-
-GpSolution GpSolver::solve(const GpProblem& problem,
-                           const CompiledModel& model) const {
-  GpSolution sol = solve_prepared(problem, model, options_, nullptr);
-  g_newton_iterations.fetch_add(sol.newton_iterations,
-                                std::memory_order_relaxed);
-  return sol;
-}
-
-GpSolution GpSolver::solve(const GpProblem& problem, const CompiledModel& model,
-                           const std::vector<double>& x0) const {
-  GpSolution sol = solve_prepared(problem, model, options_, &x0);
-  g_newton_iterations.fetch_add(sol.newton_iterations,
-                                std::memory_order_relaxed);
-  return sol;
-}
-
-std::vector<GpSolution> GpSolver::solve_batch(
-    const std::vector<BatchLane>& lanes) const {
-  std::vector<GpSolution> out(lanes.size());
-  if (lanes.empty()) return out;
-
-  std::vector<const CompiledGp*> gps;
-  gps.reserve(lanes.size());
-  for (const BatchLane& lane : lanes) {
-    MFA_ASSERT(lane.problem != nullptr && lane.model != nullptr);
-    MFA_ASSERT_MSG(lane.model->num_vars() == lane.problem->num_variables() &&
-                       lane.model->variable_box() == options_.variable_box,
-                   "prepared model does not match the problem/options");
-    gps.push_back(&lane.model->gp());
-  }
-
-  // Scalar fallback: singletons, interpretive-kernel solves, and
-  // misgrouped batches (build() counted those) run lane by lane.
-  std::optional<BatchedModel> batched;
-  if (options_.use_compiled_kernel && lanes.size() >= 2) {
-    batched = BatchedModel::build(gps);
-  }
-  if (!batched.has_value()) {
-    std::int64_t total = 0;
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-      SolverOptions o = options_;
-      if (lanes[k].t0 > 0.0) o.t0 = lanes[k].t0;
-      out[k] = options_.use_compiled_kernel
-                   ? solve_prepared(*lanes[k].problem, *lanes[k].model, o,
-                                    lanes[k].x0)
-                   : solve_legacy(*lanes[k].problem, o, lanes[k].x0);
-      total += out[k].newton_iterations;
-    }
-    g_newton_iterations.fetch_add(total, std::memory_order_relaxed);
-    return out;
-  }
-  detail::count_batched_solve(lanes.size());
-
-  const std::size_t K = lanes.size();
-  const std::size_t n = lanes[0].problem->num_variables();
-  const std::size_t num_constraints = gps[0]->num_functions() - 1;
-
-  // Initial points, and one batched pass to classify which lanes need
-  // phase I.
-  std::vector<Vector> y(K);
-  std::vector<double> worst(K, -std::numeric_limits<double>::infinity());
-  for (std::size_t k = 0; k < K; ++k) {
-    y[k] = initial_y(n, lanes[k].x0, options_.variable_box);
-    out[k].x.assign(n, 1.0);
-  }
-  {
-    LaneArray y0(n * K);
-    for (std::size_t j = 0; j < n; ++j) {
-      for (std::size_t k = 0; k < K; ++k) y0[j * K + k] = y[k][j];
-    }
-    BatchedWorkspace ws;
-    batched->ensure_workspace(ws);
-    std::vector<double> fval(K);
-    for (std::size_t f = 1; f <= num_constraints; ++f) {
-      batched->value(f, y0, ws, fval.data());
-      for (std::size_t k = 0; k < K; ++k) {
-        worst[k] = std::max(worst[k], fval[k]);
-      }
-    }
-  }
-
-  std::vector<double> lane_t0(K);
-  std::vector<int> budget(K, options_.max_newton * options_.max_outer);
-  std::vector<bool> finished(K, false);
-  for (std::size_t k = 0; k < K; ++k) {
-    lane_t0[k] = lanes[k].t0 > 0.0 ? lanes[k].t0 : options_.t0;
-  }
-  GpWorkspace scalar_ws;
-  auto scalar_worst = [&](std::size_t k, const Vector& yy) {
-    double w = -std::numeric_limits<double>::infinity();
-    for (std::size_t f = 1; f <= num_constraints; ++f) {
-      w = std::max(w, gps[k]->value(f, yy, scalar_ws));
-    }
-    return w;
-  };
-
-  // ---- Phase I over the lanes that start infeasible. The slack GPs all
-  // share the structure-level cached slack lowering, so they batch too.
-  std::vector<std::size_t> p1;
-  if (num_constraints > 0) {
-    for (std::size_t k = 0; k < K; ++k) {
-      if (worst[k] >= -options_.feas_margin) p1.push_back(k);
-    }
-  }
-  if (!p1.empty()) {
-    std::vector<CompiledGp> slack_gps;
-    std::vector<const CompiledGp*> slack_ptrs, main_ptrs;
-    slack_gps.reserve(p1.size());
-    for (const std::size_t idx : p1) {
-      slack_gps.push_back(lanes[idx].model->phase1());
-      main_ptrs.push_back(gps[idx]);
-    }
-    for (const CompiledGp& g : slack_gps) slack_ptrs.push_back(&g);
-    std::vector<Vector> ys(p1.size());
-    std::vector<BatchLaneState> st(p1.size());
-    for (std::size_t i = 0; i < p1.size(); ++i) {
-      const std::size_t idx = p1[i];
-      ys[i] = Vector(n + 1, 0.0);
-      for (std::size_t j = 0; j < n; ++j) ys[i][j] = y[idx][j];
-      // s0 strictly above the worst violation keeps the start interior.
-      ys[i][n] = worst[idx] + 1.0;
-      st[i].t = lane_t0[idx];
-      st[i].budget = budget[idx];
-    }
-    FeasibilityStop stop(main_ptrs, options_.feas_margin);
-    run_batched_path(options_, slack_ptrs, st, ys, &stop);
-    for (std::size_t i = 0; i < p1.size(); ++i) {
-      const std::size_t idx = p1[i];
-      budget[idx] = st[i].budget;
-      out[idx].newton_iterations += st[i].newton_used;
-      Vector yy(n);
-      for (std::size_t j = 0; j < n; ++j) yy[j] = ys[i][j];
-      const double w = scalar_worst(idx, yy);
-      if (w >= -options_.feas_margin) {
-        // Phase I finished without reaching s < 0: either the problem is
-        // infeasible (the path converged) or the budget ran out.
-        out[idx].status = st[i].converged && budget[idx] > 0
-                              ? GpStatus::kInfeasible
-                          : st[i].numeric_ok ? GpStatus::kIterLimit
-                                             : GpStatus::kNumeric;
-        export_point(*lanes[idx].problem, yy, w, out[idx]);
-        finished[idx] = true;
-      } else {
-        y[idx] = yy;
-      }
-    }
-  }
-
-  // ---- Phase II over the feasible survivors.
-  std::vector<std::size_t> p2;
-  for (std::size_t k = 0; k < K; ++k) {
-    if (!finished[k]) p2.push_back(k);
-  }
-  if (!p2.empty()) {
-    std::vector<const CompiledGp*> ptrs;
-    std::vector<Vector> y2;
-    std::vector<BatchLaneState> st(p2.size());
-    for (std::size_t i = 0; i < p2.size(); ++i) {
-      const std::size_t idx = p2[i];
-      ptrs.push_back(gps[idx]);
-      y2.push_back(y[idx]);
-      st[i].t = lane_t0[idx];
-      st[i].budget = budget[idx];
-    }
-    run_batched_path(options_, ptrs, st, y2, nullptr);
-    for (std::size_t i = 0; i < p2.size(); ++i) {
-      const std::size_t idx = p2[i];
-      out[idx].outer_iterations = st[i].outer;
-      out[idx].newton_iterations += st[i].newton_used;
-      const double w = num_constraints == 0
-                           ? -std::numeric_limits<double>::infinity()
-                           : scalar_worst(idx, y2[i]);
-      export_point(*lanes[idx].problem, y2[i], w, out[idx]);
-      if (num_constraints == 0) out[idx].max_violation = 0.0;
-      out[idx].status = st[i].converged    ? GpStatus::kOptimal
-                        : st[i].numeric_ok ? GpStatus::kIterLimit
-                                           : GpStatus::kNumeric;
-    }
-  }
-
-  std::int64_t total = 0;
-  for (const GpSolution& s : out) total += s.newton_iterations;
-  g_newton_iterations.fetch_add(total, std::memory_order_relaxed);
-  return out;
 }
 
 }  // namespace mfa::gp

@@ -13,13 +13,16 @@
 //
 // Phase I reuses the phase-II machinery verbatim because subtracting s
 // inside every exponent keeps each constraint a log-sum-exp in (y, s).
+//
+// This is the paper's "GP step" as GPkit runs it, kept as the reference
+// for the exact bisection in core/relaxation.hpp (which every production
+// path uses): core::solve_relaxation_gp drives it on the allocation model,
+// and the fuzzer and the relaxation tests assert both agree.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "gp/problem.hpp"
-#include "support/status.hpp"
 
 namespace mfa::gp {
 
@@ -37,20 +40,6 @@ struct SolverOptions {
   /// phase-I merit bounded and phase II free of drift along flat
   /// directions. 46 ≈ log(1e20).
   double variable_box = 46.0;
-  /// Relative duality gap a warm-start seed is assumed to carry: the
-  /// warm-started barrier opens at t0 = m / warm_gap instead of
-  /// replaying the whole path. 1e-3 suits a seed from the *same*
-  /// problem (re-solve, cache replay); callers seeding from a
-  /// *neighboring* problem — the allocation service warm-starts each
-  /// event from the previous workload's optimum — should widen this
-  /// (~3e-2), or the high-t opening grinds on a seed that is no longer
-  /// near-optimal. Cold solves ignore it.
-  double warm_gap = 1e-3;
-  /// Evaluate through the compiled flat LSE IR (gp/compiled.hpp): fused
-  /// value/gradient/Hessian over CSR arrays with preallocated scratch.
-  /// The interpretive LseFunction path is kept for cross-validation and
-  /// the bench/gp_kernel baseline.
-  bool use_compiled_kernel = true;
 };
 
 enum class GpStatus {
@@ -62,30 +51,6 @@ enum class GpStatus {
 
 /// Stable text name of a solver status.
 const char* to_string(GpStatus status);
-
-/// Process-wide running total of Newton steps executed by every
-/// GpSolver::solve (both phases, all threads; relaxed counter). Sample
-/// before and after a workload to attribute its solver effort — the
-/// serving benchmarks use this to compare warm vs cold re-solve cost
-/// without threading counters through every intermediate layer.
-std::int64_t total_newton_iterations();
-
-/// One instance of a batched (lane-parallel) solve: a problem plus its
-/// prepared CompiledModel. Every model in one solve_batch call must
-/// share a single compiled Structure object (the CompiledModelCache's
-/// clone-then-patch path guarantees this for structurally identical
-/// problems); batches that do not are counted as misgroupings and fall
-/// back to per-lane scalar solves.
-struct BatchLane {
-  const GpProblem* problem = nullptr;
-  const CompiledModel* model = nullptr;
-  /// Optional warm seed (see GpSolver::solve overloads); may be null.
-  const std::vector<double>* x0 = nullptr;
-  /// Per-lane barrier opening t0; 0 means "use SolverOptions::t0".
-  /// Warm lanes pass their m/warm_gap opening here, so one batch can
-  /// mix warm and cold instances.
-  double t0 = 0.0;
-};
 
 /// Result of a GP solve.
 struct GpSolution {
@@ -104,44 +69,8 @@ class GpSolver {
  public:
   explicit GpSolver(SolverOptions options = {}) : options_(options) {}
 
+  /// Two-phase barrier solve, started cold at y = 0 (x = 1).
   [[nodiscard]] GpSolution solve(const GpProblem& problem) const;
-
-  /// Warm-started solve: seeds the barrier at y = log x0 (clamped to the
-  /// variable box) instead of y = 0. x0 must be strictly positive and
-  /// indexed by VarId. A strictly feasible seed skips phase I entirely;
-  /// an infeasible one still speeds phase I up by starting it nearby.
-  /// Converges to the same optimum as the cold solve (to tolerance).
-  [[nodiscard]] GpSolution solve(const GpProblem& problem,
-                                 const std::vector<double>& x0) const;
-
-  /// Solves through a prepared CompiledModel (always the compiled
-  /// kernel): zero per-call IR mutation — the box rows are already part
-  /// of the artifact and the phase-I lowering is cached in it. `model`
-  /// must have been built (or patched) from `problem` under this
-  /// solver's variable_box; the result is bit-identical to the plain
-  /// compiled-path solve, whether the model came from a fresh build or
-  /// a cache clone + patch_coefficients().
-  [[nodiscard]] GpSolution solve(const GpProblem& problem,
-                                 const CompiledModel& model) const;
-
-  /// Prepared-model solve, warm-started from x0 (see above).
-  [[nodiscard]] GpSolution solve(const GpProblem& problem,
-                                 const CompiledModel& model,
-                                 const std::vector<double>& x0) const;
-
-  /// Lane-parallel solve of K structurally identical prepared models
-  /// through the batched kernel (gp/batched.hpp): a lock-step two-phase
-  /// barrier where all lanes advance together, each lane runs its own
-  /// t-ladder, converged lanes retire early (frozen, then compacted out
-  /// once occupancy drops below half). Results are returned in lane
-  /// order and are deterministic per lane — independent of which other
-  /// lanes share the batch and of the batch's formation order — but
-  /// only tolerance-comparable to the scalar path (the scalar kernel
-  /// stays the parity oracle). Falls back to per-lane scalar solves for
-  /// K ≤ 1, for use_compiled_kernel = false, and for misgrouped batches
-  /// (lanes not sharing one Structure).
-  [[nodiscard]] std::vector<GpSolution> solve_batch(
-      const std::vector<BatchLane>& lanes) const;
 
   [[nodiscard]] const SolverOptions& options() const { return options_; }
 

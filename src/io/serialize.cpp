@@ -492,21 +492,13 @@ Json to_json(const service::EventOutcome& o) {
   for (int t : o.solve.totals) totals.push_back(Json::number(t));
   j.set("totals", std::move(totals));
   j.set("nodes", Json::number(static_cast<double>(o.solve.nodes)));
-  // Compilation-cache observability (deterministic with the default
-  // sequential lanes; see EventOutcome).
+  // Cache observability (deterministic with the default sequential
+  // lanes; see CacheCounters).
   j.set("delta", Json::string(service::to_string(o.cache.delta)));
-  j.set("gp_compiles",
-        Json::number(static_cast<double>(o.cache.gp_compiles)));
-  j.set("gp_patches", Json::number(static_cast<double>(o.cache.gp_patches)));
-  j.set("model_hits", Json::number(static_cast<double>(o.cache.model_hits)));
-  j.set("model_misses",
-        Json::number(static_cast<double>(o.cache.model_misses)));
   j.set("relax_hits", Json::number(static_cast<double>(o.cache.relax_hits)));
-  // Migration diff, appended after the PR-7 flat keys so consumers that
-  // parse (or byte-compare) the historical prefix keep working.
   j.set("diff", to_json(o.diff));
-  // Warm-path allocation count, appended last for the same reason (0
-  // unless the build links the counting interposer).
+  // Warm-path allocation count (0 unless the build links the counting
+  // interposer).
   j.set("warm_allocs", Json::number(static_cast<double>(o.warm_allocs)));
   return j;
 }

@@ -32,10 +32,13 @@
 // payload corpus enforcing exactly that).
 //
 // Versioning: every payload this header *writes* carries a top-level
-// "schema_version" (currently 1). Readers accept the current version
-// and, for the formats that predate versioning (problem, trace,
-// allocation), a missing field — those parse as legacy v0 with
-// unchanged semantics. Formats born versioned (WAL records, wire-API
+// "schema_version" (currently 2). Readers accept every version from 1
+// to the current one and, for the formats that predate versioning
+// (problem, trace, allocation), a missing field — those parse as legacy
+// v0 with unchanged semantics. Version 2 dropped the GP compilation
+// counters (gp_compiles, gp_patches, model_hits, model_misses) from
+// event outcomes and service stats; every input format reads the same
+// in both versions. Formats born versioned (WAL records, wire-API
 // bodies) require the field. An unknown or malformed version is a
 // typed Code::kInvalid, never a guess.
 // Service traces (the `gentrace` / `serve --trace` formats) are a
@@ -61,7 +64,7 @@
 namespace mfa::io {
 
 /// Version stamped into every payload written by this layer.
-inline constexpr int kSchemaVersion = 1;
+inline constexpr int kSchemaVersion = 2;
 
 /// Validates `j`'s "schema_version" against kSchemaVersion. A missing
 /// field is accepted as legacy v0 unless `required` (new formats);
@@ -105,9 +108,8 @@ StatusOr<service::PipelineSpec> pipeline_spec_from_json(const Json& j);
 /// The *deterministic* slice of an outcome — every field except wall
 /// clock, so two replays of one trace dump byte-identical logs (the
 /// property CI diffs). Callers wanting latency add it themselves.
-/// Encoding: the PR-7 flat key sequence (seq..relax_hits) followed by a
-/// nested "diff" object, so consumers of the historical prefix keep
-/// working byte-for-byte.
+/// Encoding: a flat key sequence (seq..relax_hits) followed by a nested
+/// "diff" object and "warm_allocs".
 Json to_json(const service::EventOutcome& outcome);
 
 /// Migration diff → {"computed", "cus_moved", "disturbed",

@@ -114,44 +114,34 @@ double Lu::determinant() const {
 
 std::optional<Vector> solve_spd(const Matrix& a, const Vector& b) {
   MFA_ASSERT(a.rows() == a.cols() && a.rows() == b.size());
-  SpdWorkspace ws;
-  Vector x;
-  if (!solve_spd_reuse(a, b, ws, x)) return std::nullopt;
-  return x;
-}
-
-bool solve_spd_reuse(const Matrix& a, const Vector& b, SpdWorkspace& ws,
-                     Vector& x) {
-  MFA_ASSERT(a.rows() == a.cols() && a.rows() == b.size());
   const std::size_t n = a.rows();
-  if (ws.l.rows() != n || ws.l.cols() != n) ws.l = Matrix(n, n);
-  if (ws.y.size() != n) ws.y = Vector(n);
-  if (x.size() != n) x = Vector(n);
+  Matrix l(n, n);
+  Vector y(n);
+  Vector x(n);
   // Scale regularization with the matrix magnitude so conditioning, not
   // absolute size, decides when it kicks in.
   const double scale = std::max(a.norm_inf(), 1.0);
   double reg = 0.0;
   for (int attempt = 0; attempt < 12; ++attempt) {
-    if (!factor_into(a, reg, ws.l)) {
+    if (!factor_into(a, reg, l)) {
       reg = (reg == 0.0) ? 1e-12 * scale : reg * 100.0;
       continue;
     }
-    const Matrix& l = ws.l;
     // Forward substitution L·y = b.
     for (std::size_t i = 0; i < n; ++i) {
       double acc = b[i];
-      for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * ws.y[k];
-      ws.y[i] = acc / l(i, i);
+      for (std::size_t k = 0; k < i; ++k) acc -= l(i, k) * y[k];
+      y[i] = acc / l(i, i);
     }
     // Backward substitution Lᵀ·x = y.
     for (std::size_t ii = n; ii-- > 0;) {
-      double acc = ws.y[ii];
+      double acc = y[ii];
       for (std::size_t k = ii + 1; k < n; ++k) acc -= l(k, ii) * x[k];
       x[ii] = acc / l(ii, ii);
     }
-    return true;
+    return x;
   }
-  return false;
+  return std::nullopt;
 }
 
 }  // namespace mfa::linalg

@@ -64,17 +64,4 @@ class Lu {
 /// fails (pathological input).
 std::optional<Vector> solve_spd(const Matrix& a, const Vector& b);
 
-/// Scratch buffers for solve_spd_reuse(); grown on first use, then reused.
-struct SpdWorkspace {
-  Matrix l;  ///< Cholesky factor storage
-  Vector y;  ///< forward-substitution intermediate
-};
-
-/// Allocation-free variant of solve_spd(): factors into ws.l and writes
-/// the solution into x (resized once), so a Newton loop calling it every
-/// iteration performs no steady-state allocation. Returns false only when
-/// even strong regularization fails.
-bool solve_spd_reuse(const Matrix& a, const Vector& b, SpdWorkspace& ws,
-                     Vector& x);
-
 }  // namespace mfa::linalg

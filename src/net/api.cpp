@@ -37,11 +37,6 @@ Json stats_to_json(const service::ServiceStats& s) {
   j.set("active_pipelines",
         Json::number(static_cast<double>(s.active_pipelines)));
   j.set("solve_nodes", Json::number(static_cast<double>(s.solve_nodes)));
-  j.set("gp_compiles", Json::number(static_cast<double>(s.gp_compiles)));
-  j.set("gp_patches", Json::number(static_cast<double>(s.gp_patches)));
-  j.set("model_hits", Json::number(static_cast<double>(s.model_hits)));
-  j.set("model_misses",
-        Json::number(static_cast<double>(s.model_misses)));
   j.set("relax_hits", Json::number(static_cast<double>(s.relax_hits)));
   j.set("cus_moved", Json::number(static_cast<double>(s.cus_moved)));
   j.set("pipelines_disturbed",

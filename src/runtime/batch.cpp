@@ -1,201 +1,46 @@
 #include "runtime/batch.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
-
-#include "core/compiled_cache.hpp"
-#include "core/relaxation.hpp"
-#include "gp/compiled.hpp"
-#include "gp/solver.hpp"
 #include "runtime/portfolio.hpp"
 #include "runtime/thread_pool.hpp"
 
 namespace mfa::runtime {
-namespace {
-
-/// Fingerprint-grouped batched dispatch of the root relaxations (see
-/// BatchOptions::batch_structural_groups). Requests without their own
-/// options whose root GPs share a structural fingerprint are solved as
-/// one lock-step batch; each converged lane's (ÎI, N̂) is injected into
-/// its request as GpaOptions::root_override, so the portfolio's GP+A
-/// lanes skip Step 1. Everything else — singleton groups, custom-option
-/// requests, lanes that did not converge — is left untouched and takes
-/// the scalar path. Runs on the calling thread before the pool fans
-/// out, so results cannot depend on the batch's thread count; per-lane
-/// batched results are bitwise independent of group formation order
-/// (gp_test pins this), so they cannot depend on request order either
-/// beyond each request's own problem.
-void dispatch_batched_roots(const PortfolioOptions& base,
-                            CompiledModelCache* models,
-                            std::vector<SolveRequest>& requests) {
-  struct Lane {
-    std::size_t request = 0;
-    gp::GpProblem model;
-    std::vector<double> x0;  ///< warm seed; empty = cold
-    double t0 = 0.0;         ///< warm barrier opening; 0 = options t0
-  };
-  struct Group {
-    Fingerprint fp;
-    std::vector<std::size_t> lanes;  ///< indices into `lanes`
-  };
-  const gp::SolverOptions& gp_opts = base.gpa.gp;
-  std::vector<Lane> lanes;
-  std::vector<Group> groups;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const SolveRequest& r = requests[i];
-    if (r.options || r.problem == nullptr) continue;
-    if (!r.problem->validate().is_ok()) continue;
-    const core::CuBounds bounds = core::CuBounds::defaults(*r.problem);
-    bool empty_interval = false;
-    for (std::size_t k = 0; k < r.problem->num_kernels(); ++k) {
-      if (bounds.lower[k] > bounds.upper[k]) empty_interval = true;
-    }
-    if (empty_interval) continue;  // scalar path reports kInfeasible
-
-    Lane lane;
-    lane.request = i;
-    lane.model = core::build_relaxation_gp(*r.problem, bounds);
-    // Warm lanes replicate the scalar warm-start recipe exactly
-    // (core/relaxation.cpp solve_gp_impl): inflated ÎI seed, clamped N̂,
-    // barrier opened at the seed's plausible duality gap.
-    if (r.warm && r.warm->ii > 0.0 &&
-        r.warm->n_hat.size() == r.problem->num_kernels()) {
-      lane.x0.resize(1 + r.problem->num_kernels());
-      lane.x0[0] = r.warm->ii * 1.05;
-      for (std::size_t k = 0; k < r.problem->num_kernels(); ++k) {
-        lane.x0[1 + k] = std::clamp(
-            r.warm->n_hat[k], bounds.lower[k],
-            std::isfinite(bounds.upper[k]) && bounds.upper[k] > 0.0
-                ? bounds.upper[k]
-                : r.warm->n_hat[k]);
-      }
-      const double m =
-          static_cast<double>(lane.model.constraints().size()) +
-          2.0 * static_cast<double>(lane.model.num_variables());
-      lane.t0 = std::max(gp_opts.t0, m / gp_opts.warm_gap);
-    }
-
-    const Fingerprint fp = lane.model.structural_fingerprint();
-    const std::size_t lane_index = lanes.size();
-    lanes.push_back(std::move(lane));
-    bool found = false;
-    for (Group& g : groups) {
-      if (g.fp == fp) {
-        g.lanes.push_back(lane_index);
-        found = true;
-        break;
-      }
-    }
-    if (!found) groups.push_back({fp, {lane_index}});
-  }
-
-  const gp::GpSolver solver(gp_opts);
-  for (const Group& g : groups) {
-    if (g.lanes.size() < 2) continue;  // scalar path is already optimal
-
-    // One compiled artifact per group — from the shared model cache when
-    // wired (so the scalar paths and later batches reuse it), otherwise
-    // built fresh from the first lane. Every lane clones it (shared
-    // Structure, private coefficients) and re-patches from its own
-    // model, so lane bytes never depend on which lane built the base.
-    const Fingerprint key = core::compiled_model_cache_key(g.fp);
-    gp::CompiledModel base_model;
-    if (models != nullptr) {
-      if (auto hit = models->lookup(key)) {
-        base_model = *hit;
-      } else {
-        base_model = gp::CompiledModel::build(lanes[g.lanes[0]].model,
-                                              gp_opts.variable_box);
-        models->insert(key, base_model);
-      }
-    } else {
-      base_model = gp::CompiledModel::build(lanes[g.lanes[0]].model,
-                                            gp_opts.variable_box);
-    }
-    std::vector<gp::CompiledModel> prepared;
-    prepared.reserve(g.lanes.size());
-    for (std::size_t li : g.lanes) {
-      gp::CompiledModel m = base_model;
-      m.patch_coefficients(lanes[li].model, gp_opts.variable_box, g.fp);
-      prepared.push_back(std::move(m));
-    }
-    std::vector<gp::BatchLane> batch(g.lanes.size());
-    for (std::size_t j = 0; j < g.lanes.size(); ++j) {
-      const Lane& lane = lanes[g.lanes[j]];
-      batch[j].problem = &lane.model;
-      batch[j].model = &prepared[j];
-      batch[j].x0 = lane.x0.empty() ? nullptr : &lane.x0;
-      batch[j].t0 = lane.t0;
-    }
-    const std::vector<gp::GpSolution> sols = solver.solve_batch(batch);
-    for (std::size_t j = 0; j < g.lanes.size(); ++j) {
-      const gp::GpSolution& sol = sols[j];
-      if (!sol.ok()) continue;  // lane falls back to the scalar root
-      SolveRequest& r = requests[lanes[g.lanes[j]].request];
-      PortfolioOptions o = base;
-      o.gpa.root_override = core::RelaxedSolution{
-          sol.x[0], std::vector<double>(sol.x.begin() + 1, sol.x.end())};
-      r.options = std::move(o);
-    }
-  }
-}
-
-}  // namespace
 
 std::vector<SolveResult> BatchRunner::solve_all(
     const std::vector<SolveRequest>& requests) const {
   std::vector<SolveResult> results(requests.size());
   if (requests.empty()) return results;
 
-  // One relaxation cache and one compiled-model cache for the whole
-  // batch (see header); hits are bit-identical to solving (model-cache
-  // hits are re-patched), so injecting them does not disturb
-  // determinism.
-  RelaxationCache* external_cache =
-      options_.context != nullptr && options_.context->relax_cache != nullptr
-          ? options_.context->relax_cache
-          : options_.relax_cache;
-  CompiledModelCache* external_models =
-      options_.context != nullptr && options_.context->model_cache != nullptr
-          ? options_.context->model_cache
-          : options_.model_cache;
+  // One relaxation cache for the whole batch (see header); hits are
+  // bit-identical to solving, so injecting them does not disturb
+  // determinism. The portfolio's and each request's own context win
+  // when they carry a cache.
   RelaxationCache batch_cache;
-  RelaxationCache* cache = external_cache != nullptr ? external_cache
-                           : options_.share_relaxations ? &batch_cache
-                                                        : nullptr;
-  CompiledModelCache batch_models;
-  CompiledModelCache* models = external_models != nullptr ? external_models
-                               : options_.share_relaxations ? &batch_models
-                                                            : nullptr;
+  SolverContext batch_context;
+  if (options_.context != nullptr &&
+      options_.context->relax_cache != nullptr) {
+    batch_context.relax_cache = options_.context->relax_cache;
+  } else if (options_.share_relaxations) {
+    batch_context.relax_cache = &batch_cache;
+  }
+  auto wire = [&batch_context](PortfolioOptions& o) {
+    if (o.context == nullptr || o.context->relax_cache == nullptr) {
+      o.context = &batch_context;
+    }
+  };
   PortfolioOptions base = options_.portfolio;
-  if (base.relax_cache == nullptr) base.relax_cache = cache;
-  if (base.model_cache == nullptr) base.model_cache = models;
   if (base.stability == nullptr) base.stability = options_.stability;
-  // Batched structural dispatch is only meaningful when the GP+A root
-  // actually runs the compiled interior-point kernel.
-  const bool batching = options_.batch_structural_groups &&
-                        base.gpa.use_interior_point &&
-                        base.gpa.gp.use_compiled_kernel;
-  // Per-request options are value copies, so injecting the caches (or a
-  // batched root) never mutates caller state; skip the copy entirely
-  // when neither is active.
+  const bool sharing = batch_context.relax_cache != nullptr;
+  if (sharing) wire(base);
+  // Per-request options are value copies, so injecting the cache never
+  // mutates caller state; skip the copy entirely when not sharing.
   std::vector<SolveRequest> effective;
-  if (cache != nullptr || models != nullptr || batching) {
+  if (sharing) {
     effective = requests;
     for (SolveRequest& request : effective) {
-      if (request.options && request.options->relax_cache == nullptr) {
-        request.options->relax_cache = cache;
-      }
-      if (request.options && request.options->model_cache == nullptr) {
-        request.options->model_cache = models;
-      }
+      if (request.options) wire(*request.options);
     }
-    if (batching) dispatch_batched_roots(base, models, effective);
   }
-  const std::vector<SolveRequest>& work =
-      cache != nullptr || models != nullptr || batching ? effective
-                                                        : requests;
+  const std::vector<SolveRequest>& work = sharing ? effective : requests;
 
   // Lanes sequential inside each instance (see header).
   Portfolio portfolio(base, /*num_threads=*/1);

@@ -34,31 +34,12 @@ struct BatchOptions {
   /// Share one relaxation cache across the whole batch (see file
   /// comment). Disable to reproduce PR-1 cold-solve behavior.
   bool share_relaxations = true;
-  /// Group requests whose root-relaxation GPs share one structural
-  /// fingerprint (a design-space sweep is typically one structure with
-  /// varying coefficients) and solve each group's roots through the
-  /// lane-parallel batched kernel (gp/batched.hpp) in one lock-step
-  /// barrier run, injecting the per-lane results via
-  /// GpaOptions::root_override. Only active when the portfolio's GP+A
-  /// lanes use the interior-point compiled kernel; requests with their
-  /// own options, singleton groups and lanes whose batched solve did
-  /// not converge fall back to the normal scalar path. Per-lane results
-  /// are deterministic and independent of group formation order, but
-  /// only tolerance-equal to scalar solves — batched roots therefore
-  /// bypass the relaxation cache (see GpaOptions::root_override).
-  bool batch_structural_groups = true;
-  /// Longer-lived shared resources to use instead of the per-batch
-  /// caches, so hits survive across solve_all() calls (e.g. successive
-  /// sweeps over one design space — grid sweeps repeat one model
-  /// structure across every instance, so interior-point roots compile
-  /// once per structure). The single wiring point; see
+  /// A longer-lived relaxation cache to use instead of the per-batch
+  /// one, so hits survive across solve_all() calls (e.g. successive
+  /// sweeps over one design space). The single wiring point; see
   /// core/solver_context.hpp. Not owned; implies sharing when its cache
-  /// fields are set.
+  /// is set.
   const SolverContext* context = nullptr;
-  /// DEPRECATED aliases (one more PR) for the context's cache fields;
-  /// still honored when `context` leaves them null. Not owned.
-  RelaxationCache* relax_cache = nullptr;
-  CompiledModelCache* model_cache = nullptr;
   /// Migration-aware re-solve applied to every request without its own
   /// options (next to the caches, same wiring rules): forwarded into
   /// `portfolio.stability` when that is unset. Not owned.

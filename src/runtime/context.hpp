@@ -5,7 +5,7 @@
 // header re-exports it under the runtime namespace, which owns the
 // sharing policy: BatchRunner and Portfolio consult
 // PortfolioOptions::context / BatchOptions::context as the single
-// wiring point for caches, a shared budget and the worker pool.
+// wiring point for the shared relaxation cache.
 #pragma once
 
 #include "core/solver_context.hpp"

@@ -38,17 +38,12 @@ LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
     case StrategySpec::Kind::kGpa: {
       alloc::GpaOptions o = options.gpa;
       o.greedy.t_max = spec.t_max;
-      // Portfolio-level context/caches take precedence over whatever the
-      // base GpaOptions carried (context first, then the deprecated
-      // per-field aliases); flatten the resolution into the per-field
-      // pointers so the lane sees one unambiguous wiring.
-      core::RelaxationCache* cache = options.resolved_relax_cache();
-      if (cache == nullptr) cache = o.resolved_relax_cache();
-      core::CompiledModelCache* models = options.resolved_model_cache();
-      if (models == nullptr) models = o.resolved_model_cache();
-      o.context = nullptr;
-      o.relax_cache = cache;
-      o.model_cache = models;
+      // A portfolio-level cache takes precedence over whatever the base
+      // GpaOptions carried.
+      if (options.context != nullptr &&
+          options.context->relax_cache != nullptr) {
+        o.context = options.context;
+      }
       // Stability rides the same wiring as the caches: the portfolio-
       // level pointer reaches every GP+A lane unless the base GpaOptions
       // already carried its own.
@@ -167,20 +162,10 @@ SolveResult Portfolio::solve(const SolveRequest& request) const {
     result.status = Status{Code::kInvalid, "no strategies configured"};
     return result;
   }
-  // The context's caller-managed budget (when set) replaces the
-  // per-solve one: an online caller can expire() every in-flight lane
-  // across events, at the cost of node usage accumulating across solves.
-  solver::Budget local(options.max_nodes, options.max_seconds);
-  solver::Budget& shared =
-      options.context != nullptr && options.context->budget != nullptr
-          ? *options.context->budget
-          : local;
+  solver::Budget shared(options.max_nodes, options.max_seconds);
 
   std::vector<LaneRun> runs(lanes.size());
   ThreadPool* workers = pool();
-  if (workers == nullptr && options.context != nullptr) {
-    workers = options.context->pool;  // context as the pool wiring point
-  }
   if (workers != nullptr && lanes.size() > 1) {
     workers->parallel_for(lanes.size(), [&](std::size_t i) {
       runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);

@@ -6,15 +6,13 @@
 // namespace, which owns the cross-request sharing policy: BatchRunner
 // instantiates one cache per batch by default, and callers running many
 // batches over one design space can pass a longer-lived instance through
-// BatchOptions::relax_cache to keep hits across batches.
+// BatchOptions::context to keep hits across batches.
 #pragma once
 
-#include "core/compiled_cache.hpp"
 #include "core/relax_cache.hpp"
 
 namespace mfa::runtime {
 
 using RelaxationCache = core::RelaxationCache;
-using CompiledModelCache = core::CompiledModelCache;
 
 }  // namespace mfa::runtime

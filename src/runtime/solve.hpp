@@ -66,23 +66,14 @@ struct PortfolioOptions {
   /// shared budget so still-running lanes stop at their incumbents.
   bool stop_on_proved_optimal = true;
 
-  /// Shared solver resources — caches, an optional caller-managed
-  /// budget, and the worker pool lanes race on — in one wiring point
-  /// (see core/solver_context.hpp). Every lane solves the identical
-  /// root relaxation and walks the identical discretization tree, so
-  /// with the context's caches the work is done once and reused; keys
-  /// capture every solve input, so hits are bit-identical to solving
-  /// and determinism across thread counts is preserved. When
-  /// context->budget is set, solve() charges lanes against it instead
-  /// of constructing a per-solve budget. Not owned; overrides the
-  /// per-field pointers below and anything already set in `gpa`.
+  /// Shared solver resources (see core/solver_context.hpp). Every lane
+  /// solves the identical root relaxation and walks the identical
+  /// discretization tree, so with the context's relaxation cache the
+  /// work is done once and reused; keys capture every solve input, so
+  /// hits are bit-identical to solving and determinism across thread
+  /// counts is preserved. Not owned; when it carries a cache, it
+  /// overrides `gpa.context`.
   const core::SolverContext* context = nullptr;
-
-  /// DEPRECATED aliases (one more PR): the pre-SolverContext per-field
-  /// cache pointers. Still honored when `context` leaves them null;
-  /// prefer `context`.
-  core::RelaxationCache* relax_cache = nullptr;
-  core::CompiledModelCache* model_cache = nullptr;
 
   /// Migration-aware re-solve (next to the caches, same wiring rules):
   /// forwarded into every GP+A lane's GpaOptions::stability, where a
@@ -91,20 +82,6 @@ struct PortfolioOptions {
   /// the unconstrained question; the budgets only shape heuristic
   /// placements). `gpa.stability` wins when both are set. Not owned.
   const solver::StabilityOptions* stability = nullptr;
-
-  /// Context-first resolution of the shared caches.
-  [[nodiscard]] core::RelaxationCache* resolved_relax_cache() const {
-    if (context != nullptr && context->relax_cache != nullptr) {
-      return context->relax_cache;
-    }
-    return relax_cache;
-  }
-  [[nodiscard]] core::CompiledModelCache* resolved_model_cache() const {
-    if (context != nullptr && context->model_cache != nullptr) {
-      return context->model_cache;
-    }
-    return model_cache;
-  }
 
   alloc::GpaOptions gpa;       ///< base GP+A knobs (t_max set per lane)
   solver::ExactOptions exact;  ///< per-pack caps etc. (budget overridden)

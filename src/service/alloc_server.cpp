@@ -23,35 +23,19 @@ AllocServer::AllocServer(core::Platform platform, ServerOptions options,
     : options_(std::move(options)),
       cache_(core::RelaxCacheConfig{options_.cache_shards,
                                     options_.cache_entries}),
-      models_(core::CacheConfig{options_.model_cache_shards,
-                                options_.model_cache_entries}),
       composite_(std::move(platform),
                  CompositeConfig{options_.resource_fraction,
                                  options_.bw_fraction, options_.alpha,
                                  options_.beta}) {
-  // Context-provided caches (e.g. the ShardRouter's process-wide model
-  // cache) replace the owned ones; everything downstream goes through
-  // the pointers.
-  relax_cache_ = options_.context != nullptr &&
-                         options_.context->relax_cache != nullptr
-                     ? options_.context->relax_cache
-                     : &cache_;
-  model_cache_ = options_.context != nullptr &&
-                         options_.context->model_cache != nullptr
-                     ? options_.context->model_cache
-                     : &models_;
   if (options_.solver_threads != 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(options_.solver_threads);
   }
   // One wiring point for the portfolio: ctx_ is a stable member, so the
   // portfolio's copied options can point at it for the server's
   // lifetime. The pool is passed to the Portfolio directly (it owns the
-  // lane fan-out), not through the context.
-  ctx_.relax_cache = relax_cache_;
-  ctx_.model_cache = model_cache_;
+  // lane fan-out).
+  ctx_.relax_cache = &cache_;
   options_.portfolio.context = &ctx_;
-  options_.portfolio.relax_cache = nullptr;
-  options_.portfolio.model_cache = nullptr;
   // Greedy placements are memoized server-wide: every GP+A lane of every
   // event consults one cache (the portfolio copies these options, so the
   // pointer must be set before the Portfolio is constructed).
@@ -286,12 +270,11 @@ std::optional<core::RelaxedSolution> AllocServer::make_warm(
 
   // Pull the seed inside the *new* composite's pooled constraints: a
   // fresh arrival's N̂ rides on top of the survivors', which can
-  // overshoot the pool and force the barrier's phase I to run from an
-  // infeasible point. Scaling N̂ by s < 1 and ÎI by 1/s preserves the
+  // overshoot the pool. Scaling N̂ by s < 1 and ÎI by 1/s preserves the
   // latency products ÎI·N̂_k, so the scaled seed stays latency-feasible
   // while re-entering the resource region (the 0.95 margin keeps it
-  // strictly interior; the N̂ ≥ 1 clamp in the GP warm path can nudge
-  // usage back up, which the margin absorbs).
+  // strictly interior). The scaled ÎI is the hint the root bisection
+  // probes first.
   const core::ResourceVec pooled = problem.pooled_cap();
   double scale = 1.0;
   for (std::size_t axis = 0; axis < core::kNumResources; ++axis) {
@@ -319,14 +302,11 @@ std::optional<core::RelaxedSolution> AllocServer::make_warm(
 }
 
 void AllocServer::resolve_workload(EventOutcome& outcome) {
-  // Sample the compilation/cache counters around the solve so the
+  // Sample this server's own relaxation cache around the solve so the
   // outcome records what this event actually paid for (with sequential
-  // lanes — the default — these deltas are deterministic; see
-  // EventOutcome).
-  const std::int64_t compiles0 = gp::total_structure_compiles();
-  const std::int64_t patches0 = gp::total_coefficient_patches();
-  const auto models0 = model_cache_->stats();
-  const auto relax0 = relax_cache_->stats();
+  // lanes — the default — the delta is deterministic; see
+  // CacheCounters).
+  const auto relax0 = cache_.stats();
   runtime::SolveRequest request;
   request.problem = composite_.snapshot();
   request.warm = make_warm(*request.problem);
@@ -334,13 +314,7 @@ void AllocServer::resolve_workload(EventOutcome& outcome) {
   runtime::SolveResult result = portfolio_->solve(request);
   outcome.solve_status = result.status;
   outcome.solve.nodes = result.nodes;
-  outcome.cache.gp_compiles = gp::total_structure_compiles() - compiles0;
-  outcome.cache.gp_patches = gp::total_coefficient_patches() - patches0;
-  const auto models1 = model_cache_->stats();
-  const auto relax1 = relax_cache_->stats();
-  outcome.cache.model_hits = models1.hits - models0.hits;
-  outcome.cache.model_misses = models1.misses - models0.misses;
-  outcome.cache.relax_hits = relax1.hits - relax0.hits;
+  outcome.cache.relax_hits = cache_.stats().hits - relax0.hits;
   if (result.is_ok() && result.allocation) {
     // Diff the unconstrained optimum against the occupancy records
     // (recorded whether or not stability is configured — "stability
@@ -707,10 +681,6 @@ EventOutcome AllocServer::process(Event event) {
   // router-level reader (the wire API) de-duplicate them.
   if (outcome.type == Event::Type::kResizePlatform) ++stats_.resizes;
   stats_.solve_nodes += outcome.solve.nodes;
-  stats_.gp_compiles += outcome.cache.gp_compiles;
-  stats_.gp_patches += outcome.cache.gp_patches;
-  stats_.model_hits += outcome.cache.model_hits;
-  stats_.model_misses += outcome.cache.model_misses;
   stats_.relax_hits += outcome.cache.relax_hits;
   stats_.cus_moved += static_cast<std::uint64_t>(
       std::max(0, outcome.diff.cus_moved));

@@ -16,14 +16,11 @@
 //    rewrites a few WCET coefficients in place, ResizePlatform swaps the
 //    platform, only Add/Remove splice the kernel set — instead of
 //    rebuilding the super-pipeline from scratch per event;
-//  * the solve is warm-started from the incumbent allocation's ÎI/N̂ via
-//    SolveRequest::warm, so the root relaxation re-converges in a
-//    handful of probes instead of a cold bisection or barrier path, and
-//    branch-and-bound node relaxations hit the shared RelaxationCache;
-//  * interior-point roots go through a CompiledModelCache keyed by the
-//    GP model's *structural* fingerprint: numeric-only events reuse the
-//    compiled IR and pay an O(terms) coefficient patch instead of a full
-//    lowering (EventOutcome::gp_compiles/gp_patches count both).
+//  * the solve is warm-started from the incumbent allocation's ÎI via
+//    SolveRequest::warm, so the root bisection starts from a bracket
+//    end one probe away instead of a cold bracket, and branch-and-bound
+//    node relaxations hit the server's RelaxationCache;
+//  * Algorithm 1 placements are memoized in a server-wide GreedyCache.
 //
 // Warm starts and both caches are pure accelerations — the solved
 // optimum matches a cold solve — and the per-event portfolio budget
@@ -58,7 +55,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/compiled_cache.hpp"
 #include "core/problem.hpp"
 #include "core/relax_cache.hpp"
 #include "core/solver_context.hpp"
@@ -90,21 +86,6 @@ struct ServerOptions {
   /// a daemon must not grow without bound. 0 entries = unbounded.
   std::size_t cache_shards = 16;
   std::size_t cache_entries = 1 << 16;
-
-  /// Sharded, capacity-bounded compiled-GP model cache (also owned by
-  /// the server): one entry per distinct composite *structure*, so the
-  /// working set is the number of distinct live-pipeline shapes, not
-  /// the event count. 0 entries = unbounded.
-  std::size_t model_cache_shards = 4;
-  std::size_t model_cache_entries = 256;
-
-  /// Process-wide shared solver resources that *replace* the server-
-  /// owned caches above when set — the ShardRouter points every shard
-  /// here so all shards share one CompiledModelCache (identical
-  /// pipeline structures compile once per process, not once per
-  /// shard). Not owned; must outlive the server. See
-  /// core/solver_context.hpp.
-  const core::SolverContext* context = nullptr;
 
   /// Outcomes retained for log(): the newest `log_capacity` events
   /// (0 = unbounded — replay/test harnesses that diff the full log).
@@ -158,10 +139,6 @@ struct ServerOptions {
     portfolio.run_naive = false;
     portfolio.max_seconds = 5.0;
     portfolio.max_nodes = 2'000'000;
-    // Event seeds come from the *previous* workload's optimum, not the
-    // same problem's: open the warm barrier at a coarser gap (see
-    // gp::SolverOptions::warm_gap).
-    portfolio.gpa.gp.warm_gap = 3e-2;
   }
 };
 
@@ -181,10 +158,6 @@ struct ServiceStats {
   std::uint64_t resizes = 0;
   std::size_t active_pipelines = 0;
   std::int64_t solve_nodes = 0;
-  std::int64_t gp_compiles = 0;
-  std::int64_t gp_patches = 0;
-  std::uint64_t model_hits = 0;
-  std::uint64_t model_misses = 0;
   std::uint64_t relax_hits = 0;
   // Migration totals (see AllocationDiff): CUs torn down and pipelines
   // disturbed across all events, plus how often the stability ladder
@@ -261,11 +234,7 @@ class AllocServer {
   [[nodiscard]] OccupancyTracker occupancy() const;
 
   [[nodiscard]] core::RelaxationCache::Stats cache_stats() const {
-    return relax_cache_->stats();
-  }
-
-  [[nodiscard]] core::CompiledModelCache::Stats model_cache_stats() const {
-    return model_cache_->stats();
+    return cache_.stats();
   }
 
  private:
@@ -297,10 +266,8 @@ class AllocServer {
   /// The two numeric deltas (weight rewrite, platform swap), shared by
   /// the forward path and the structural-validation rollback. These are
   /// the dispatcher's end of the warm event path — coefficient/RHS
-  /// rewrites that must stay allocation-free through the composite,
-  /// patch_function/patch_affine and the batched kernels (see ROADMAP
-  /// item 1; the static face of `service_churn --check`). Require
-  /// state_mutex_ held.
+  /// rewrites that must stay allocation-free through the composite (the
+  /// static face of `service_churn --check`). Require state_mutex_ held.
   MFA_WARM_PATH void apply_reprioritize(std::size_t index, double weight)
       MFA_REQUIRES(state_mutex_);
   MFA_WARM_PATH void apply_resize(core::Platform platform)
@@ -335,19 +302,12 @@ class AllocServer {
   ServerOptions options_;
   // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
   core::RelaxationCache cache_;
-  // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
-  core::CompiledModelCache models_;
   /// Memoized greedy placements (alloc/greedy.hpp): service churn
   /// re-places identical (problem, totals) pairs across events and
   /// portfolio lanes, so placements are computed once and replayed.
   // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
   alloc::GreedyCache greedy_cache_;
-  /// Effective caches: ServerOptions::context overrides the owned ones.
-  // mfa-lint: allow(mutex-hygiene) set in ctor, immutable afterwards
-  core::RelaxationCache* relax_cache_ = nullptr;
-  // mfa-lint: allow(mutex-hygiene) set in ctor, immutable afterwards
-  core::CompiledModelCache* model_cache_ = nullptr;
-  /// The single wiring point handed to the portfolio (caches + pool).
+  /// The single wiring point handed to the portfolio (points at cache_).
   // mfa-lint: allow(mutex-hygiene) immutable after construction
   core::SolverContext ctx_;
   /// null → sequential lanes

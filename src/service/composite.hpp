@@ -13,17 +13,15 @@
 //   ResizePlatform → constraint-RHS patch: swap the platform object
 //                    (kernel set untouched)
 //   Add/Remove     → structural edit: splice the pipeline's kernel range
-//                    in or out (new structural fingerprint downstream)
+//                    in or out
 //
 // Every delta is reversible (the server rolls a mutation back when the
 // resulting composite fails structural validation), and the maintained
 // problem is bit-identical to what the wholesale rebuild would produce —
 // kernel order is concatenation order of the live pipelines, scaled
 // WCETs are computed from the same base numbers with the same
-// expression. That identity is what keeps relaxation-cache keys and the
-// compiled-GP structural fingerprint stable across numeric-only events,
-// which is where the serving-path speedup comes from (see
-// core/compiled_cache.hpp).
+// expression. That identity is what keeps relaxation-cache keys stable
+// across events, so a replayed composite hits the cache.
 //
 // The builder owns the live problem *by value* — the warm deltas above
 // write doubles (or move-assign the platform) into memory nobody else

@@ -82,8 +82,7 @@ struct Event {
 
 /// Delta class an event applied to the composite problem (see
 /// service/composite.hpp): numeric-only deltas keep the composite's
-/// structure — and therefore the compiled-GP model — intact, which is
-/// what the serving-path recompilation counters verify.
+/// kernel set intact and are applied in place, without allocating.
 enum class CompositeDelta {
   kNone,          ///< no mutation reached the composite
   kCoefficients,  ///< numeric coefficients only (reprioritize)
@@ -135,23 +134,17 @@ struct SolveCounters {
   std::int64_t nodes = 0;  ///< Σ nodes across portfolio lanes
 };
 
-/// The cache half of an event's outcome: what the solve paid for. These
-/// counters are deterministic with sequential portfolio lanes
+/// The cache half of an event's outcome: what the solve paid for. Every
+/// counter is read from the serving AllocServer's own cache, never from
+/// process-wide state, so under a ShardRouter each shard's counters are
+/// exactly those of a standalone server fed the same events, at any
+/// shard count. They are deterministic with sequential portfolio lanes
 /// (solver_threads = 1, the default): racing lanes may duplicate a miss
 /// before the first writer publishes, which makes them timing-dependent
 /// at higher thread counts (like `seconds`, unlike the solve outputs).
 struct CacheCounters {
   /// Delta class the event applied to the composite problem.
   CompositeDelta delta = CompositeDelta::kNone;
-  /// Full GP IR lowerings performed by this event's solve. Zero for
-  /// every structurally stable event once the model cache is warm —
-  /// the property bench/service_churn --check gates on.
-  std::int64_t gp_compiles = 0;
-  /// In-place coefficient patches (model-cache hits that re-solved).
-  std::int64_t gp_patches = 0;
-  /// Compiled-model cache hits/misses during the event's solve.
-  std::uint64_t model_hits = 0;
-  std::uint64_t model_misses = 0;
   /// Relaxation-cache hits during the event's solve (lanes 2..n of the
   /// portfolio replaying lane 1's root).
   std::uint64_t relax_hits = 0;
@@ -186,9 +179,9 @@ struct AllocationDiff {
 /// event envelope. Every field except `seconds` is deterministic for a
 /// fixed trace, configuration and thread count — the replay log the CLI
 /// writes (and CI diffs) contains exactly those fields; `seconds` is
-/// wall clock and reported separately. (The JSON encoding stays the
-/// PR-7 flat key sequence with "diff" appended, so existing log
-/// consumers keep working byte-for-byte; see io/serialize.cpp.)
+/// wall clock and reported separately. (The JSON encoding is a flat key
+/// sequence with "diff" and "warm_allocs" appended; see
+/// io/serialize.cpp.)
 struct EventOutcome {
   std::uint64_t sequence = 0;  ///< position in the server's event order
   Event::Type type = Event::Type::kAddPipeline;

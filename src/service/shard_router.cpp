@@ -38,10 +38,6 @@ EventOutcome merge_outcomes(std::vector<EventOutcome> outcomes) {
     merged.solve.warm_started =
         merged.solve.warm_started && o.solve.warm_started;
     merged.solve.nodes += o.solve.nodes;
-    merged.cache.gp_compiles += o.cache.gp_compiles;
-    merged.cache.gp_patches += o.cache.gp_patches;
-    merged.cache.model_hits += o.cache.model_hits;
-    merged.cache.model_misses += o.cache.model_misses;
     merged.cache.relax_hits += o.cache.relax_hits;
     merged.diff.computed = merged.diff.computed || o.diff.computed;
     merged.diff.cus_moved += o.diff.cus_moved;
@@ -59,10 +55,7 @@ EventOutcome merge_outcomes(std::vector<EventOutcome> outcomes) {
 }  // namespace
 
 ShardRouter::ShardRouter(RouterOptions options)
-    : options_(std::move(options)),
-      models_(core::CacheConfig{options_.model_cache_shards,
-                                options_.model_cache_entries}) {
-  ctx_.model_cache = &models_;
+    : options_(std::move(options)) {
   build_ring();
 }
 
@@ -105,7 +98,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::open(
   std::unique_ptr<ShardRouter> router(new ShardRouter(std::move(options)));
   for (std::size_t i = 0; i < router->options_.shards; ++i) {
     ServerOptions server = router->options_.server;
-    server.context = &router->ctx_;
     server.wal_dir = router->options_.wal_root.empty()
                          ? std::string()
                          : shard_dir(router->options_.wal_root, i);
@@ -138,7 +130,6 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::recover(
   std::unique_ptr<ShardRouter> router(new ShardRouter(std::move(options)));
   for (std::size_t i = 0; i < router->options_.shards; ++i) {
     ServerOptions server = router->options_.server;
-    server.context = &router->ctx_;
     server.wal_dir = shard_dir(router->options_.wal_root, i);
     StatusOr<std::unique_ptr<AllocServer>> shard =
         AllocServer::recover(std::move(server));
@@ -193,10 +184,6 @@ ServiceStats ShardRouter::stats() const {
     merged.resizes += s.resizes;
     merged.active_pipelines += s.active_pipelines;
     merged.solve_nodes += s.solve_nodes;
-    merged.gp_compiles += s.gp_compiles;
-    merged.gp_patches += s.gp_patches;
-    merged.model_hits += s.model_hits;
-    merged.model_misses += s.model_misses;
     merged.relax_hits += s.relax_hits;
     merged.cus_moved += s.cus_moved;
     merged.pipelines_disturbed += s.pipelines_disturbed;

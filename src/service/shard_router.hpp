@@ -19,20 +19,19 @@
 // configured with the same initial pool shape, so the deployment
 // models N pool replicas with tenants spread across them);
 // ResizePlatform events carry no pipeline id and are *broadcast* to
-// every shard. Shards share one process-wide CompiledModelCache
-// through a core::SolverContext, so a pipeline structure compiles once
-// per process no matter which shard serves it; relaxation caches stay
-// per-shard (their entries are keyed by the full composite, which
-// rarely repeats across shards, and sharing would add contention for
-// no hit-rate).
+// every shard. Shards share nothing: each owns its caches (relaxation
+// entries are keyed by the full composite, which rarely repeats across
+// shards, and sharing would add contention for no hit-rate), so every
+// counter in a shard's EventOutcome comes from that shard's own state
+// and a shard's outcome log equals that of a standalone AllocServer fed
+// the same events.
 //
 // Thread model: the router itself is immutable after open()/recover()
-// — ring_, shards_ and the shared caches are built once and never
-// mutated, so submit()/stats()/shard_of() need no router-level lock
-// from any thread. All mutable state lives inside the individual
-// AllocServers (guarded by their state_mutex_) and the sharded caches
-// (per-shard mfa::Mutex). stop() only calls the shards' own idempotent
-// stop().
+// — ring_ and shards_ are built once and never mutated, so
+// submit()/stats()/shard_of() need no router-level lock from any
+// thread. All mutable state lives inside the individual AllocServers
+// (guarded by their state_mutex_ and their internally synchronized
+// caches). stop() only calls the shards' own idempotent stop().
 //
 // Durability: with RouterOptions::wal_root set, shard i logs to
 // <wal_root>/shard-<i> (its own WAL + snapshots), and recover()
@@ -49,8 +48,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/compiled_cache.hpp"
-#include "core/solver_context.hpp"
 #include "service/alloc_server.hpp"
 
 namespace mfa::service {
@@ -61,15 +58,12 @@ struct RouterOptions {
   /// Virtual nodes per shard on the hash ring; more smooths the
   /// assignment at the cost of a larger (still tiny) ring.
   std::size_t virtual_nodes = 64;
-  /// Template applied to every shard. wal_dir and context are managed
-  /// by the router (set wal_root below instead).
+  /// Template applied to every shard. wal_dir is managed by the router
+  /// (set wal_root below instead).
   ServerOptions server;
   /// Durability root; empty disables WALs. Shard i uses
   /// <wal_root>/shard-<i>.
   std::string wal_root;
-  /// Process-wide compiled-GP model cache shared by all shards.
-  std::size_t model_cache_shards = 4;
-  std::size_t model_cache_entries = 1024;
 };
 
 /// Stable 64-bit FNV-1a (see file comment on why not std::hash).
@@ -129,8 +123,6 @@ class ShardRouter {
   void build_ring();
 
   RouterOptions options_;
-  core::CompiledModelCache models_;  ///< process-wide (see file comment)
-  core::SolverContext ctx_;          ///< hands models_ to every shard
   std::vector<std::unique_ptr<AllocServer>> shards_;
   /// (point, shard) pairs sorted by point; successor lookup routes ids.
   std::vector<std::pair<std::uint64_t, std::size_t>> ring_;

@@ -48,65 +48,12 @@ StatusOr<core::RelaxedSolution> solve_node(const Problem& problem,
   return *entry;
 }
 
-/// Solves the two sibling children of one branch as a batch: cache hits
-/// are taken per child, the misses go through one
-/// core::solve_relaxation_batch call (bit-identical per lane to the
-/// scalar solve, so the published cache entries are indistinguishable
-/// from unbatched ones), and solutions are returned in (down, up) order.
-std::array<StatusOr<core::RelaxedSolution>, 2> solve_children_batched(
-    const Problem& problem, const CuBounds& down_bounds,
-    const CuBounds& up_bounds, double ii_hint,
-    core::RelaxationCache* cache) {
-  const CuBounds* child_bounds[2] = {&down_bounds, &up_bounds};
-  std::array<StatusOr<core::RelaxedSolution>, 2> out = {
-      Status{Code::kNumeric, "unsolved"}, Status{Code::kNumeric, "unsolved"}};
-  core::Fingerprint keys[2];
-  bool solved[2] = {false, false};
-  if (cache != nullptr) {
-    for (int i = 0; i < 2; ++i) {
-      keys[i] = core::relaxation_cache_key(problem, *child_bounds[i], ii_hint);
-      if (auto hit = cache->lookup(keys[i])) {
-        out[i] = *hit;
-        solved[i] = true;
-      }
-    }
-  }
-  std::vector<CuBounds> miss_bounds;
-  std::vector<int> miss_slot;
-  for (int i = 0; i < 2; ++i) {
-    if (!solved[i]) {
-      miss_bounds.push_back(*child_bounds[i]);
-      miss_slot.push_back(i);
-    }
-  }
-  if (!miss_bounds.empty()) {
-    std::vector<StatusOr<core::RelaxedSolution>> fresh =
-        core::solve_relaxation_batch(
-            problem, miss_bounds,
-            std::vector<double>(miss_bounds.size(), ii_hint));
-    for (std::size_t m = 0; m < miss_slot.size(); ++m) {
-      const int i = miss_slot[m];
-      if (cache != nullptr) {
-        // First-writer-wins: the stored entry is what any thread would
-        // have computed, so returning our own copy stays deterministic.
-        cache->insert(keys[i], fresh[m]);
-      }
-      out[i] = std::move(fresh[m]);
-    }
-  }
-  return out;
-}
-
 /// Patched-mode node solve: fills `out` (a pooled solution whose n_hat
 /// capacity is reused across the search) instead of returning a fresh
-/// RelaxedSolution. Cache interaction mirrors the legacy paths — per
-/// child lookup, scalar solve of the miss, first-writer-wins insert —
-/// and is hit/miss-identical to solve_children_batched's
-/// lookup-both-then-batch-solve order because sibling keys always
-/// differ (the down child tightens upper[k], the up child lower[k],
-/// and floor < ceil), so neither sibling's insert can satisfy the
-/// other's lookup. The solve itself is core::solve_relaxation_into,
-/// bit-identical to the scalar (and therefore the batch) solver.
+/// RelaxedSolution. Cache interaction mirrors solve_node — lookup,
+/// scalar solve of the miss, first-writer-wins insert — and the solve
+/// itself is core::solve_relaxation_into, bit-identical to
+/// core::solve_relaxation.
 Status solve_node_into(const Problem& problem, const CuBounds& bounds,
                        double ii_hint, core::RelaxationCache* cache,
                        core::RelaxedSolution& out) {
@@ -191,7 +138,7 @@ struct PatchedSearch {
     std::array<core::RelaxedSolution, 2>& kids = pool[depth];
 
     // Solve both children at the parent, down then up — the order the
-    // stack search solves (or batch-solves, bit-identically) them in.
+    // stack search solves them in.
     const double saved_upper = bounds.upper[k];
     const double saved_lower = bounds.lower[k];
     bounds.upper[k] = std::min(saved_upper, floor_v);
@@ -315,24 +262,6 @@ StatusOr<DiscretizeResult> Discretizer::run(const Problem& problem,
     down.bounds.upper[k] = std::min(down.bounds.upper[k], floor_v);
     Node up{std::move(node.bounds), {}};
     up.bounds.lower[k] = std::max(up.bounds.lower[k], ceil_v);
-
-    if (options_.batch_children) {
-      // Siblings share the parent's structure, so both relaxations go
-      // through one batch solve (lane-for-lane bit-identical to the
-      // unbatched calls below — the push order and hence the search
-      // trace are unchanged).
-      auto pair = solve_children_batched(problem, down.bounds, up.bounds,
-                                         hint, options_.cache);
-      if (pair[0].is_ok()) {
-        down.relax = std::move(pair[0].value());
-        stack.push_back(std::move(down));
-      }
-      if (pair[1].is_ok()) {
-        up.relax = std::move(pair[1].value());
-        stack.push_back(std::move(up));
-      }
-      continue;
-    }
 
     if (auto rel = solve_node(problem, down.bounds, hint, options_.cache);
         rel.is_ok()) {

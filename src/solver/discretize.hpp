@@ -35,14 +35,6 @@ struct DiscretizeOptions {
   /// valid bracket end after bound tightening, so the search result is
   /// unchanged and the node solve converges in fewer iterations.
   bool warm_start_nodes = true;
-  /// Solve both branch children through one
-  /// core::solve_relaxation_batch call instead of two separate solves.
-  /// Siblings share the parent's kernel set (only one bound differs), so
-  /// the batch reuses the bisection scratch across lanes; lane results
-  /// are bit-identical to the unbatched path and interoperate with the
-  /// shared relaxation cache (hits are taken per child, only the misses
-  /// are batch-solved, and solutions are published per child key).
-  bool batch_children = true;
   /// Branch by patching the branched variable's two bound values in
   /// place on ONE shared CuBounds (each child's patch applied around
   /// its subtree and restored on backtrack) instead of materializing a
@@ -64,9 +56,9 @@ struct DiscretizeOptions {
 };
 
 /// Discretizes the relaxation of `problem`. An externally computed root
-/// relaxation may be supplied (e.g. the interior-point GP result) so the
-/// pipeline matches the paper's GP→discretize flow; otherwise the root is
-/// solved internally by bisection.
+/// relaxation may be supplied (GP+A passes its memoized, warm-started
+/// root) so the pipeline matches the paper's GP→discretize flow;
+/// otherwise the root is solved internally by bisection.
 class Discretizer {
  public:
   explicit Discretizer(DiscretizeOptions options = {}) : options_(options) {}

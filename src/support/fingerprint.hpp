@@ -3,14 +3,13 @@
 // A Fingerprint is two independently mixed 64-bit lanes over the exact
 // bit patterns of the numbers that determine a computation's result.
 // Collisions would silently alias two different computations (a cached
-// relaxation, a compiled GP model), so the lanes use unrelated mixing
+// relaxation, a cached placement), so the lanes use unrelated mixing
 // functions: both would have to collide simultaneously for a false cache
 // hit, which is negligible at any realistic cache population.
 //
 // Domain-specific hashing lives with the domains: core/fingerprint.hpp
-// fingerprints allocation problems, gp/problem.hpp fingerprints GP model
-// *structure*. This header owns only the primitive, so gp/ can produce
-// fingerprints without depending on core/.
+// fingerprints allocation problems. This header owns only the
+// primitive.
 #pragma once
 
 #include <cstdint>

@@ -15,12 +15,11 @@
 //
 // MFA_WARM_PATH is *not* a compiler attribute: it marks functions on
 // the steady-state event path (AllocServer numeric-event dispatch →
-// CompositeBuilder coefficient/RHS deltas → CompiledGp::patch_* →
-// batched kernel lane loops) that must not allocate. tools/mfa_lint
-// walks the lexical call graph from every MFA_WARM_PATH function and
-// rejects reachable allocating calls (rule warm-path-alloc) — the
-// static face of ROADMAP item 1's zero-allocation gate, next to the
-// runtime `service_churn --check` gate.
+// CompositeBuilder coefficient/RHS deltas) that must not allocate.
+// tools/mfa_lint walks the lexical call graph from every MFA_WARM_PATH
+// function and rejects reachable allocating calls (rule
+// warm-path-alloc) — the static face of the zero-allocation gate, next
+// to the runtime `service_churn --check` gate.
 #pragma once
 
 #if defined(__clang__) && !defined(SWIG)

@@ -12,19 +12,13 @@
 //     beats the proved exact optimum II (β = 0 lanes);
 //  3. relaxation bound — the continuous relaxation never exceeds the
 //     exact optimum II;
-//  4. patched-vs-fresh parity — solving the interior-point relaxation
-//     through a CompiledModelCache hit (a structure compiled from a
-//     *re-weighted* twin, cloned and coefficient-patched) returns
-//     byte-identical results to a fresh compile, cold and warm-started.
+//  4. GP-step reference — the interior-point relaxation
+//     (core::solve_relaxation_gp, the paper's GPkit step) and the exact
+//     bisection every production path uses agree on feasibility and on
+//     ÎI within 1e-6 relative. Runs on every seed, before the
+//     exact/naive budget checks can skip it.
 //
-//  5. batched-vs-scalar parity — K coefficient variants of the seed's
-//     relaxation GP (same structure, re-weighted WCETs) solved through
-//     the lane-parallel batched kernel (gp/batched.hpp) agree with K
-//     independent scalar prepared solves, per lane, within a solver
-//     tolerance band (the batched kernel follows its own arithmetic;
-//     the contract is tolerance-level, not bitwise).
-//
-//  6. stability oracle — the migration-aware packing search against a
+//  5. stability oracle — the migration-aware packing search against a
 //     reference placement: zero budgets must reproduce the reference
 //     bit-exactly, unlimited budgets must match the unconstrained
 //     optimum φ, seeded hard budgets must be respected by the reported
@@ -33,20 +27,18 @@
 //     the free stay-put option, and the GP+A stability plumbing must
 //     hold the incumbent in place at zero budgets.
 //
-//  7. patched-bounds parity — the discretizer's in-place bound-patching
+//  6. patched-bounds parity — the discretizer's in-place bound-patching
 //     branch-and-bound reproduces the explicit-stack oracle bit for
 //     bit: node counts, incumbent, root relaxation, optimality
 //     provenance and (when sharing a relaxation cache) the hit/miss
-//     trace, across warm-start/batching flavors and under node caps.
+//     trace, with and without node warm starts and under node caps.
 //
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
-//                          [--parity] [--batched] [--stability]
-//                          [--patched-bounds]
+//                          [--stability] [--patched-bounds]
 //
-// --parity runs only check 4, --batched only check 5, --stability only
-// check 6 and --patched-bounds only check 7 (no exact/naive oracles);
-// all are cheap enough for wide ctest slices across heterogeneous
-// platforms.
+// --stability runs only check 5 and --patched-bounds only check 6 (no
+// exact/naive oracles); both are cheap enough for wide ctest slices
+// across heterogeneous platforms.
 //
 // On mismatch it prints the seed and the scenario JSON to stderr, writes
 // the scenario to --out (CI uploads it as an artifact) and exits 1.
@@ -62,8 +54,6 @@
 #include "alloc/gpa.hpp"
 #include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
-#include "gp/compiled.hpp"
-#include "gp/solver.hpp"
 #include "io/serialize.hpp"
 #include "scenario/generate.hpp"
 #include "solver/discretize.hpp"
@@ -77,8 +67,6 @@ struct Options {
   std::uint64_t start = 0;
   std::uint64_t count = 200;
   const char* out_path = nullptr;
-  bool parity_only = false;
-  bool batched_only = false;
   bool stability_only = false;
   bool patched_bounds_only = false;
 };
@@ -116,117 +104,40 @@ void report_failure(std::uint64_t seed, const mfa::core::Problem& problem,
   }
 }
 
-mfa::gp::SolverOptions gp_options() { return {}; }
-
-/// Structure/coefficient-split differential: a compiled-model cache hit
-/// (structure donated by a re-weighted twin, clone + patch) must solve
-/// to byte-identical results as a fresh compile — cold and warm-started.
-const char* check_patch_parity(const mfa::core::Problem& problem) {
-  mfa::core::CompiledModelCache models;
-  // Donate the structure entry under *different* coefficients, so the
-  // cached solve below exercises the clone-then-patch path for real.
-  mfa::core::Problem donor = problem;
-  for (mfa::core::Kernel& k : donor.app.kernels) k.wcet_ms *= 1.5;
-  (void)mfa::core::solve_relaxation_gp(donor, gp_options(), &models);
-
-  const auto cached =
-      mfa::core::solve_relaxation_gp(problem, gp_options(), &models);
-  const auto fresh = mfa::core::solve_relaxation_gp(problem, gp_options());
-  if (cached.is_ok() != fresh.is_ok()) {
-    return "patched and fresh GP relaxations disagree on status";
+/// Check 4: the interior-point GP reference against the bisection (see
+/// file comment). Both must prove the same relaxation infeasible, or
+/// land on the same ÎI within 1e-6 relative.
+const char* check_gp_reference(const mfa::core::Problem& problem) {
+  const auto gp = mfa::core::solve_relaxation_gp(problem);
+  const auto exact = mfa::core::solve_relaxation(problem);
+  if (!exact.is_ok()) {
+    return gp.status().code() == exact.status().code()
+               ? nullptr
+               : "GP reference and bisection disagree on relaxation "
+                 "feasibility";
   }
-  if (!fresh.is_ok()) return nullptr;
-  if (cached.value().ii != fresh.value().ii ||
-      cached.value().n_hat != fresh.value().n_hat) {
-    return "patched GP relaxation differs from a fresh compile";
+  if (!gp.is_ok()) {
+    return "GP reference failed on a feasible relaxation";
   }
-  // Warm-started flavor, seeded from the cold optimum.
-  const auto cached_warm = mfa::core::solve_relaxation_gp(
-      problem, gp_options(), fresh.value(), &models);
-  const auto fresh_warm =
-      mfa::core::solve_relaxation_gp(problem, gp_options(), fresh.value());
-  if (cached_warm.is_ok() != fresh_warm.is_ok()) {
-    return "patched and fresh warm GP relaxations disagree on status";
-  }
-  if (fresh_warm.is_ok() &&
-      (cached_warm.value().ii != fresh_warm.value().ii ||
-       cached_warm.value().n_hat != fresh_warm.value().n_hat)) {
-    return "patched warm GP relaxation differs from a fresh compile";
+  const double rel =
+      std::abs(gp.value().ii - exact.value().ii) / exact.value().ii;
+  if (rel > 1e-6) {
+    std::fprintf(stderr, "relaxed II: GP %.12g bisection %.12g (rel %.3g)\n",
+                 gp.value().ii, exact.value().ii, rel);
+    return "GP reference relaxed II differs from the bisection beyond 1e-6";
   }
   return nullptr;
 }
 
-/// Batched-kernel oracle: K coefficient variants of the seed's
-/// relaxation GP — same structure, per-lane WCET re-weighting — solved
-/// as one lock-step batch must agree with K independent scalar prepared
-/// solves lane by lane. K varies with the seed (2..5) so ragged widths
-/// and the K = 2 minimum both get coverage.
-const char* check_batched_parity(const mfa::core::Problem& problem,
-                                 std::uint64_t seed) {
-  const mfa::gp::SolverOptions opts = gp_options();
-  const std::size_t k_lanes = 2 + static_cast<std::size_t>(seed % 4);
-  std::vector<mfa::gp::GpProblem> gps;
-  gps.reserve(k_lanes);
-  for (std::size_t l = 0; l < k_lanes; ++l) {
-    mfa::core::Problem v = problem;
-    for (mfa::core::Kernel& k : v.app.kernels) {
-      k.wcet_ms *= 1.0 + 0.07 * static_cast<double>(l);
-    }
-    const mfa::core::CuBounds bounds = mfa::core::CuBounds::defaults(v);
-    for (std::size_t k = 0; k < v.num_kernels(); ++k) {
-      if (bounds.lower[k] > bounds.upper[k]) return nullptr;  // no GP
-    }
-    gps.push_back(mfa::core::build_relaxation_gp(v, bounds));
-  }
-  const mfa::Fingerprint fp = gps[0].structural_fingerprint();
-  const mfa::gp::CompiledModel base =
-      mfa::gp::CompiledModel::build(gps[0], opts.variable_box);
-  std::vector<mfa::gp::CompiledModel> models;
-  models.reserve(k_lanes);
-  for (const mfa::gp::GpProblem& g : gps) {
-    mfa::gp::CompiledModel m = base;
-    m.patch_coefficients(g, opts.variable_box, fp);
-    models.push_back(std::move(m));
-  }
-  const mfa::gp::GpSolver solver(opts);
-  std::vector<mfa::gp::BatchLane> lanes(k_lanes);
-  for (std::size_t l = 0; l < k_lanes; ++l) {
-    lanes[l].problem = &gps[l];
-    lanes[l].model = &models[l];
-  }
-  const std::vector<mfa::gp::GpSolution> batch = solver.solve_batch(lanes);
-  for (std::size_t l = 0; l < k_lanes; ++l) {
-    const mfa::gp::GpSolution scalar = solver.solve(gps[l], models[l]);
-    if (batch[l].ok() != scalar.ok()) {
-      return "batched and scalar GP solves disagree on convergence";
-    }
-    if (!scalar.ok()) continue;
-    for (std::size_t j = 0; j < scalar.x.size(); ++j) {
-      const double diff = std::abs(batch[l].x[j] - scalar.x[j]);
-      if (diff > 1e-4 * (1.0 + std::abs(scalar.x[j]))) {
-        std::fprintf(stderr,
-                     "lane %zu of %zu, x[%zu]: batched %.12g scalar %.12g\n",
-                     l, k_lanes, j, batch[l].x[j], scalar.x[j]);
-        return "batched GP lane drifted beyond tolerance of its scalar "
-               "solve";
-      }
-    }
-  }
-  return nullptr;
-}
-
-/// Check 7: in-place bound-patching B&B (DiscretizeOptions::
+/// Check 6: in-place bound-patching B&B (DiscretizeOptions::
 /// patched_bounds) vs the explicit-stack search it replaced on the warm
 /// path. The claim is *bit-for-bit* reproduction, not tolerance-level:
 /// node count, incumbent totals/ÎI, the root relaxation and the
 /// optimality provenance must all be identical, with and without a
 /// shared relaxation cache — and when caches are used, both modes must
-/// produce the same hit/miss trace (the patched mode's per-child
-/// sequential lookups must be indistinguishable from the stack mode's
-/// lookup-both-then-batch order). Warm-start and child-batching flavors
-/// rotate with the seed so every legacy configuration is covered. A
-/// tiny node cap on a third run checks the abort path counts nodes
-/// identically too.
+/// produce the same hit/miss trace. Node warm starts rotate with the
+/// seed so both configurations are covered. A tiny node cap on a third
+/// run checks the abort path counts nodes identically too.
 const char* check_patched_bounds(const mfa::core::Problem& problem,
                                  std::uint64_t seed) {
   using mfa::solver::DiscretizeResult;
@@ -260,7 +171,6 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
   mfa::solver::DiscretizeOptions stack_opts;
   stack_opts.patched_bounds = false;
   stack_opts.warm_start_nodes = (seed % 2) == 0;
-  stack_opts.batch_children = (seed % 3) != 0;
   mfa::solver::DiscretizeOptions patched_opts = stack_opts;
   patched_opts.patched_bounds = true;
 
@@ -305,7 +215,7 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
                  mfa::solver::Discretizer(patched_opts).run(problem));
 }
 
-/// Migration-aware packing oracle (see file comment, check 6). The
+/// Migration-aware packing oracle (see file comment, check 5). The
 /// reference placement is GP+A's own allocation of the seed — a
 /// realistic incumbent the budgets can always fall back to, which makes
 /// every property below unconditional:
@@ -464,8 +374,11 @@ const char* check_stability(const mfa::core::Problem& problem,
 /// Runs all solvers on one scenario; returns nullptr on agreement, else
 /// a static description of the first mismatch. Sets *feasible when the
 /// instance's feasibility was decided.
-const char* check_seed(const mfa::core::Problem& problem, std::uint64_t seed,
-                       bool* feasible) {
+const char* check_seed(const mfa::core::Problem& problem, bool* feasible) {
+  // The GP-step reference runs first: the budget skips below must not
+  // hide it.
+  if (const char* mismatch = check_gp_reference(problem)) return mismatch;
+
   // Exact (structured) vs naive (oracle) on the full objective.
   mfa::solver::ExactOptions exact_options;
   exact_options.max_nodes = 20'000'000;
@@ -541,12 +454,7 @@ const char* check_seed(const mfa::core::Problem& problem, std::uint64_t seed,
       return "relaxation exceeds the exact optimum II";
     }
   }
-
-  // Compiled-model cache transparency (see check_patch_parity).
-  if (const char* mismatch = check_patch_parity(problem)) return mismatch;
-
-  // Batched-vs-scalar GP kernel parity (see check_batched_parity).
-  return check_batched_parity(problem, seed);
+  return nullptr;
 }
 
 }  // namespace
@@ -558,10 +466,6 @@ int main(int argc, char** argv) {
       opt.start = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       opt.out_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--parity") == 0) {
-      opt.parity_only = true;
-    } else if (std::strcmp(argv[i], "--batched") == 0) {
-      opt.batched_only = true;
     } else if (std::strcmp(argv[i], "--stability") == 0) {
       opt.stability_only = true;
     } else if (std::strcmp(argv[i], "--patched-bounds") == 0) {
@@ -575,8 +479,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [num_seeds] [--start S] [--out failure.json]"
-                   " [--parity] [--batched] [--stability]"
-                   " [--patched-bounds]\n",
+                   " [--stability] [--patched-bounds]\n",
                    argv[0]);
       return 2;
     }
@@ -589,16 +492,12 @@ int main(int argc, char** argv) {
     const mfa::core::Problem problem = mfa::scenario::generate(spec, seed);
     bool feasible = true;
     const char* mismatch = nullptr;
-    if (opt.parity_only) {
-      mismatch = check_patch_parity(problem);
-    } else if (opt.batched_only) {
-      mismatch = check_batched_parity(problem, seed);
-    } else if (opt.stability_only) {
+    if (opt.stability_only) {
       mismatch = check_stability(problem, seed);
     } else if (opt.patched_bounds_only) {
       mismatch = check_patched_bounds(problem, seed);
     } else {
-      mismatch = check_seed(problem, seed, &feasible);
+      mismatch = check_seed(problem, &feasible);
     }
     if (mismatch != nullptr) {
       report_failure(seed, problem, opt, mismatch);
@@ -612,14 +511,11 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("differential fuzz%s: %" PRIu64 " seeds ok\n",
-              opt.parity_only          ? " (patch parity)"
-              : opt.batched_only       ? " (batched parity)"
-              : opt.stability_only     ? " (stability)"
+              opt.stability_only        ? " (stability)"
               : opt.patched_bounds_only ? " (patched bounds)"
                                         : "",
               checked);
-  if (!opt.parity_only && !opt.batched_only && !opt.stability_only &&
-      !opt.patched_bounds_only) {
+  if (!opt.stability_only && !opt.patched_bounds_only) {
     std::printf("(%" PRIu64 " infeasible instances exercised)\n", infeasible);
   }
   return 0;

@@ -132,40 +132,5 @@ TEST_P(RandomDiscretize, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDiscretize, ::testing::Range(1, 41));
 
-/// Sibling batching is a pure execution-strategy switch: the batched
-/// child solves promise lane-for-lane bit identity with the unbatched
-/// path, so the whole search — node count, incumbent, and the relaxed
-/// values it is built from — must match bitwise, not just to tolerance.
-class BatchedChildrenParity : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchedChildrenParity, BitwiseEqualToUnbatched) {
-  std::mt19937 rng(static_cast<unsigned>(GetParam()) * 2503u);
-  test::RandomSpec spec;
-  spec.max_kernels = 4;
-  spec.max_fpgas = 3;
-  const Problem p = test::random_problem(rng, spec);
-
-  DiscretizeOptions batched;
-  batched.batch_children = true;
-  DiscretizeOptions unbatched;
-  unbatched.batch_children = false;
-
-  const auto a = Discretizer(batched).run(p);
-  const auto b = Discretizer(unbatched).run(p);
-  ASSERT_EQ(a.is_ok(), b.is_ok());
-  if (!a.is_ok()) {
-    EXPECT_EQ(a.status().code(), b.status().code());
-    return;
-  }
-  EXPECT_EQ(a.value().totals, b.value().totals);
-  EXPECT_EQ(a.value().ii, b.value().ii);                  // bitwise
-  EXPECT_EQ(a.value().relaxed_ii, b.value().relaxed_ii);  // bitwise
-  EXPECT_EQ(a.value().nodes, b.value().nodes);
-  EXPECT_EQ(a.value().proved_optimal, b.value().proved_optimal);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BatchedChildrenParity,
-                         ::testing::Range(1, 31));
-
 }  // namespace
 }  // namespace mfa::solver

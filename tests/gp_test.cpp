@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "gp/batched.hpp"
-#include "gp/compiled.hpp"
 #include "gp/expr.hpp"
 #include "gp/problem.hpp"
 #include "gp/solver.hpp"
@@ -140,300 +138,6 @@ TEST(LseFunction, HessianMatchesFiniteDifference) {
   }
 }
 
-/// Random posynomial over `n` vars: 1–6 terms, exponents drawn from a
-/// grid that includes the fast-path values and repeats often enough to
-/// exercise hash-consing and duplicate-term merging.
-Posynomial random_posynomial(std::mt19937& rng, std::size_t n) {
-  std::uniform_int_distribution<int> terms(1, 6);
-  std::uniform_int_distribution<int> pick(0, 6);
-  std::uniform_real_distribution<double> coeff(0.1, 10.0);
-  const double grid[] = {-2.0, -1.0, -0.5, 0.0, 1.0, 2.0, 3.0};
-  Posynomial p;
-  const int num_terms = terms(rng);
-  for (int t = 0; t < num_terms; ++t) {
-    Monomial m(coeff(rng));
-    for (std::size_t v = 0; v < n; ++v) {
-      const double e = grid[pick(rng)];
-      if (e != 0.0) m *= Monomial::var(static_cast<VarId>(v)).pow(e);
-    }
-    p += m;
-  }
-  return p;
-}
-
-TEST(CompiledGp, MatchesLseOnRandomPosynomials) {
-  // The flat IR must agree with the interpretive LseFunction path on
-  // value, gradient and Hessian across random posynomials and points.
-  std::mt19937 rng(2024);
-  std::uniform_real_distribution<double> point(-1.5, 1.5);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(trial % 5);
-    GpProblem prob;
-    for (std::size_t v = 0; v < n; ++v) {
-      prob.add_variable("v" + std::to_string(v));
-    }
-    const Posynomial p = random_posynomial(rng, n);
-    const LseFunction lse = prob.compile(p);
-    CompiledGp compiled(n);
-    compiled.add(p);
-
-    linalg::Vector y(n);
-    for (std::size_t v = 0; v < n; ++v) y[v] = point(rng);
-
-    GpWorkspace ws;
-    const double expected = lse.value(y);
-    EXPECT_NEAR(compiled.value(0, y, ws), expected,
-                1e-9 * (1.0 + std::fabs(expected)));
-
-    linalg::Vector grad_ref(n);
-    linalg::Matrix hess_ref(n, n);
-    lse.add_derivatives(y, 1.0, grad_ref, hess_ref);
-    linalg::Vector grad(n);
-    linalg::Matrix hess(n, n);
-    const double val = compiled.prepare(0, y, ws);
-    compiled.scatter(0, 1.0, 1.0, -1.0, grad, hess, ws);
-    EXPECT_NEAR(val, expected, 1e-9 * (1.0 + std::fabs(expected)));
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(grad[i], grad_ref[i], 1e-9) << "trial " << trial;
-      for (std::size_t j = 0; j < n; ++j) {
-        EXPECT_NEAR(hess(i, j), hess_ref(i, j), 1e-9) << "trial " << trial;
-      }
-    }
-  }
-}
-
-TEST(CompiledGp, HashConsesRowsAndMergesDuplicateMonomials) {
-  GpProblem prob;
-  const VarId x = prob.add_variable("x");
-  const VarId y = prob.add_variable("y");
-  // x·y appears in both constraints and twice in the objective.
-  prob.set_objective(2.0 * Monomial::var(x) * Monomial::var(y) +
-                     3.0 * Monomial::var(x) * Monomial::var(y));
-  prob.add_le1(0.5 * Monomial::var(x) * Monomial::var(y) +
-               Monomial::var(x).inverse());
-  prob.add_le1(0.25 * Monomial::var(x) * Monomial::var(y));
-  CompiledGp compiled = prob.compile();
-  EXPECT_EQ(compiled.num_functions(), 3u);
-  // Duplicate monomials merged: the objective is a single term 5·x·y.
-  EXPECT_EQ(compiled.num_terms(0), 1u);
-  // Rows hash-consed: {x·y, 1/x} — two distinct exponent patterns.
-  EXPECT_EQ(compiled.num_rows(), 2u);
-  // Merged coefficient evaluates as 5·x·y.
-  GpWorkspace ws;
-  linalg::Vector at{std::log(2.0), std::log(3.0)};
-  EXPECT_NEAR(compiled.value(0, at, ws), std::log(5.0 * 2.0 * 3.0), 1e-12);
-}
-
-TEST(CompiledGp, SlackAugmentationMatchesDefinition) {
-  GpProblem prob;
-  const VarId x = prob.add_variable("x");
-  prob.set_objective(Monomial::var(x));
-  prob.add_le1(2.0 * Monomial::var(x), "x <= 1/2");
-  CompiledGp compiled = prob.compile();
-  CompiledGp slack = compiled.with_slack();
-  ASSERT_EQ(slack.num_vars(), 2u);
-  GpWorkspace ws;
-  // F₀(y, s) = s;  F₁(y, s) = F₁(y) − s.
-  linalg::Vector ys{0.3, 0.7};
-  EXPECT_NEAR(slack.value(0, ys, ws), 0.7, 1e-12);
-  linalg::Vector y1{0.3};
-  EXPECT_NEAR(slack.value(1, ys, ws), compiled.value(1, y1, ws) - 0.7,
-              1e-12);
-}
-
-/// A problem with the given structure; coefficients vary with `salt`.
-GpProblem salted_problem(double salt) {
-  GpProblem prob;
-  const VarId x = prob.add_variable("x");
-  const VarId y = prob.add_variable("y");
-  // Duplicate monomials (merged at compile time) and a shared row across
-  // functions, so the patch path must replay a non-trivial merge plan.
-  prob.set_objective(salt * Monomial::var(x) * Monomial::var(y) +
-                     (2.0 * salt) * Monomial::var(x) * Monomial::var(y) +
-                     0.5 * Monomial::var(x).inverse());
-  prob.add_le1((salt / 3.0) * Monomial::var(x) * Monomial::var(y) +
-                   (1.0 / salt) * Monomial::var(y).inverse(),
-               "c0");
-  prob.add_le1(0.25 * salt * Monomial::var(y), "c1");
-  return prob;
-}
-
-TEST(CompiledGp, StructuralFingerprintIgnoresCoefficientsOnly) {
-  const GpProblem a = salted_problem(1.0);
-  const GpProblem b = salted_problem(7.25);
-  // Coefficient changes: same structure, problem- and IR-level.
-  EXPECT_EQ(a.structural_fingerprint(), b.structural_fingerprint());
-  EXPECT_EQ(a.compile().structure_fingerprint(),
-            b.compile().structure_fingerprint());
-
-  // A structural change — one more constraint — moves both.
-  GpProblem c = salted_problem(1.0);
-  c.add_le1(0.5 * Monomial::var(0), "extra");
-  EXPECT_NE(a.structural_fingerprint(), c.structural_fingerprint());
-  EXPECT_NE(a.compile().structure_fingerprint(),
-            c.compile().structure_fingerprint());
-
-  // So does an exponent change with identical shapes (x² instead of x).
-  GpProblem d;
-  const VarId x = d.add_variable("x");
-  const VarId y = d.add_variable("y");
-  d.set_objective(Monomial::var(x).pow(2.0) * Monomial::var(y) +
-                  2.0 * Monomial::var(x) * Monomial::var(y) +
-                  0.5 * Monomial::var(x).inverse());
-  d.add_le1((1.0 / 3.0) * Monomial::var(x) * Monomial::var(y) +
-                Monomial::var(y).inverse(),
-            "c0");
-  d.add_le1(0.25 * Monomial::var(y), "c1");
-  EXPECT_NE(a.structural_fingerprint(), d.structural_fingerprint());
-}
-
-TEST(CompiledModel, PatchedCoefficientsMatchFreshBuildBitwise) {
-  const GpProblem donor = salted_problem(3.5);
-  const GpProblem target = salted_problem(0.8);
-  constexpr double kBox = 46.0;
-
-  // Clone the donor's compiled artifact and patch it to the target.
-  const CompiledModel donor_model = CompiledModel::build(donor, kBox);
-  CompiledModel patched = donor_model;  // shares structure
-  patched.patch_coefficients(target, kBox);
-  EXPECT_TRUE(patched.gp().same_structure(donor_model.gp()));
-
-  const CompiledModel fresh = CompiledModel::build(target, kBox);
-  ASSERT_EQ(patched.gp().num_functions(), fresh.gp().num_functions());
-
-  // Every function evaluates bit-identically (not merely close) at
-  // random points — the determinism contract the model cache rides on.
-  std::mt19937 rng(99);
-  std::uniform_real_distribution<double> point(-2.0, 2.0);
-  GpWorkspace ws_a;
-  GpWorkspace ws_b;
-  for (int trial = 0; trial < 32; ++trial) {
-    linalg::Vector y{point(rng), point(rng)};
-    for (std::size_t f = 0; f < fresh.gp().num_functions(); ++f) {
-      EXPECT_EQ(patched.gp().value(f, y, ws_a), fresh.gp().value(f, y, ws_b))
-          << "f=" << f << " trial=" << trial;
-    }
-  }
-
-  // The donor's own coefficients are untouched by patching the clone.
-  CompiledModel donor_again = CompiledModel::build(donor, kBox);
-  GpWorkspace ws_c;
-  linalg::Vector y{0.3, -0.4};
-  EXPECT_EQ(donor_model.gp().value(0, y, ws_a),
-            donor_again.gp().value(0, y, ws_c));
-}
-
-TEST(GpSolver, PreparedModelSolveMatchesPlainSolveBitwise) {
-  const GpProblem target = salted_problem(1.6);
-  SolverOptions opts;
-  const GpSolution plain = GpSolver(opts).solve(target);
-
-  // Prepared path, via a structure compiled from *different*
-  // coefficients and patched — exactly what a model-cache hit does.
-  CompiledModel model = CompiledModel::build(salted_problem(9.0),
-                                             opts.variable_box);
-  model.patch_coefficients(target, opts.variable_box);
-  const GpSolution prepared = GpSolver(opts).solve(target, model);
-
-  ASSERT_EQ(prepared.status, plain.status);
-  EXPECT_EQ(prepared.x, plain.x);  // bit-identical primal point
-  EXPECT_EQ(prepared.objective, plain.objective);
-  EXPECT_EQ(prepared.newton_iterations, plain.newton_iterations);
-  EXPECT_EQ(prepared.outer_iterations, plain.outer_iterations);
-
-  // Warm-started flavor too.
-  const GpSolution plain_warm = GpSolver(opts).solve(target, plain.x);
-  const GpSolution prepared_warm =
-      GpSolver(opts).solve(target, model, plain.x);
-  ASSERT_EQ(prepared_warm.status, plain_warm.status);
-  EXPECT_EQ(prepared_warm.x, plain_warm.x);
-  EXPECT_EQ(prepared_warm.newton_iterations, plain_warm.newton_iterations);
-}
-
-TEST(CompiledModel, SlackLoweringIsLazyAndCachedPerStructure) {
-  // An infeasible start forces phase I; the slack problem must be
-  // lowered exactly once per structure, not per solve.
-  GpProblem p;
-  const VarId x = p.add_variable("x");
-  p.set_objective(Monomial::var(x));
-  p.add_le1(2.0 * Monomial::var(x).inverse(), "x >= 2");
-  SolverOptions opts;
-  const CompiledModel model = CompiledModel::build(p, opts.variable_box);
-
-  const std::int64_t before = total_slack_lowerings();
-  const GpSolution first = GpSolver(opts).solve(p, model);
-  ASSERT_TRUE(first.ok());
-  EXPECT_EQ(total_slack_lowerings() - before, 1);  // phase I ran once
-
-  // Re-solving through the same model (or a clone) reuses the cached
-  // slack structure.
-  CompiledModel clone = model;
-  const GpSolution second = GpSolver(opts).solve(p, clone);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(total_slack_lowerings() - before, 1);
-  EXPECT_EQ(second.x, first.x);
-
-  // A strictly feasible warm seed skips phase I — and therefore never
-  // pays a slack lowering even on a fresh structure.
-  GpProblem q;
-  const VarId z = q.add_variable("z");
-  q.set_objective(Monomial::var(z));
-  q.add_le1(3.0 * Monomial::var(z).inverse(), "z >= 3");
-  const CompiledModel qm = CompiledModel::build(q, opts.variable_box);
-  const std::int64_t before_q = total_slack_lowerings();
-  const GpSolution warm = GpSolver(opts).solve(q, qm, {10.0});
-  ASSERT_TRUE(warm.ok());
-  EXPECT_EQ(total_slack_lowerings() - before_q, 0);
-}
-
-/// Compiled and legacy kernels must land on the same optimum.
-TEST(GpSolver, CompiledMatchesLegacyOnRandomProblems) {
-  std::mt19937 rng(7);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t n = 2 + static_cast<std::size_t>(trial % 3);
-    GpProblem prob;
-    for (std::size_t v = 0; v < n; ++v) {
-      prob.add_variable("v" + std::to_string(v));
-    }
-    prob.set_objective(random_posynomial(rng, n));
-    // A box-style constraint per variable keeps the instances bounded
-    // and feasible: x_v ≤ u with u ∈ [1, 8].
-    std::uniform_real_distribution<double> ub(1.0, 8.0);
-    for (std::size_t v = 0; v < n; ++v) {
-      prob.add_le1((1.0 / ub(rng)) * Monomial::var(static_cast<VarId>(v)));
-    }
-    SolverOptions compiled_opts;
-    compiled_opts.use_compiled_kernel = true;
-    SolverOptions legacy_opts;
-    legacy_opts.use_compiled_kernel = false;
-    const GpSolution a = GpSolver(compiled_opts).solve(prob);
-    const GpSolution b = GpSolver(legacy_opts).solve(prob);
-    ASSERT_EQ(a.status, b.status) << "trial " << trial;
-    if (!a.ok()) continue;
-    EXPECT_NEAR(a.objective, b.objective,
-                1e-6 * (1.0 + std::fabs(b.objective)))
-        << "trial " << trial;
-  }
-}
-
-TEST(GpSolver, WarmStartMatchesColdStart) {
-  GpProblem p;
-  const VarId x = p.add_variable("x");
-  const VarId y = p.add_variable("y");
-  p.set_objective(Monomial::var(x) * Monomial::var(y));
-  p.add_le1((Monomial::var(x) * Monomial::var(y)).inverse(), "xy >= 1");
-  const GpSolution cold = GpSolver().solve(p);
-  ASSERT_TRUE(cold.ok());
-  // Seeding with the cold solution (or any positive point) converges to
-  // the same optimum.
-  const GpSolution warm = GpSolver().solve(p, cold.x);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_NEAR(warm.objective, cold.objective, 1e-8);
-  const GpSolution elsewhere = GpSolver().solve(p, {37.0, 0.004});
-  ASSERT_TRUE(elsewhere.ok());
-  EXPECT_NEAR(elsewhere.objective, cold.objective, 1e-6);
-}
-
 // minimize x + 1/x  →  x* = 1, f* = 2 (unconstrained GP).
 TEST(GpSolver, UnconstrainedKnownOptimum) {
   GpProblem p;
@@ -550,181 +254,6 @@ TEST_P(ScalarBoundGp, OptimumEqualsBound) {
 INSTANTIATE_TEST_SUITE_P(Bounds, ScalarBoundGp,
                          ::testing::Values(0.01, 0.5, 1.0, 3.0, 42.0,
                                            1000.0));
-
-// ---------------------------------------------------------------------------
-// Batched kernel (gp/batched.hpp + GpSolver::solve_batch)
-// ---------------------------------------------------------------------------
-
-/// K structurally identical prepared models sharing ONE Structure object
-/// (clone + patch, the model-cache hit path), one per problem.
-std::vector<CompiledModel> shared_structure_models(
-    const std::vector<GpProblem>& probs, double box) {
-  std::vector<CompiledModel> models;
-  models.reserve(probs.size());
-  CompiledModel base = CompiledModel::build(probs[0], box);
-  for (const GpProblem& p : probs) {
-    CompiledModel m = base;  // shares structure
-    m.patch_coefficients(p, box);
-    models.push_back(std::move(m));
-  }
-  return models;
-}
-
-/// Batched-vs-scalar per-lane agreement across batch widths, including a
-/// ragged width (7) and a K=1 singleton (which takes the scalar
-/// fallback). The contract is tolerance-level: same status, same
-/// optimum to solver tolerance — not bytes.
-class BatchedWidth : public ::testing::TestWithParam<int> {};
-
-TEST_P(BatchedWidth, PerLaneAgreementWithScalar) {
-  const int k = GetParam();
-  SolverOptions opts;
-  std::vector<GpProblem> probs;
-  for (int i = 0; i < k; ++i) {
-    probs.push_back(salted_problem(0.8 + 0.45 * i));
-  }
-  const std::vector<CompiledModel> models =
-      shared_structure_models(probs, opts.variable_box);
-  std::vector<BatchLane> lanes(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    lanes[i].problem = &probs[i];
-    lanes[i].model = &models[i];
-  }
-  const GpSolver solver(opts);
-  const std::vector<GpSolution> batch = solver.solve_batch(lanes);
-  ASSERT_EQ(batch.size(), probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    const GpSolution scalar = solver.solve(probs[i], models[i]);
-    ASSERT_EQ(batch[i].status, scalar.status) << "lane " << i;
-    ASSERT_TRUE(batch[i].ok()) << "lane " << i;
-    for (std::size_t j = 0; j < scalar.x.size(); ++j) {
-      EXPECT_NEAR(batch[i].x[j], scalar.x[j],
-                  1e-5 * std::max(1.0, std::fabs(scalar.x[j])))
-          << "lane " << i << " var " << j;
-    }
-    EXPECT_NEAR(batch[i].objective, scalar.objective,
-                1e-5 * std::max(1.0, std::fabs(scalar.objective)));
-    EXPECT_LE(batch[i].max_violation, 1e-8);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, BatchedWidth,
-                         ::testing::Values(1, 2, 4, 7, 16));
-
-TEST(BatchedSolve, EarlyExitLanesRetireWithoutPerturbingOthers) {
-  // One warm lane (feasible seed: skips phase I, converges in few
-  // rounds, retires while the cold lanes are still centering) mixed
-  // with cold lanes. Every lane must still match its scalar solve.
-  SolverOptions opts;
-  std::vector<GpProblem> probs;
-  for (int i = 0; i < 5; ++i) probs.push_back(salted_problem(0.7 + 0.6 * i));
-  const std::vector<CompiledModel> models =
-      shared_structure_models(probs, opts.variable_box);
-  const GpSolver solver(opts);
-  const GpSolution warm_seed = solver.solve(probs[2], models[2]);
-  ASSERT_TRUE(warm_seed.ok());
-
-  std::vector<BatchLane> lanes(probs.size());
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    lanes[i].problem = &probs[i];
-    lanes[i].model = &models[i];
-  }
-  // The feasible seed plus a moderately raised opening shortens lane 2's
-  // t-ladder, so it retires while the cold lanes are still climbing —
-  // exercising the early-retire/compaction path. (t0 far beyond ~100
-  // backfires on a problem this small: the high-t opening grinds, per
-  // the SolverOptions::warm_gap note.)
-  lanes[2].x0 = &warm_seed.x;
-  lanes[2].t0 = 100.0;
-  const std::vector<GpSolution> batch = solver.solve_batch(lanes);
-  SolverOptions warm_opts = opts;
-  warm_opts.t0 = 100.0;
-  for (std::size_t i = 0; i < probs.size(); ++i) {
-    const GpSolution scalar =
-        i == 2 ? GpSolver(warm_opts).solve(probs[i], models[i], warm_seed.x)
-               : solver.solve(probs[i], models[i]);
-    ASSERT_EQ(batch[i].status, scalar.status) << "lane " << i;
-    for (std::size_t j = 0; j < scalar.x.size(); ++j) {
-      EXPECT_NEAR(batch[i].x[j], scalar.x[j],
-                  1e-5 * std::max(1.0, std::fabs(scalar.x[j])));
-    }
-  }
-  // The warm lane really did retire early: its t-ladder is structurally
-  // shorter than a cold lane's. (Newton counts are only
-  // tolerance-comparable across kernels, so the stage count is the
-  // robust witness.)
-  EXPECT_LT(batch[2].outer_iterations, batch[0].outer_iterations);
-}
-
-TEST(BatchedSolve, LaneResultsIndependentOfGroupFormationBitwise) {
-  // The same instance solved in batches of different widths, positions
-  // and companions must produce bit-identical results: per-lane
-  // arithmetic never crosses lanes, so group formation order cannot
-  // leak into a lane's answer.
-  SolverOptions opts;
-  std::vector<GpProblem> probs;
-  for (int i = 0; i < 7; ++i) probs.push_back(salted_problem(0.9 + 0.37 * i));
-  const std::vector<CompiledModel> models =
-      shared_structure_models(probs, opts.variable_box);
-  const GpSolver solver(opts);
-  auto lane = [&](std::size_t i) {
-    BatchLane l;
-    l.problem = &probs[i];
-    l.model = &models[i];
-    return l;
-  };
-
-  // Probe instance 0 in three formations.
-  const std::vector<GpSolution> a =
-      solver.solve_batch({lane(0), lane(1)});
-  const std::vector<GpSolution> b =
-      solver.solve_batch({lane(3), lane(0), lane(4), lane(5), lane(6)});
-  const std::vector<GpSolution> c = solver.solve_batch(
-      {lane(6), lane(5), lane(4), lane(3), lane(2), lane(1), lane(0)});
-  ASSERT_EQ(a[0].status, b[1].status);
-  ASSERT_EQ(a[0].status, c[6].status);
-  EXPECT_EQ(a[0].x, b[1].x);
-  EXPECT_EQ(a[0].x, c[6].x);
-  EXPECT_EQ(a[0].objective, b[1].objective);
-  EXPECT_EQ(a[0].objective, c[6].objective);
-  EXPECT_EQ(a[0].newton_iterations, b[1].newton_iterations);
-  EXPECT_EQ(a[0].newton_iterations, c[6].newton_iterations);
-  EXPECT_EQ(a[0].outer_iterations, c[6].outer_iterations);
-  // And instance 1, which sat at opposite ends of two batches.
-  EXPECT_EQ(a[1].x, c[5].x);
-  EXPECT_EQ(a[1].newton_iterations, c[5].newton_iterations);
-}
-
-TEST(BatchedSolve, MisgroupedBatchFallsBackToScalarAndCounts) {
-  // Structurally identical problems but *independently built* models:
-  // no shared Structure object, so the batch must refuse (counting a
-  // misgrouping) and fall back to per-lane scalar solves bit-exactly.
-  SolverOptions opts;
-  const GpProblem p0 = salted_problem(1.1);
-  const GpProblem p1 = salted_problem(2.3);
-  const CompiledModel m0 = CompiledModel::build(p0, opts.variable_box);
-  const CompiledModel m1 = CompiledModel::build(p1, opts.variable_box);
-  ASSERT_FALSE(m0.gp().same_structure(m1.gp()));
-
-  const std::int64_t misgroupings0 = total_batched_misgroupings();
-  const std::int64_t solves0 = total_batched_solves();
-  const GpSolver solver(opts);
-  std::vector<BatchLane> lanes(2);
-  lanes[0].problem = &p0;
-  lanes[0].model = &m0;
-  lanes[1].problem = &p1;
-  lanes[1].model = &m1;
-  const std::vector<GpSolution> batch = solver.solve_batch(lanes);
-  EXPECT_EQ(total_batched_misgroupings(), misgroupings0 + 1);
-  EXPECT_EQ(total_batched_solves(), solves0);  // fell back, not batched
-
-  const GpSolution s0 = solver.solve(p0, m0);
-  const GpSolution s1 = solver.solve(p1, m1);
-  EXPECT_EQ(batch[0].x, s0.x);  // scalar fallback is bit-identical
-  EXPECT_EQ(batch[1].x, s1.x);
-  EXPECT_EQ(batch[0].newton_iterations, s0.newton_iterations);
-  EXPECT_EQ(batch[1].newton_iterations, s1.newton_iterations);
-}
 
 }  // namespace
 }  // namespace mfa::gp

@@ -27,16 +27,18 @@ TEST(GpaSolver, EndToEndOnTiny) {
   EXPECT_GE(g.seconds_total(), 0.0);
 }
 
-TEST(GpaSolver, InteriorPointPathAgreesWithBisectionPath) {
+TEST(GpaSolver, BisectionRootAgreesWithGpStepReference) {
+  // The interior-point reference lands on GP+A's root, and discretizing
+  // from it yields GP+A's totals.
   Problem p = tiny_problem();
-  GpaOptions ip;
-  ip.use_interior_point = true;
   auto a = GpaSolver().solve(p);
-  auto b = GpaSolver(ip).solve(p);
+  auto gp_root = core::solve_relaxation_gp(p);
   ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(b.is_ok());
-  EXPECT_NEAR(a.value().relaxed_ii, b.value().relaxed_ii,
+  ASSERT_TRUE(gp_root.is_ok());
+  EXPECT_NEAR(a.value().relaxed_ii, gp_root.value().ii,
               1e-3 * a.value().relaxed_ii);
+  auto b = solver::Discretizer().run(p, gp_root.value());
+  ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(a.value().totals, b.value().totals);
 }
 

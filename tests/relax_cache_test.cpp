@@ -1,5 +1,4 @@
 #include <atomic>
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -50,9 +49,6 @@ TEST(Fingerprint, BoundsAndHintsKeySeparateEntries) {
             relaxation_cache_key(p, tightened, 0.0));
   EXPECT_NE(relaxation_cache_key(p, defaults, 0.0),
             relaxation_cache_key(p, defaults, 2.5));
-  // Bisection and interior-point entries never alias.
-  EXPECT_NE(relaxation_cache_key(p, defaults, 0.0),
-            relaxation_gp_cache_key(p, gp::SolverOptions{}));
 }
 
 TEST(RelaxationCache, HitMissAndFirstWriterWins) {
@@ -221,154 +217,6 @@ TEST(RelaxationCache, EvictedEntriesStayAliveForHolders) {
   EXPECT_GT(held->value().ii, 0.0);
 }
 
-TEST(CompiledModelCache, GpSolveIsByteTransparentAcrossCoefficients) {
-  // The model cache must be invisible in the solved bytes: a hit is
-  // re-patched from the caller's problem, so whatever structurally
-  // identical problem populated the entry, the cached-path result
-  // equals the fresh-compile result exactly.
-  const Problem base = tiny_problem();
-  Problem reweighted = base;
-  for (Kernel& k : reweighted.app.kernels) k.wcet_ms *= 1.7;
-
-  CompiledModelCache models;
-  // Populate the structure entry with `reweighted`'s coefficients…
-  const auto seed = solve_relaxation_gp(reweighted, gp::SolverOptions{},
-                                        &models);
-  ASSERT_TRUE(seed.is_ok());
-  EXPECT_EQ(models.stats().misses, 1u);
-  EXPECT_EQ(models.size(), 1u);
-
-  // …then solve `base` through the cache (hit + patch) and fresh.
-  const std::int64_t patches0 = gp::total_coefficient_patches();
-  const std::int64_t compiles0 = gp::total_structure_compiles();
-  const auto cached = solve_relaxation_gp(base, gp::SolverOptions{},
-                                          &models);
-  EXPECT_EQ(gp::total_coefficient_patches() - patches0, 1);
-  EXPECT_EQ(gp::total_structure_compiles() - compiles0, 0);
-  EXPECT_EQ(models.stats().hits, 1u);
-  const auto fresh = solve_relaxation_gp(base);
-  ASSERT_TRUE(cached.is_ok());
-  ASSERT_TRUE(fresh.is_ok());
-  EXPECT_EQ(cached.value().ii, fresh.value().ii);  // bit-identical
-  EXPECT_EQ(cached.value().n_hat, fresh.value().n_hat);
-
-  // Warm-started solves go through the same artifact.
-  const auto cached_warm = solve_relaxation_gp(base, gp::SolverOptions{},
-                                               fresh.value(), &models);
-  const auto fresh_warm =
-      solve_relaxation_gp(base, gp::SolverOptions{}, fresh.value());
-  ASSERT_TRUE(cached_warm.is_ok());
-  ASSERT_TRUE(fresh_warm.is_ok());
-  EXPECT_EQ(cached_warm.value().ii, fresh_warm.value().ii);
-  EXPECT_EQ(cached_warm.value().n_hat, fresh_warm.value().n_hat);
-}
-
-TEST(CompiledModelCache, StructuralChangeMissesReweightingHits) {
-  const Problem base = tiny_problem();
-  CompiledModelCache models;
-  ASSERT_TRUE(solve_relaxation_gp(base, gp::SolverOptions{}, &models)
-                  .is_ok());
-  const auto stats0 = models.stats();
-  EXPECT_EQ(stats0.misses, 1u);
-
-  // Pure re-weighting (WCET change): same structure → hit.
-  Problem reweighted = base;
-  reweighted.app.kernels[0].wcet_ms *= 3.0;
-  ASSERT_TRUE(
-      solve_relaxation_gp(reweighted, gp::SolverOptions{}, &models).is_ok());
-  EXPECT_EQ(models.stats().hits, stats0.hits + 1);
-  EXPECT_EQ(models.size(), 1u);
-
-  // One more kernel: new structure → miss, second entry.
-  Problem grown = base;
-  grown.app.kernels.push_back(grown.app.kernels[0]);
-  grown.app.kernels.back().name = "clone";
-  ASSERT_TRUE(
-      solve_relaxation_gp(grown, gp::SolverOptions{}, &models).is_ok());
-  EXPECT_EQ(models.stats().misses, stats0.misses + 1);
-  EXPECT_EQ(models.size(), 2u);
-}
-
-TEST(CompiledModelCache, ConcurrentCloneAndPatchIsConsistent) {
-  // Threads race solve_relaxation_gp over a shared cache on two
-  // structures × several coefficient variants: concurrent misses
-  // (compile + insert), hits (clone + patch of one shared structure)
-  // and lazy slack lowerings must all produce exactly the uncached
-  // bytes. Runs under TSan in CI.
-  CompiledModelCache models;
-  const Problem base = tiny_problem();
-  Problem grown = base;
-  grown.app.kernels.push_back(grown.app.kernels[0]);
-  grown.app.kernels.back().name = "clone";
-
-  std::vector<Problem> variants;
-  for (int i = 0; i < 6; ++i) {
-    Problem p = (i % 2 == 0) ? base : grown;
-    for (Kernel& k : p.app.kernels) {
-      k.wcet_ms *= 1.0 + 0.25 * static_cast<double>(i);
-    }
-    variants.push_back(std::move(p));
-  }
-  std::vector<StatusOr<RelaxedSolution>> reference;
-  reference.reserve(variants.size());
-  for (const Problem& p : variants) {
-    reference.push_back(solve_relaxation_gp(p));
-  }
-
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  threads.reserve(6);
-  for (int t = 0; t < 6; ++t) {
-    threads.emplace_back([&, t] {
-      for (int round = 0; round < 12; ++round) {
-        const std::size_t i =
-            static_cast<std::size_t>(t + round) % variants.size();
-        const auto got = solve_relaxation_gp(variants[i], gp::SolverOptions{},
-                                             &models);
-        if (got.is_ok() != reference[i].is_ok()) {
-          ++mismatches;
-        } else if (got.is_ok() &&
-                   (got.value().ii != reference[i].value().ii ||
-                    got.value().n_hat != reference[i].value().n_hat)) {
-          ++mismatches;  // bit-identical, not merely close
-        }
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(models.size(), 2u);  // one entry per structure
-}
-
-TEST(CompiledModelCache, EvictionIsTransparent) {
-  // A capacity-1 cache thrashes between two structures; every solve
-  // still returns exactly the uncached bytes.
-  CacheConfig config;
-  config.shards = 1;
-  config.max_entries = 1;
-  CompiledModelCache models(config);
-
-  const Problem a = tiny_problem();
-  Problem grown = a;
-  grown.app.kernels.push_back(grown.app.kernels[0]);
-  grown.app.kernels.back().name = "clone";
-  const Problem& b = grown;
-  for (int round = 0; round < 3; ++round) {
-    for (const Problem* p : {&a, &b}) {
-      const auto cached = solve_relaxation_gp(*p, gp::SolverOptions{},
-                                              &models);
-      const auto fresh = solve_relaxation_gp(*p);
-      ASSERT_EQ(cached.is_ok(), fresh.is_ok());
-      if (fresh.is_ok()) {
-        EXPECT_EQ(cached.value().ii, fresh.value().ii);
-        EXPECT_EQ(cached.value().n_hat, fresh.value().n_hat);
-      }
-    }
-  }
-  EXPECT_LE(models.size(), 1u);
-  EXPECT_GT(models.stats().evictions, 0u);
-}
-
 TEST(RelaxationWarmStart, BisectionHintPreservesOptimum) {
   // Any positive hint — inside or outside the bracket, feasible or not —
   // must leave the bisection optimum unchanged to tolerance.
@@ -382,19 +230,6 @@ TEST(RelaxationWarmStart, BisectionHintPreservesOptimum) {
     EXPECT_NEAR(warm.value().ii, cold.value().ii,
                 1e-9 * cold.value().ii)
         << "hint factor " << hint;
-  }
-}
-
-TEST(RelaxationWarmStart, GpWarmStartMatchesCold) {
-  const Problem p = tiny_problem();
-  const auto cold = solve_relaxation_gp(p);
-  ASSERT_TRUE(cold.is_ok());
-  const auto warm = solve_relaxation_gp(p, gp::SolverOptions{}, cold.value());
-  ASSERT_TRUE(warm.is_ok());
-  EXPECT_NEAR(warm.value().ii, cold.value().ii, 1e-4 * cold.value().ii);
-  for (std::size_t k = 0; k < p.num_kernels(); ++k) {
-    EXPECT_NEAR(warm.value().n_hat[k], cold.value().n_hat[k],
-                1e-3 * cold.value().n_hat[k] + 1e-6);
   }
 }
 

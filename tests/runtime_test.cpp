@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "gp/batched.hpp"
 #include "hls/paper.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/portfolio.hpp"
@@ -365,9 +364,11 @@ TEST(BatchRunner, SharedCacheDoesNotChangeResults) {
 
 TEST(BatchRunner, ExternalCacheIsPopulatedAndReused) {
   RelaxationCache cache;
+  SolverContext context;
+  context.relax_cache = &cache;
   BatchOptions batch;
   batch.num_threads = 2;
-  batch.relax_cache = &cache;
+  batch.context = &context;
   batch.portfolio = deterministic_portfolio(50'000);
 
   const std::vector<core::Problem> grid = random_grid(4, 31);
@@ -409,54 +410,6 @@ TEST(RuntimeSweep, GpaPointsCarryHeuristicProvenance) {
       run_sweep(problem, alloc::Method::kMinlpG, options);
   for (const alloc::SweepPoint& pt : exact.points) {
     if (pt.feasible) EXPECT_TRUE(pt.proved_optimal);
-  }
-}
-
-TEST(BatchRunner, GroupedBatchedRootsCountedAndDeterministic) {
-  // A design-space sweep shape: one structure (same kernels, same
-  // platform), coefficients varying per instance — exactly what
-  // batch_structural_groups groups into one lock-step batched root
-  // solve. The counters prove the batched path actually ran (no silent
-  // scalar fallback), misgroupings stay zero, and results are bitwise
-  // identical across thread counts (group formation happens in input
-  // order before any worker runs).
-  std::vector<core::Problem> grid;
-  for (int i = 0; i < 6; ++i) {
-    core::Problem p = test::tiny_problem();
-    for (core::Kernel& k : p.app.kernels) {
-      k.wcet_ms *= 1.0 + 0.05 * static_cast<double>(i);
-    }
-    grid.push_back(p);
-  }
-
-  auto run = [&grid](int threads) {
-    BatchOptions batch;
-    batch.num_threads = threads;
-    batch.portfolio = deterministic_portfolio(50'000);
-    batch.portfolio.gpa.use_interior_point = true;
-    return BatchRunner(batch).solve_all(grid);
-  };
-
-  const std::int64_t solves0 = gp::total_batched_solves();
-  const std::int64_t lanes0 = gp::total_batched_lanes();
-  const std::int64_t misgroup0 = gp::total_batched_misgroupings();
-
-  const std::vector<SolveResult> one = run(1);
-  EXPECT_GT(gp::total_batched_solves(), solves0);
-  EXPECT_GE(gp::total_batched_lanes(),
-            lanes0 + static_cast<std::int64_t>(grid.size()));
-
-  const std::vector<SolveResult> four = run(4);
-  EXPECT_EQ(gp::total_batched_misgroupings(), misgroup0);
-
-  ASSERT_EQ(one.size(), four.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    SCOPED_TRACE(i);
-    ASSERT_EQ(one[i].is_ok(), four[i].is_ok());
-    EXPECT_EQ(one[i].winner, four[i].winner);
-    EXPECT_EQ(one[i].goal, four[i].goal);  // bitwise
-    EXPECT_EQ(one[i].ii, four[i].ii);
-    EXPECT_EQ(one[i].phi, four[i].phi);
   }
 }
 

@@ -310,8 +310,10 @@ TEST(Fingerprint, CacheTransparentAcrossClassVectors) {
   b.platform.class_of = {1, 1, 0};
 
   core::RelaxationCache cache;
+  core::SolverContext context;
+  context.relax_cache = &cache;
   alloc::GpaOptions with_cache;
-  with_cache.relax_cache = &cache;
+  with_cache.context = &context;
   for (const Problem* p : {&a, &b, &a}) {
     auto cached = alloc::GpaSolver(with_cache).solve(*p);
     auto cold = alloc::GpaSolver().solve(*p);

@@ -151,7 +151,7 @@ TEST(Serialize, SchemaVersionStampedOnWrite) {
   EXPECT_EQ(trace.find("schema_version")->as_number(), kSchemaVersion);
   auto round = trace_from_json(trace);
   ASSERT_TRUE(round.is_ok());
-  // v0 → v1 migration: re-serializing a legacy document stamps the
+  // v0 → current migration: re-serializing a legacy document stamps the
   // current version.
   auto legacy = trace_from_json(without(trace, "schema_version"));
   ASSERT_TRUE(legacy.is_ok());
@@ -168,6 +168,22 @@ TEST(Serialize, LegacyV0DocumentsAccepted) {
   EXPECT_TRUE(
       trace_from_json(without(to_json(tiny_trace()), "schema_version"))
           .is_ok());
+}
+
+TEST(Serialize, SchemaVersion1StillAccepted) {
+  // Version 2 only trimmed the outcome/stats output; v1 inputs, including
+  // WALs written before the bump, read unchanged.
+  Json problem = to_json(tiny_problem());
+  problem.set("schema_version", Json::number(1));
+  EXPECT_TRUE(problem_from_json(problem).is_ok());
+  service::WalRecord record;
+  record.sequence = 3;
+  record.event = tiny_trace().events.front();
+  Json j = to_json(record);
+  j.set("schema_version", Json::number(1));
+  auto parsed = wal_record_from_json(j);
+  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+  EXPECT_EQ(parsed.value().sequence, 3u);
 }
 
 TEST(Serialize, UnknownSchemaVersionRejected) {
@@ -242,12 +258,10 @@ TEST(Serialize, MalformedInputNeverAborts) {
   }
 }
 
-TEST(Serialize, EventOutcomeKeepsThePr7BytePrefix) {
-  // The PR-8 consolidation into solve/cache/diff sections must not move
-  // a single byte of the historical flat wire shape: every key up to
-  // relax_hits serializes exactly as PR 7 did, the migration diff is
-  // strictly appended, and the warm-path allocation counter is strictly
-  // appended after that. Byte-comparing the whole dump pins all three.
+TEST(Serialize, EventOutcomeGoldenBytes) {
+  // The schema-2 wire shape, pinned byte for byte: the flat keys up to
+  // relax_hits, then the migration diff, then the warm-path allocation
+  // counter.
   service::EventOutcome o;
   o.sequence = 7;
   o.type = service::Event::Type::kAddPipeline;
@@ -260,10 +274,6 @@ TEST(Serialize, EventOutcomeKeepsThePr7BytePrefix) {
   o.solve.totals = {2, 1};
   o.solve.nodes = 12;
   o.cache.delta = service::CompositeDelta::kStructural;
-  o.cache.gp_compiles = 1;
-  o.cache.gp_patches = 2;
-  o.cache.model_hits = 3;
-  o.cache.model_misses = 4;
   o.cache.relax_hits = 5;
   o.diff.computed = true;
   o.diff.cus_moved = 3;
@@ -275,14 +285,13 @@ TEST(Serialize, EventOutcomeKeepsThePr7BytePrefix) {
             "{\"seq\":7,\"type\":\"add\",\"id\":\"p1\",\"status\":\"ok\","
             "\"solve_status\":\"ok\",\"active\":2,\"warm\":true,"
             "\"ii_ms\":1.5,\"phi\":0.5,\"goal\":2,\"totals\":[2,1],"
-            "\"nodes\":12,\"delta\":\"structural\",\"gp_compiles\":1,"
-            "\"gp_patches\":2,\"model_hits\":3,\"model_misses\":4,"
-            "\"relax_hits\":5,\"diff\":{\"computed\":true,\"cus_moved\":3,"
+            "\"nodes\":12,\"delta\":\"structural\",\"relax_hits\":5,"
+            "\"diff\":{\"computed\":true,\"cus_moved\":3,"
             "\"disturbed\":1,\"goal_regret\":0.25,"
             "\"stability_applied\":true,\"budget_exceeded\":false},"
             "\"warm_allocs\":6}");
 
-  // Targetless events (resize) still omit "id", as PR 7 did.
+  // Targetless events (resize) omit "id".
   service::EventOutcome bare;
   bare.type = service::Event::Type::kResizePlatform;
   const std::string dump = to_json(bare).dump();

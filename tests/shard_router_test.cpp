@@ -1,10 +1,11 @@
 // ShardRouter coverage: the pinned hash (stability is a wire/WAL
 // contract), deterministic routing, per-shard equivalence with
-// standalone servers, resize broadcast, the process-wide shared model
-// cache, and WAL recovery of a sharded deployment.
+// standalone servers, resize broadcast, and WAL recovery of a sharded
+// deployment.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -51,6 +52,16 @@ std::string incumbent_json(const AllocServer& server) {
   return io::to_json(*inc->allocation).dump() + "|" + inc->winner;
 }
 
+/// A server's retained outcomes, each without its wall-clock `seconds`
+/// (io::to_json drops it) — every other field, counters included.
+std::vector<std::string> outcome_log(const AllocServer& server) {
+  std::vector<std::string> out;
+  for (const EventOutcome& o : server.log()) {
+    out.push_back(io::to_json(o).dump());
+  }
+  return out;
+}
+
 TEST(ShardRouter, StableHashIsPinnedFnv1a64) {
   // Reference FNV-1a 64 vectors. These values are load-bearing: they
   // decide which shard (and which on-disk WAL) owns a pipeline, so a
@@ -83,39 +94,60 @@ TEST(ShardRouter, RoutingIsDeterministicAcrossInstances) {
 }
 
 TEST(ShardRouter, MatchesStandaloneServersPerShard) {
-  const scenario::Trace trace = small_trace(16);
-  RouterOptions options;
-  options.shards = 2;
-  auto router = ShardRouter::open(trace.platform, options);
-  ASSERT_TRUE(router.is_ok());
+  // Shards share nothing, so each shard's full outcome log — every field
+  // but wall-clock seconds, cache counters included — must equal that of
+  // a standalone server fed the same events, at any shard count and
+  // with broadcast resizes in the mix.
+  scenario::TraceSpec spec;
+  spec.num_events = 40;
+  spec.num_fpgas = 3;
+  spec.max_live_pipelines = 4;
+  spec.max_kernels = 3;
+  spec.resize_fraction = 0.15;
+  const scenario::Trace trace = scenario::generate_trace(spec, 71);
+  ASSERT_GT(std::count_if(trace.events.begin(), trace.events.end(),
+                          [](const Event& e) {
+                            return e.type == Event::Type::kResizePlatform;
+                          }),
+            0);
 
-  // Partition the trace exactly the way the router will: per-pipeline
-  // events by shard_of, resizes to every shard.
-  std::map<std::size_t, std::vector<Event>> partitions;
-  for (const Event& event : trace.events) {
-    if (event.type == Event::Type::kResizePlatform) {
-      for (std::size_t s = 0; s < options.shards; ++s) {
-        partitions[s].push_back(event);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    RouterOptions options;
+    options.shards = shards;
+    auto router = ShardRouter::open(trace.platform, options);
+    ASSERT_TRUE(router.is_ok());
+
+    // Partition the trace exactly the way the router will: per-pipeline
+    // events by shard_of, resizes to every shard.
+    std::map<std::size_t, std::vector<Event>> partitions;
+    for (const Event& event : trace.events) {
+      if (event.type == Event::Type::kResizePlatform) {
+        for (std::size_t s = 0; s < shards; ++s) {
+          partitions[s].push_back(event);
+        }
+        continue;
       }
-      continue;
+      const std::string& id = event.type == Event::Type::kAddPipeline
+                                  ? event.pipeline.id
+                                  : event.id;
+      partitions[router.value()->shard_of(id)].push_back(event);
     }
-    const std::string& id = event.type == Event::Type::kAddPipeline
-                                ? event.pipeline.id
-                                : event.id;
-    partitions[router.value()->shard_of(id)].push_back(event);
-  }
 
-  for (const Event& event : trace.events) router.value()->apply(event);
+    for (const Event& event : trace.events) router.value()->apply(event);
 
-  for (std::size_t s = 0; s < options.shards; ++s) {
-    SCOPED_TRACE("shard " + std::to_string(s));
-    AllocServer standalone(trace.platform, options.server);
-    for (const Event& event : partitions[s]) standalone.apply(event);
-    standalone.stop();
-    EXPECT_EQ(incumbent_json(router.value()->shard(s)),
-              incumbent_json(standalone));
-    EXPECT_EQ(router.value()->shard(s).active_pipelines(),
-              standalone.active_pipelines());
+    for (std::size_t s = 0; s < shards; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      AllocServer standalone(trace.platform, options.server);
+      for (const Event& event : partitions[s]) standalone.apply(event);
+      standalone.stop();
+      EXPECT_EQ(outcome_log(router.value()->shard(s)),
+                outcome_log(standalone));
+      EXPECT_EQ(incumbent_json(router.value()->shard(s)),
+                incumbent_json(standalone));
+      EXPECT_EQ(router.value()->shard(s).active_pipelines(),
+                standalone.active_pipelines());
+    }
   }
 }
 
@@ -138,48 +170,6 @@ TEST(ShardRouter, ResizeBroadcastsToEveryShard) {
   }
   EXPECT_EQ(router.value()->stats().sequence, 3u);
   EXPECT_EQ(router.value()->stats().resizes, 3u);
-}
-
-TEST(ShardRouter, ShardsShareOneCompiledModelCache) {
-  const scenario::Trace trace = small_trace(1);
-  RouterOptions options;
-  options.shards = 4;
-  options.server.portfolio.gpa.use_interior_point = true;
-  auto router = ShardRouter::open(trace.platform, options);
-  ASSERT_TRUE(router.is_ok());
-
-  // Two ids with the same pipeline structure, landing on *different*
-  // shards — probe the ring until we find a pair.
-  std::string first = "tenant-0";
-  std::string second;
-  for (int i = 1; i < 256 && second.empty(); ++i) {
-    const std::string candidate = "tenant-" + std::to_string(i);
-    if (router.value()->shard_of(candidate) !=
-        router.value()->shard_of(first)) {
-      second = candidate;
-    }
-  }
-  ASSERT_FALSE(second.empty());
-
-  core::Application app;
-  app.name = "shared-structure";
-  app.kernels = {
-      test::make_kernel("k0", 8.0, 10.0, 20.0, 5.0),
-      test::make_kernel("k1", 12.0, 8.0, 15.0, 4.0),
-  };
-
-  const EventOutcome a =
-      router.value()->apply(Event::add(PipelineSpec{first, app, 1.0}));
-  ASSERT_TRUE(a.status.is_ok()) << a.status.to_string();
-  EXPECT_GT(a.cache.model_misses, 0u);  // first compile of this structure
-
-  const EventOutcome b =
-      router.value()->apply(Event::add(PipelineSpec{second, app, 1.0}));
-  ASSERT_TRUE(b.status.is_ok()) << b.status.to_string();
-  // The second shard never compiled this structure itself — a hit here
-  // can only come from the process-wide shared cache.
-  EXPECT_GT(b.cache.model_hits, 0u);
-  EXPECT_EQ(b.cache.gp_compiles, 0);
 }
 
 TEST(ShardRouter, RecoversEveryShardFromWalRoot) {
