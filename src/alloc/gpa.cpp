@@ -57,44 +57,15 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
   StatusOr<GreedyResult> greedy =
       allocator.allocate(problem, discrete.value().totals);
   if (!greedy.is_ok()) return greedy.status();
-  core::Allocation allocation = std::move(greedy.value().allocation);
-
-  // ---- Step 4 (optional): migration-aware repack. Re-place the CUs the
-  // greedy allocator actually landed (not the requested totals — greedy
-  // may have dropped some) against the incumbent reference under the
-  // stability budgets. Same totals ⇒ same II; only φ can regress. The
-  // repack runs under its own deterministic node budget and is simply
-  // skipped when infeasible within the budgets, leaving the
-  // unconstrained placement standing.
-  bool stability_applied = false;
-  if (options_.stability != nullptr && options_.stability->constrained() &&
-      options_.stability->reference.size() == problem.num_kernels()) {
-    std::vector<int> placed(problem.num_kernels());
-    for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-      placed[k] = allocation.total_cu(k);
-    }
-    solver::Budget budget =
-        solver::Budget::nodes_only(options_.stability->repack_nodes);
-    const solver::PackingResult packed =
-        solver::PackingSolver(problem).pack(placed,
-                                            solver::PackingMode::kMinSpreading,
-                                            budget, options_.stability);
-    if (packed.feasible && packed.allocation &&
-        packed.allocation->feasible()) {
-      allocation = *packed.allocation;
-      stability_applied = true;
-    }
-  }
   const double seconds_allocate = seconds_since(t0);
 
-  GpaResult result{std::move(allocation),
+  GpaResult result{std::move(greedy.value().allocation),
                    relaxed.value().ii,
                    relaxed.value().n_hat,
                    discrete.value().ii,
                    discrete.value().totals,
                    greedy.value().used_fraction,
                    discrete.value().nodes,
-                   stability_applied,
                    seconds_relax,
                    seconds_discretize,
                    seconds_allocate};

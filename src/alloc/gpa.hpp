@@ -6,7 +6,10 @@
 // convex program through GPkit, whose role core::solve_relaxation_gp
 // keeps as a reference. Each stage's wall-clock time is recorded
 // separately so the runtime comparison of §4 ("0.78 s to 4.4 s,
-// 100–1000× faster than MINLP") can be reproduced.
+// 100–1000× faster than MINLP") can be reproduced. Those three stages
+// are the whole pipeline: re-placing an answer against an incumbent
+// under migration budgets is the allocation service's job
+// (AllocServer::apply_stability), not a GP+A step.
 #pragma once
 
 #include <optional>
@@ -17,7 +20,6 @@
 #include "core/relaxation.hpp"
 #include "core/solver_context.hpp"
 #include "solver/discretize.hpp"
-#include "solver/packing.hpp"
 #include "support/status.hpp"
 
 namespace mfa::alloc {
@@ -36,16 +38,6 @@ struct GpaOptions {
   /// byte-transparent acceleration.
   const core::SolverContext* context = nullptr;
 
-  /// Migration-aware re-solve (lives next to the caches: the online
-  /// service wires it per event like it wires the shared caches). When
-  /// set and constrained, the placed totals are re-packed against the
-  /// incumbent reference under the move/disturb budgets and the repack
-  /// *replaces* the greedy placement when it is feasible — same totals,
-  /// so II is unchanged and only φ can regress. An infeasible or
-  /// over-budget repack leaves the unconstrained placement standing
-  /// (GpaResult::stability_applied reports which happened). Not owned.
-  const solver::StabilityOptions* stability = nullptr;
-
   solver::DiscretizeOptions discretize;
   GreedyOptions greedy;
 };
@@ -59,9 +51,6 @@ struct GpaResult {
   std::vector<int> totals;       ///< discretized N_k
   double used_fraction = 0.0;    ///< R_c the allocator ended at
   std::int64_t discretize_nodes = 0;
-  /// True when GpaOptions::stability was constrained and the migration-
-  /// aware repack replaced the greedy placement.
-  bool stability_applied = false;
 
   double seconds_relax = 0.0;
   double seconds_discretize = 0.0;

@@ -1,18 +1,18 @@
-// Resource-constraint sweeps — the experiment driver behind Figs. 2–5.
+// Resource-constraint sweeps — the vocabulary of the experiment behind
+// Figs. 2–5.
 //
 // A sweep runs one solution method over a range of resource constraints
 // and records, per point, the metrics the paper plots: II, average FPGA
 // utilization, spreading, goal value, and solve time. Infeasible points
 // (constraint too tight) are recorded as such, matching the figures'
-// truncated curves at the low end.
+// truncated curves at the low end. runtime::run_sweep (runtime/sweep.hpp)
+// runs the grid.
 #pragma once
 
 #include <vector>
 
 #include "alloc/gpa.hpp"
-#include "core/problem.hpp"
 #include "solver/exact.hpp"
-#include "support/status.hpp"
 
 namespace mfa::alloc {
 
@@ -52,11 +52,5 @@ struct SweepConfig {
 
 /// Range helper: fractions from lo to hi inclusive in steps of `step`.
 std::vector<double> constraint_range(double lo, double hi, double step);
-
-/// Runs `method` at every constraint in the config. The problem's
-/// resource_fraction is overridden point by point; α/β are taken from
-/// `problem` for kGpa/kMinlpG and forced to β = 0 for kMinlp.
-SweepSeries run_sweep(const core::Problem& problem, Method method,
-                      const SweepConfig& config);
 
 }  // namespace mfa::alloc

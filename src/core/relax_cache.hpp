@@ -15,9 +15,8 @@
 // core::ShardedCache (core/sharded_cache.hpp), shared with the greedy
 // placement cache. A lookup hit returns exactly what the thread
 // would have computed itself, which is how BatchRunner stays bit-for-bit
-// identical across thread counts with the cache enabled; the default
-// configuration (one shard, unbounded) reproduces the original
-// single-map behavior exactly.
+// identical across thread counts while every batch shares one cache.
+// The default configuration is one unbounded shard.
 #pragma once
 
 #include "core/relaxation.hpp"

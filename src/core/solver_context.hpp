@@ -9,8 +9,8 @@
 // here rather than one to every options struct.
 //
 // The struct lives in core (not runtime) so alloc-layer options can
-// carry it without a layering inversion; runtime/context.hpp re-exports
-// it as runtime::SolverContext, the name most callers use.
+// carry it without a layering inversion; the runtime's batch and
+// portfolio options point at the same core::SolverContext.
 #pragma once
 
 #include "core/relax_cache.hpp"

@@ -4,11 +4,6 @@
 
 namespace mfa::gp {
 
-double Monomial::exponent(VarId v) const {
-  auto it = exponents_.find(v);
-  return it == exponents_.end() ? 0.0 : it->second;
-}
-
 double Monomial::eval(const std::vector<double>& x) const {
   double value = coeff_;
   for (const auto& [v, e] : exponents_) {

@@ -37,9 +37,6 @@ class Monomial {
     return exponents_;
   }
 
-  /// Exponent of variable v (0 if absent).
-  [[nodiscard]] double exponent(VarId v) const;
-
   /// Evaluates at the given positive point (indexed by VarId).
   [[nodiscard]] double eval(const std::vector<double>& x) const;
 
@@ -78,9 +75,6 @@ class Posynomial {
 
   [[nodiscard]] const std::vector<Monomial>& terms() const { return terms_; }
   [[nodiscard]] bool empty() const { return terms_.empty(); }
-
-  /// True when the posynomial has exactly one term (is a monomial).
-  [[nodiscard]] bool is_monomial() const { return terms_.size() == 1; }
 
   [[nodiscard]] double eval(const std::vector<double>& x) const;
 

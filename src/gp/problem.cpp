@@ -81,17 +81,6 @@ void GpProblem::add_le1(Posynomial p, std::string label) {
   labels_.push_back(std::move(label));
 }
 
-void GpProblem::add_eq1(const Monomial& m, const std::string& label) {
-  // A strict equality has no interior, which a barrier method cannot
-  // traverse; relax symmetrically to |log m| ≤ log(1+ε). The solution
-  // satisfies the equality to within ε (documented in the header).
-  constexpr double kEqSlack = 1e-7;
-  add_le1(Posynomial(m * (1.0 / (1.0 + kEqSlack))),
-          label.empty() ? label : label + " (<=)");
-  add_le1(Posynomial(m.inverse() * (1.0 / (1.0 + kEqSlack))),
-          label.empty() ? label : label + " (>=)");
-}
-
 LseFunction GpProblem::compile(const Posynomial& p) const {
   const std::size_t rows = p.terms().size();
   LseFunction f;

@@ -1,10 +1,9 @@
 // Geometric-program container and its log-space compilation.
 //
 // Standard form: minimize posynomial f0(x) subject to posynomial
-// constraints f_i(x) ≤ 1 and monomial equalities m_j(x) = 1, over x > 0.
-// Monomial equalities are lowered to the inequality pair m ≤ 1, 1/m ≤ 1
-// (both log-affine, so convexity in log space is preserved), which keeps
-// the solver free of an equality-constrained Newton path.
+// constraints f_i(x) ≤ 1, over x > 0. The relaxation model (eqs. 14–18)
+// needs no monomial equalities, which keeps the solver free of an
+// equality-constrained Newton path.
 //
 // The log-space compilation maps each posynomial to a log-sum-exp function
 //   F(y) = log Σ_t exp(A_t·y + b_t),  y = log x,
@@ -53,12 +52,6 @@ class GpProblem {
 
   /// Adds the constraint p(x) ≤ 1.
   void add_le1(Posynomial p, std::string label = {});
-
-  /// Adds the monomial equality m(x) = 1, lowered to the inequality pair
-  /// |log m| ≤ log(1+ε) with ε = 1e-7 (a strict equality has no interior
-  /// for the barrier method); the returned solution satisfies the
-  /// equality to within ε relative error.
-  void add_eq1(const Monomial& m, const std::string& label = {});
 
   [[nodiscard]] const Posynomial& objective() const { return objective_; }
   [[nodiscard]] const std::vector<Posynomial>& constraints() const {

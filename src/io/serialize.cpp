@@ -665,54 +665,50 @@ StatusOr<service::WalSnapshot> wal_snapshot_from_json(const Json& j) {
     }
     snapshot.pipelines.push_back(std::move(p.value()));
   }
-  // Optional (absent in pre-PR-8 snapshots): the placement ledger that
-  // makes recovery exact under migration budgets.
+  // The placement ledger that makes recovery exact under migration
+  // budgets: one record per live pipeline.
   const Json* placements = j.find("placements");
-  if (placements != nullptr) {
-    if (!placements->is_array()) {
+  if (placements == nullptr || !placements->is_array()) {
+    return Status{Code::kInvalid, "wal snapshot: missing 'placements' array"};
+  }
+  snapshot.placements.reserve(placements->size());
+  for (std::size_t i = 0; i < placements->size(); ++i) {
+    const Json& pj = placements->at(i);
+    const std::string where = "placements[" + std::to_string(i) + "]";
+    if (!pj.is_object()) {
+      return Status{Code::kInvalid, "wal snapshot: " + where +
+                                        " is not an object"};
+    }
+    service::PipelinePlacement record;
+    record.id = optional_string(pj, "id", "");
+    if (record.id.empty()) {
+      return Status{Code::kInvalid, "wal snapshot: " + where + " missing 'id'"};
+    }
+    const Json* rows = pj.find("rows");
+    if (rows == nullptr || !rows->is_array()) {
       return Status{Code::kInvalid,
-                    "wal snapshot: 'placements' is not an array"};
+                    "wal snapshot: " + where + " missing 'rows' array"};
     }
-    snapshot.placements.reserve(placements->size());
-    for (std::size_t i = 0; i < placements->size(); ++i) {
-      const Json& pj = placements->at(i);
-      const std::string where = "placements[" + std::to_string(i) + "]";
-      if (!pj.is_object()) {
+    record.rows.reserve(rows->size());
+    for (std::size_t r = 0; r < rows->size(); ++r) {
+      const Json& rj = rows->at(r);
+      if (!rj.is_array()) {
         return Status{Code::kInvalid, "wal snapshot: " + where +
-                                          " is not an object"};
+                                          ".rows is not an array of arrays"};
       }
-      service::PipelinePlacement record;
-      record.id = optional_string(pj, "id", "");
-      if (record.id.empty()) {
-        return Status{Code::kInvalid,
-                      "wal snapshot: " + where + " missing 'id'"};
-      }
-      const Json* rows = pj.find("rows");
-      if (rows == nullptr || !rows->is_array()) {
-        return Status{Code::kInvalid,
-                      "wal snapshot: " + where + " missing 'rows' array"};
-      }
-      record.rows.reserve(rows->size());
-      for (std::size_t r = 0; r < rows->size(); ++r) {
-        const Json& rj = rows->at(r);
-        if (!rj.is_array()) {
-          return Status{Code::kInvalid, "wal snapshot: " + where +
-                                            ".rows is not an array of arrays"};
+      std::vector<int> row;
+      row.reserve(rj.size());
+      for (std::size_t f = 0; f < rj.size(); ++f) {
+        if (!rj.at(f).is_number() || rj.at(f).as_number() < 0) {
+          return Status{Code::kInvalid,
+                        "wal snapshot: " + where +
+                            ".rows holds a non-count entry"};
         }
-        std::vector<int> row;
-        row.reserve(rj.size());
-        for (std::size_t f = 0; f < rj.size(); ++f) {
-          if (!rj.at(f).is_number() || rj.at(f).as_number() < 0) {
-            return Status{Code::kInvalid,
-                          "wal snapshot: " + where +
-                              ".rows holds a non-count entry"};
-          }
-          row.push_back(static_cast<int>(rj.at(f).as_number()));
-        }
-        record.rows.push_back(std::move(row));
+        row.push_back(static_cast<int>(rj.at(f).as_number()));
       }
-      snapshot.placements.push_back(std::move(record));
+      record.rows.push_back(std::move(row));
     }
+    snapshot.placements.push_back(std::move(record));
   }
   return snapshot;
 }

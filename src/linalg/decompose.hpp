@@ -1,8 +1,8 @@
-// Dense factorizations used by the Newton steps of the GP solver.
+// Dense factorization used by the Newton steps of the GP solver.
 //
 // Cholesky (LLᵀ) with optional diagonal regularization covers the
-// symmetric positive-definite Newton systems; LU with partial pivoting is
-// the general fallback and the reference used in tests.
+// symmetric positive-definite Newton systems. The LU reference the tests
+// check it against lives in tests/oracles/lu.hpp.
 #pragma once
 
 #include <optional>
@@ -32,29 +32,6 @@ class Cholesky {
  private:
   explicit Cholesky(Matrix l) : l_(std::move(l)) {}
   Matrix l_;  // lower triangular factor
-};
-
-/// LU factorization with partial pivoting, P·A = L·U.
-class Lu {
- public:
-  /// Attempts the factorization; returns std::nullopt for (numerically)
-  /// singular matrices.
-  static std::optional<Lu> factor(const Matrix& a);
-
-  /// Solves A·x = b using the stored factors.
-  [[nodiscard]] Vector solve(const Vector& b) const;
-
-  /// Determinant of A (product of pivots with permutation sign).
-  [[nodiscard]] double determinant() const;
-
-  [[nodiscard]] std::size_t dim() const { return lu_.rows(); }
-
- private:
-  Lu(Matrix lu, std::vector<std::size_t> perm, int sign)
-      : lu_(std::move(lu)), perm_(std::move(perm)), sign_(sign) {}
-  Matrix lu_;                       // packed L (unit diag) and U
-  std::vector<std::size_t> perm_;  // row permutation
-  int sign_;                       // permutation parity
 };
 
 /// Solves the symmetric positive-semidefinite system A·x = b, escalating

@@ -29,8 +29,6 @@ double dot(const Vector& a, const Vector& b) {
   return acc;
 }
 
-double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }
-
 double norm_inf(const Vector& v) {
   double m = 0.0;
   for (double x : v) m = std::max(m, std::fabs(x));
@@ -47,12 +45,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   MFA_ASSERT(rows_ == rhs.rows_ && cols_ == rhs.cols_);
   for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
@@ -62,54 +54,6 @@ Matrix& Matrix::operator+=(const Matrix& rhs) {
 Matrix& Matrix::operator*=(double s) {
   for (double& v : data_) v *= s;
   return *this;
-}
-
-Vector Matrix::mul(const Vector& x) const {
-  MFA_ASSERT(x.size() == cols_);
-  Vector y(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-Vector Matrix::mul_transposed(const Vector& x) const {
-  MFA_ASSERT(x.size() == rows_);
-  Vector y(cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double xr = x[r];
-    if (xr == 0.0) continue;
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += (*this)(r, c) * xr;
-  }
-  return y;
-}
-
-Matrix Matrix::mul(const Matrix& rhs) const {
-  MFA_ASSERT(cols_ == rhs.rows_);
-  Matrix out(rows_, rhs.cols_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < rhs.cols_; ++c) out(r, c) += a * rhs(k, c);
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
-  return out;
-}
-
-double Matrix::norm_inf() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
 }
 
 }  // namespace mfa::linalg

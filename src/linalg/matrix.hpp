@@ -55,9 +55,6 @@ class Vector {
 /// Euclidean dot product; operands must have equal size.
 double dot(const Vector& a, const Vector& b);
 
-/// Euclidean (L2) norm.
-double norm2(const Vector& v);
-
 /// Maximum absolute entry; 0 for the empty vector.
 double norm_inf(const Vector& v);
 
@@ -70,9 +67,6 @@ class Matrix {
 
   /// Builds from nested braces; all rows must have equal length.
   Matrix(std::initializer_list<std::initializer_list<double>> init);
-
-  /// n-by-n identity.
-  static Matrix identity(std::size_t n);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
@@ -91,20 +85,6 @@ class Matrix {
 
   friend Matrix operator+(Matrix lhs, const Matrix& rhs) { return lhs += rhs; }
   friend Matrix operator*(Matrix lhs, double s) { return lhs *= s; }
-
-  /// Matrix-vector product; x.size() must equal cols().
-  [[nodiscard]] Vector mul(const Vector& x) const;
-
-  /// Transposed matrix-vector product (Aᵀx); x.size() must equal rows().
-  [[nodiscard]] Vector mul_transposed(const Vector& x) const;
-
-  /// Matrix-matrix product; this->cols() must equal rhs.rows().
-  [[nodiscard]] Matrix mul(const Matrix& rhs) const;
-
-  [[nodiscard]] Matrix transposed() const;
-
-  /// Largest |a_ij|; 0 for an empty matrix.
-  [[nodiscard]] double norm_inf() const;
 
  private:
   std::size_t rows_ = 0;

@@ -14,13 +14,11 @@ std::vector<SolveResult> BatchRunner::solve_all(
   // bit-identical to solving, so injecting them does not disturb
   // determinism. The portfolio's and each request's own context win
   // when they carry a cache.
-  RelaxationCache batch_cache;
-  SolverContext batch_context;
+  core::RelaxationCache batch_cache;
+  core::SolverContext batch_context{&batch_cache};
   if (options_.context != nullptr &&
       options_.context->relax_cache != nullptr) {
     batch_context.relax_cache = options_.context->relax_cache;
-  } else if (options_.share_relaxations) {
-    batch_context.relax_cache = &batch_cache;
   }
   auto wire = [&batch_context](PortfolioOptions& o) {
     if (o.context == nullptr || o.context->relax_cache == nullptr) {
@@ -28,19 +26,13 @@ std::vector<SolveResult> BatchRunner::solve_all(
     }
   };
   PortfolioOptions base = options_.portfolio;
-  if (base.stability == nullptr) base.stability = options_.stability;
-  const bool sharing = batch_context.relax_cache != nullptr;
-  if (sharing) wire(base);
+  wire(base);
   // Per-request options are value copies, so injecting the cache never
-  // mutates caller state; skip the copy entirely when not sharing.
-  std::vector<SolveRequest> effective;
-  if (sharing) {
-    effective = requests;
-    for (SolveRequest& request : effective) {
-      if (request.options) wire(*request.options);
-    }
+  // mutates caller state.
+  std::vector<SolveRequest> work = requests;
+  for (SolveRequest& request : work) {
+    if (request.options) wire(*request.options);
   }
-  const std::vector<SolveRequest>& work = sharing ? effective : requests;
 
   // Lanes sequential inside each instance (see header).
   Portfolio portfolio(base, /*num_threads=*/1);

@@ -8,20 +8,20 @@
 // threads. Parallelism therefore comes purely from solving different
 // instances concurrently, which is the shape of the Fig. 3–5 grids.
 //
-// By default every batch shares one RelaxationCache across all its
-// requests and portfolio lanes: duplicate and near-duplicate instances
-// (the same grid point under several methods, the same root relaxation
-// under several greedy deviations) collapse to cache hits. Cache keys
-// capture every solve input, so a hit returns exactly the bytes a solve
-// would have produced and the bit-for-bit determinism guarantee above
-// holds with the cache enabled, whichever thread populated it first.
+// Every batch shares one relaxation cache across all its requests and
+// portfolio lanes (BatchOptions::context supplies a longer-lived one):
+// duplicate and near-duplicate instances (the same grid point under
+// several methods, the same root relaxation under several greedy
+// deviations) collapse to cache hits. Cache keys capture every solve
+// input, so a hit returns exactly the bytes a solve would have produced
+// and the bit-for-bit determinism guarantee above holds whichever
+// thread populated the cache first.
 #pragma once
 
 #include <vector>
 
 #include "core/problem.hpp"
-#include "runtime/context.hpp"
-#include "runtime/relax_cache.hpp"
+#include "core/solver_context.hpp"
 #include "runtime/solve.hpp"
 
 namespace mfa::runtime {
@@ -31,19 +31,11 @@ struct BatchOptions {
   int num_threads = 0;
   /// Portfolio applied to every request without its own options.
   PortfolioOptions portfolio;
-  /// Share one relaxation cache across the whole batch (see file
-  /// comment). Disable to reproduce PR-1 cold-solve behavior.
-  bool share_relaxations = true;
   /// A longer-lived relaxation cache to use instead of the per-batch
   /// one, so hits survive across solve_all() calls (e.g. successive
   /// sweeps over one design space). The single wiring point; see
-  /// core/solver_context.hpp. Not owned; implies sharing when its cache
-  /// is set.
-  const SolverContext* context = nullptr;
-  /// Migration-aware re-solve applied to every request without its own
-  /// options (next to the caches, same wiring rules): forwarded into
-  /// `portfolio.stability` when that is unset. Not owned.
-  const solver::StabilityOptions* stability = nullptr;
+  /// core/solver_context.hpp. Not owned.
+  const core::SolverContext* context = nullptr;
 };
 
 class BatchRunner {

@@ -44,10 +44,6 @@ LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
           options.context->relax_cache != nullptr) {
         o.context = options.context;
       }
-      // Stability rides the same wiring as the caches: the portfolio-
-      // level pointer reaches every GP+A lane unless the base GpaOptions
-      // already carried its own.
-      if (o.stability == nullptr) o.stability = options.stability;
       if (warm) o.warm = warm;  // root-relaxation seed (request-level)
       StatusOr<alloc::GpaResult> r = alloc::GpaSolver(o).solve(problem);
       if (r.is_ok()) {
@@ -106,7 +102,7 @@ LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
 
   // A completed search on the true objective makes the remaining races
   // pointless: cancel them, they keep their incumbents.
-  if (options.stop_on_proved_optimal && run.outcome.proved_optimal) {
+  if (run.outcome.proved_optimal) {
     shared.expire();
   }
   return run;

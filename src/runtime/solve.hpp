@@ -58,13 +58,11 @@ struct PortfolioOptions {
   bool run_naive = false;
 
   /// Shared node/wall-clock budget across *all* exact/naive lanes (GP+A
-  /// lanes are effectively instant and run unbudgeted).
+  /// lanes are effectively instant and run unbudgeted). Once a lane
+  /// proves optimality on the true objective, the portfolio expire()s
+  /// this budget so still-running lanes stop at their incumbents.
   std::int64_t max_nodes = 50'000'000;
   double max_seconds = 60.0;
-
-  /// Once a lane proves optimality on the true objective, expire() the
-  /// shared budget so still-running lanes stop at their incumbents.
-  bool stop_on_proved_optimal = true;
 
   /// Shared solver resources (see core/solver_context.hpp). Every lane
   /// solves the identical root relaxation and walks the identical
@@ -75,16 +73,8 @@ struct PortfolioOptions {
   /// overrides `gpa.context`.
   const core::SolverContext* context = nullptr;
 
-  /// Migration-aware re-solve (next to the caches, same wiring rules):
-  /// forwarded into every GP+A lane's GpaOptions::stability, where a
-  /// constrained reference triggers a repack of the placed totals under
-  /// the move/disturb budgets. Exact/naive lanes ignore it (they answer
-  /// the unconstrained question; the budgets only shape heuristic
-  /// placements). `gpa.stability` wins when both are set. Not owned.
-  const solver::StabilityOptions* stability = nullptr;
-
   alloc::GpaOptions gpa;       ///< base GP+A knobs (t_max set per lane)
-  solver::ExactOptions exact;  ///< per-pack caps etc. (budget overridden)
+  solver::ExactOptions exact;  ///< exact-lane knobs (budget overridden)
 
   [[nodiscard]] std::vector<StrategySpec> lanes() const;
 };

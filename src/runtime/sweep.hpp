@@ -1,11 +1,11 @@
 // Parallel resource-constraint sweeps — the Fig. 2–5 experiment driver,
 // re-expressed on the runtime batch engine.
 //
-// Produces the same alloc::SweepSeries as the single-threaded
-// alloc::run_sweep, but fans every (method × constraint) grid point
-// through BatchRunner as an independent SolveRequest, so a whole figure
-// is one batch, the pool stays saturated across methods, and the batch's
-// shared relaxation cache collapses duplicate grid points. Point
+// Fans every (method × constraint) grid point through BatchRunner as an
+// independent SolveRequest, so a whole figure is one batch, the pool
+// stays saturated across methods, and the batch's shared relaxation
+// cache collapses duplicate grid points. Its parity oracle, a sequential
+// point-by-point driver, is tests/oracles/sweep.hpp. Point
 // semantics are preserved: proved_optimal carries the SolveResult's real
 // provenance (true only when an exact search completed — GP+A points
 // are heuristic and never claim a proof), and kMinlp forces β = 0 per

@@ -16,6 +16,10 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// Deterministic node budget per stability repack (never wall clock —
+/// the event log must stay timing-independent).
+constexpr std::int64_t kStabilityNodes = 200'000;
+
 }  // namespace
 
 AllocServer::AllocServer(core::Platform platform, ServerOptions options,
@@ -126,9 +130,10 @@ Status AllocServer::restore(const WalRecovery& recovery) {
       // Under migration budgets the incumbent is path-dependent (a
       // repack's output depends on the placement the events before the
       // snapshot left behind), so the pure re-derivation above may
-      // diverge from the crashed run. PR-8 snapshots carry the ledger:
-      // splice its exact rows back in. Without budgets the rows match
-      // the re-derivation and this is a byte-level no-op.
+      // diverge from the crashed run. Every snapshot of a live workload
+      // carries the full ledger: splice its exact rows back in. Without
+      // budgets the rows match the re-derivation and this is a
+      // byte-level no-op.
       if (Status s = restore_placements(recovery.snapshot->placements);
           !s.is_ok()) {
         replaying_ = false;
@@ -165,7 +170,6 @@ Status AllocServer::restore(const WalRecovery& recovery) {
 
 Status AllocServer::restore_placements(
     const std::vector<PipelinePlacement>& placements) {
-  if (placements.empty()) return Status::ok();  // pre-PR-8 snapshot
   if (!incumbent_ || !incumbent_->allocation) {
     return Status{Code::kInvalid,
                   "wal snapshot: placements for an unsolvable workload"};
@@ -345,6 +349,7 @@ void AllocServer::resolve_workload(EventOutcome& outcome) {
     }
     last_ii_ = have_relaxed ? result.relaxed->ii : result.ii;
     incumbent_ = std::move(result);
+    incumbent_current_ = true;
     // Occupancy moves in lock-step with the incumbent: the same update
     // happens inside recovery's re-derivation solve and tail replay, so
     // a recovered ledger is byte-identical to an uninterrupted run's.
@@ -356,6 +361,7 @@ void AllocServer::resolve_workload(EventOutcome& outcome) {
     // drop it.
     last_totals_.clear();
     last_ii_ = 0.0;
+    incumbent_current_ = false;
   }
 }
 
@@ -384,7 +390,6 @@ void AllocServer::apply_stability(runtime::SolveResult& result,
   stab.max_moves = options_.max_moves;
   stab.max_disturbed = options_.max_disturbed;
   stab.move_cost = options_.move_cost;
-  stab.repack_nodes = options_.stability_nodes;
 
   std::vector<int> totals(problem.num_kernels(), 0);
   for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
@@ -406,8 +411,7 @@ void AllocServer::apply_stability(runtime::SolveResult& result,
   // Rung 1: repack the optimum's own totals under the budgets. Same
   // totals ⇒ same II, so any regret is pure φ.
   {
-    solver::Budget budget =
-        solver::Budget::nodes_only(options_.stability_nodes);
+    solver::Budget budget = solver::Budget::nodes_only(kStabilityNodes);
     const solver::PackingResult packed = packer.pack(
         totals, solver::PackingMode::kMinSpreading, budget, &stab);
     if (packed.feasible && packed.allocation) {
@@ -434,8 +438,7 @@ void AllocServer::apply_stability(runtime::SolveResult& result,
     frozen.max_moves = 0;
     frozen.max_disturbed = 0;
     frozen.move_cost = 0.0;
-    solver::Budget budget =
-        solver::Budget::nodes_only(options_.stability_nodes);
+    solver::Budget budget = solver::Budget::nodes_only(kStabilityNodes);
     const solver::PackingResult packed = packer.pack(
         pinned, solver::PackingMode::kMinSpreading, budget, &frozen);
     if (packed.feasible && packed.allocation) {
@@ -593,6 +596,7 @@ EventOutcome AllocServer::process(Event event) {
   if (workload_changed) {
     if (pipelines_.empty()) {
       incumbent_.reset();
+      incumbent_current_ = true;
       occupancy_.clear();
       last_totals_.clear();
       last_ii_ = 0.0;
@@ -636,9 +640,13 @@ EventOutcome AllocServer::process(Event event) {
     }
   }
 
-  // ---- Periodic durable snapshot (skipped while replaying: the
-  // snapshot that scheduled those events may already be newer).
-  if (wal_ && !replaying_ && options_.snapshot_every > 0 &&
+  // ---- Periodic durable snapshot, skipped while replaying (the
+  // snapshot that scheduled those events may already be newer) and while
+  // the incumbent is stale: its ledger does not cover the live set, so
+  // recovery could not splice it. Recovery then replays a longer tail
+  // from the older snapshot, which rebuilds the stale incumbent exactly.
+  if (wal_ && !replaying_ && incumbent_current_ &&
+      options_.snapshot_every > 0 &&
       sequence_ % options_.snapshot_every == 0) {
     WalSnapshot snapshot;
     snapshot.sequence = sequence_;

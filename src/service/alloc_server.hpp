@@ -97,7 +97,7 @@ struct ServerOptions {
   /// pool for its lifetime): 1 = sequential lanes, 0 = hardware size.
   int solver_threads = 1;
 
-  // ---- Migration-aware stability (ROADMAP item 2). Both budgets off
+  // ---- Migration-aware stability (apply_stability). Both budgets off
   // (-1) keeps the solve path byte-identical to the unconstrained
   // server; the diff in EventOutcome is recorded either way. ------------
 
@@ -110,9 +110,6 @@ struct ServerOptions {
   /// Soft migration cost the constrained repack adds per torn CU on top
   /// of φ (0 keeps the pure-φ repack objective).
   double move_cost = 0.0;
-  /// Deterministic node budget per stability repack (never wall clock —
-  /// the event log must stay timing-independent).
-  std::int64_t stability_nodes = 200'000;
 
   /// Composite-problem knobs (the pool-wide objective and the swept
   /// resource fraction; individual pipelines only carry weights).
@@ -279,8 +276,8 @@ class AllocServer {
 
   /// Splices a snapshot's placement ledger into the just-re-derived
   /// incumbent (exact rows, recomputed II/φ/goal, occupancy refresh) —
-  /// the path-dependence fix for recovery under migration budgets.
-  /// No-op for empty (pre-PR-8) ledgers. Requires state_mutex_ held.
+  /// the path-dependence fix for recovery under migration budgets. The
+  /// ledger must cover every live pipeline. Requires state_mutex_ held.
   Status restore_placements(const std::vector<PipelinePlacement>& placements)
       MFA_REQUIRES(state_mutex_);
 
@@ -329,6 +326,10 @@ class AllocServer {
   std::vector<PipelineSpec> pipelines_ MFA_GUARDED_BY(state_mutex_);
   std::optional<runtime::SolveResult> incumbent_
       MFA_GUARDED_BY(state_mutex_);
+  /// True while incumbent_ answers the live pipeline set: the last
+  /// re-solve succeeded, or no pipeline is live. After a failed re-solve
+  /// the server keeps serving the previous (stale) incumbent.
+  bool incumbent_current_ MFA_GUARDED_BY(state_mutex_) = true;
   /// Per-FPGA ledger + per-pipeline placement records, lock-step with
   /// incumbent_ (updated inside resolve_workload, cleared with it).
   OccupancyTracker occupancy_ MFA_GUARDED_BY(state_mutex_);

@@ -19,6 +19,11 @@ std::uint64_t stable_hash(std::string_view bytes) {
 
 namespace {
 
+/// Virtual nodes per shard on the hash ring. Part of the ring layout
+/// (and so of every WAL's tenant partition): changing it re-partitions
+/// tenants.
+constexpr std::size_t kVirtualNodes = 64;
+
 std::string shard_dir(const std::string& root, std::size_t i) {
   return root + "/shard-" + std::to_string(i);
 }
@@ -60,9 +65,9 @@ ShardRouter::ShardRouter(RouterOptions options)
 }
 
 void ShardRouter::build_ring() {
-  ring_.reserve(options_.shards * options_.virtual_nodes);
+  ring_.reserve(options_.shards * kVirtualNodes);
   for (std::size_t i = 0; i < options_.shards; ++i) {
-    for (std::size_t v = 0; v < options_.virtual_nodes; ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       const std::string point =
           "shard-" + std::to_string(i) + "#" + std::to_string(v);
       ring_.emplace_back(stable_hash(point), i);
@@ -86,9 +91,8 @@ std::size_t ShardRouter::shard_of(std::string_view id) const {
 
 StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::open(
     const core::Platform& platform, RouterOptions options) {
-  if (options.shards == 0 || options.virtual_nodes == 0) {
-    return Status{Code::kInvalid,
-                  "router: shards and virtual_nodes must be >= 1"};
+  if (options.shards == 0) {
+    return Status{Code::kInvalid, "router: shards must be >= 1"};
   }
   if (!options.wal_root.empty() &&
       ::mkdir(options.wal_root.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -114,9 +118,8 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::recover(
   if (options.wal_root.empty()) {
     return Status{Code::kInvalid, "recover: RouterOptions::wal_root not set"};
   }
-  if (options.shards == 0 || options.virtual_nodes == 0) {
-    return Status{Code::kInvalid,
-                  "router: shards and virtual_nodes must be >= 1"};
+  if (options.shards == 0) {
+    return Status{Code::kInvalid, "router: shards must be >= 1"};
   }
   // The shard count is part of the on-disk layout: a mismatch would
   // re-partition tenants mid-history. Reject extra or missing dirs.

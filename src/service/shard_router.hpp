@@ -12,8 +12,8 @@
 // std::hash, whose values are implementation-defined and may differ
 // across libstdc++ versions, which would silently re-partition every
 // tenant (and break WAL recovery) on a toolchain upgrade. The
-// assignment is therefore a documented, stable function of
-// (id, shards, virtual_nodes).
+// assignment is therefore a documented, stable function of (id, shards),
+// with 64 virtual nodes per shard.
 //
 // Each shard manages its own platform instance (every shard is
 // configured with the same initial pool shape, so the deployment
@@ -55,9 +55,6 @@ namespace mfa::service {
 struct RouterOptions {
   /// Independent AllocServer shards (>= 1). Part of the WAL layout.
   std::size_t shards = 2;
-  /// Virtual nodes per shard on the hash ring; more smooths the
-  /// assignment at the cost of a larger (still tiny) ring.
-  std::size_t virtual_nodes = 64;
   /// Template applied to every shard. wal_dir is managed by the router
   /// (set wal_root below instead).
   ServerOptions server;

@@ -69,8 +69,8 @@ struct WalSnapshot {
   core::Platform platform;     ///< pool shape at that point
   std::vector<PipelineSpec> pipelines;  ///< live set, arrival order
   /// Per-pipeline CU placements (composite order, same shape as the
-  /// occupancy records). Empty in pre-PR-8 snapshots: recovery then
-  /// falls back to the pure re-derivation.
+  /// occupancy records), one per live pipeline: the server snapshots
+  /// only while its incumbent answers the live set.
   std::vector<PipelinePlacement> placements;
 };
 

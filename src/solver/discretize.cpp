@@ -12,10 +12,13 @@ using core::CuBounds;
 using core::Problem;
 using core::RelaxedSolution;
 
+/// Distance from the nearest integer below which N̂_k counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+
 /// Index of the most fractional component, or npos if all are integral.
-std::size_t most_fractional(const std::vector<double>& n_hat, double tol) {
+std::size_t most_fractional(const std::vector<double>& n_hat) {
   std::size_t best = std::string::npos;
-  double best_dist = tol;
+  double best_dist = kIntegralityTol;
   for (std::size_t k = 0; k < n_hat.size(); ++k) {
     const double frac = n_hat[k] - std::floor(n_hat[k]);
     const double dist = std::min(frac, 1.0 - frac);
@@ -27,36 +30,16 @@ std::size_t most_fractional(const std::vector<double>& n_hat, double tol) {
   return best;
 }
 
-}  // namespace
-
-namespace {
-
-/// Solves one node relaxation, through the shared cache when configured.
-/// The cache key captures (problem, bounds, hint) exactly, so a hit is
-/// bit-identical to solving — see core/relax_cache.hpp.
-StatusOr<core::RelaxedSolution> solve_node(const Problem& problem,
-                                           const CuBounds& bounds,
-                                           double ii_hint,
-                                           core::RelaxationCache* cache) {
-  if (cache == nullptr) {
-    return core::solve_relaxation(problem, bounds, ii_hint);
-  }
-  auto entry = cache->get_or_solve(
-      core::relaxation_cache_key(problem, bounds, ii_hint), [&] {
-        return core::solve_relaxation(problem, bounds, ii_hint);
-      });
-  return *entry;
-}
-
-/// Patched-mode node solve: fills `out` (a pooled solution whose n_hat
-/// capacity is reused across the search) instead of returning a fresh
-/// RelaxedSolution. Cache interaction mirrors solve_node — lookup,
-/// scalar solve of the miss, first-writer-wins insert — and the solve
-/// itself is core::solve_relaxation_into, bit-identical to
+/// Node solve: fills `out` (a pooled solution whose n_hat capacity is
+/// reused across the search) through the shared cache when configured —
+/// lookup, solve of the miss, first-writer-wins insert. The cache key
+/// captures (problem, bounds, hint) exactly, so a hit is bit-identical
+/// to solving (see core/relax_cache.hpp), and
+/// core::solve_relaxation_into is bit-identical to
 /// core::solve_relaxation.
 Status solve_node_into(const Problem& problem, const CuBounds& bounds,
                        double ii_hint, core::RelaxationCache* cache,
-                       core::RelaxedSolution& out) {
+                       RelaxedSolution& out) {
   if (cache == nullptr) {
     return core::solve_relaxation_into(problem, bounds, ii_hint, out);
   }
@@ -76,23 +59,20 @@ Status solve_node_into(const Problem& problem, const CuBounds& bounds,
   return solved;
 }
 
-/// The in-place branch-and-bound of DiscretizeOptions::patched_bounds:
-/// one shared CuBounds patched/restored around each subtree, per-depth
-/// pooled child solutions, and a recursion whose visit order is exactly
-/// the explicit-stack search's pop order (children solved down-then-up
-/// at the parent, up's subtree explored first). Equivalence argument:
-/// pushing {down, up} and popping LIFO *is* "recurse into up, then into
-/// down", the incumbent/prune state threads through in the same order,
-/// the node counter increments at visit entry exactly as it did at pop,
-/// and an exhausted node budget aborts every not-yet-visited frame just
-/// as the stack search abandoned its remaining stack.
+/// The branch-and-bound: one shared CuBounds patched/restored around
+/// each subtree, per-depth pooled child solutions, and a recursion that
+/// solves both children at the parent (down then up) and explores up's
+/// subtree first. The node counter increments at visit entry, and an
+/// exhausted node budget aborts every not-yet-visited frame — the
+/// explicit-stack oracle's pop order and abort point exactly
+/// (differential_fuzz --patched-bounds).
 struct PatchedSearch {
   const Problem& problem;
   const DiscretizeOptions& options;
   CuBounds bounds;  ///< THE bounds: patched in place, restored on return
 
   double best_ii = std::numeric_limits<double>::infinity();
-  std::vector<int> best_totals;
+  std::vector<int> best_totals{};
   std::int64_t nodes = 0;
   bool aborted = false;
 
@@ -100,9 +80,9 @@ struct PatchedSearch {
   /// the whole subtree below them, reused (capacity and all) by every
   /// other branch that reaches depth d. A deque, not a vector: deeper
   /// recursions append while shallower frames hold references.
-  std::deque<std::array<core::RelaxedSolution, 2>> pool;
+  std::deque<std::array<RelaxedSolution, 2>> pool{};
 
-  void visit(const core::RelaxedSolution& relax, std::size_t depth) {
+  void visit(const RelaxedSolution& relax, std::size_t depth) {
     if (aborted) return;  // a deeper frame exhausted the node budget
     if (nodes >= options.max_nodes) {
       aborted = true;
@@ -113,8 +93,7 @@ struct PatchedSearch {
     // Prune: the node relaxation bounds every integer solution below it.
     if (relax.ii >= best_ii * (1.0 - 1e-12)) return;
 
-    const std::size_t k =
-        most_fractional(relax.n_hat, options.integrality_tol);
+    const std::size_t k = most_fractional(relax.n_hat);
     if (k == std::string::npos) {
       // Integral node: a candidate totals vector.
       std::vector<int> totals(problem.num_kernels());
@@ -131,14 +110,16 @@ struct PatchedSearch {
       return;
     }
 
+    // Branch: N_k ≤ ⌊N̂_k⌋ and N_k ≥ ⌈N̂_k⌉ (paper §3.2.2). Both children
+    // are warm-started from this node's ÎI: tightening a bound can only
+    // raise the relaxed optimum, so the parent value brackets the child
+    // bisection from below.
     const double floor_v = std::floor(relax.n_hat[k]);
     const double ceil_v = std::ceil(relax.n_hat[k]);
-    const double hint = options.warm_start_nodes ? relax.ii : 0.0;
+    const double hint = relax.ii;
     if (pool.size() <= depth) pool.resize(depth + 1);
-    std::array<core::RelaxedSolution, 2>& kids = pool[depth];
+    std::array<RelaxedSolution, 2>& kids = pool[depth];
 
-    // Solve both children at the parent, down then up — the order the
-    // stack search solves them in.
     const double saved_upper = bounds.upper[k];
     const double saved_lower = bounds.lower[k];
     bounds.upper[k] = std::min(saved_upper, floor_v);
@@ -151,10 +132,10 @@ struct PatchedSearch {
         solve_node_into(problem, bounds, hint, options.cache, kids[1])
             .is_ok();
 
-    // Descend up-first (more CUs → lower II incumbent sooner, and the
-    // stack search pushes up last so it pops first), re-applying each
-    // child's single-bound patch around its subtree. `relax` may alias
-    // a shallower pool row but is dead past this point.
+    // Descend up-first (more CUs → lower II incumbent sooner, which
+    // sharpens pruning), re-applying each child's single-bound patch
+    // around its subtree. `relax` may alias a shallower pool row but is
+    // dead past this point.
     if (up_ok) visit(kids[1], depth + 1);
     bounds.lower[k] = saved_lower;
     if (down_ok) {
@@ -168,125 +149,36 @@ struct PatchedSearch {
 }  // namespace
 
 StatusOr<DiscretizeResult> Discretizer::run(const Problem& problem) const {
-  auto root = solve_node(problem, CuBounds::defaults(problem), 0.0,
-                         options_.cache);
-  if (!root.is_ok()) return root.status();
-  return run(problem, root.value());
+  RelaxedSolution root;
+  if (Status s = solve_node_into(problem, CuBounds::defaults(problem), 0.0,
+                                 options_.cache, root);
+      !s.is_ok()) {
+    return s;
+  }
+  return run(problem, root);
 }
 
 StatusOr<DiscretizeResult> Discretizer::run(const Problem& problem,
                                             const RelaxedSolution& root) const {
   MFA_ASSERT(root.n_hat.size() == problem.num_kernels());
 
+  PatchedSearch search{problem, options_, CuBounds::defaults(problem)};
+  search.visit(root, 0);
+
   DiscretizeResult result;
   result.relaxed_ii = root.ii;
-
-  double best_ii = std::numeric_limits<double>::infinity();
-  std::vector<int> best_totals;
-  std::int64_t nodes = 0;
-  bool aborted = false;
-
-  if (options_.patched_bounds) {
-    // In-place bound patching over one shared CuBounds; the explicit
-    // stack below is the bit-parity oracle (differential_fuzz
-    // --patched-bounds replays both and compares).
-    PatchedSearch search{problem, options_, CuBounds::defaults(problem)};
-    search.visit(root, 0);
-    best_ii = search.best_ii;
-    best_totals = std::move(search.best_totals);
-    nodes = search.nodes;
-    aborted = search.aborted;
-    result.nodes = nodes;
-    result.proved_optimal = !aborted;
-    if (best_totals.empty()) {
-      if (aborted) {
-        return Status{Code::kLimit,
-                      "node cap reached before an integral solution"};
-      }
-      return Status{Code::kInfeasible, "no integral totals satisfy the "
-                                       "pooled resource constraints"};
-    }
-    result.totals = std::move(best_totals);
-    result.ii = best_ii;
-    return result;
-  }
-
-  struct Node {
-    CuBounds bounds;
-    RelaxedSolution relax;
-  };
-  std::vector<Node> stack;
-  stack.push_back({CuBounds::defaults(problem), root});
-
-  while (!stack.empty()) {
-    if (nodes >= options_.max_nodes) {
-      aborted = true;
-      break;
-    }
-    ++nodes;
-    Node node = std::move(stack.back());
-    stack.pop_back();
-
-    // Prune: the node relaxation bounds every integer solution below it.
-    if (node.relax.ii >= best_ii * (1.0 - 1e-12)) continue;
-
-    const std::size_t k =
-        most_fractional(node.relax.n_hat, options_.integrality_tol);
-    if (k == std::string::npos) {
-      // Integral node: a candidate totals vector.
-      std::vector<int> totals(problem.num_kernels());
-      double ii = 0.0;
-      for (std::size_t j = 0; j < totals.size(); ++j) {
-        totals[j] = static_cast<int>(std::llround(node.relax.n_hat[j]));
-        MFA_ASSERT(totals[j] >= 1);
-        ii = std::max(ii, problem.app.kernels[j].wcet_ms / totals[j]);
-      }
-      if (ii < best_ii) {
-        best_ii = ii;
-        best_totals = std::move(totals);
-      }
-      continue;
-    }
-
-    // Branch: N_k ≤ ⌊N̂_k⌋ and N_k ≥ ⌈N̂_k⌉ (paper §3.2.2). The ceil
-    // child is pushed last so it is explored first: more CUs means a
-    // lower II incumbent sooner, which sharpens pruning. Children are
-    // warm-started from this node's ÎI: tightening a bound can only
-    // raise the relaxed optimum, so the parent value brackets the child
-    // bisection from below.
-    const double floor_v = std::floor(node.relax.n_hat[k]);
-    const double ceil_v = std::ceil(node.relax.n_hat[k]);
-    const double hint = options_.warm_start_nodes ? node.relax.ii : 0.0;
-
-    Node down{node.bounds, {}};
-    down.bounds.upper[k] = std::min(down.bounds.upper[k], floor_v);
-    Node up{std::move(node.bounds), {}};
-    up.bounds.lower[k] = std::max(up.bounds.lower[k], ceil_v);
-
-    if (auto rel = solve_node(problem, down.bounds, hint, options_.cache);
-        rel.is_ok()) {
-      down.relax = std::move(rel.value());
-      stack.push_back(std::move(down));
-    }
-    if (auto rel = solve_node(problem, up.bounds, hint, options_.cache);
-        rel.is_ok()) {
-      up.relax = std::move(rel.value());
-      stack.push_back(std::move(up));
-    }
-  }
-
-  result.nodes = nodes;
-  result.proved_optimal = !aborted;
-  if (best_totals.empty()) {
-    if (aborted) {
+  result.nodes = search.nodes;
+  result.proved_optimal = !search.aborted;
+  if (search.best_totals.empty()) {
+    if (search.aborted) {
       return Status{Code::kLimit,
                     "node cap reached before an integral solution"};
     }
     return Status{Code::kInfeasible, "no integral totals satisfy the "
                                      "pooled resource constraints"};
   }
-  result.totals = std::move(best_totals);
-  result.ii = best_ii;
+  result.totals = std::move(search.best_totals);
+  result.ii = search.best_ii;
   return result;
 }
 

@@ -8,6 +8,13 @@
 // meets or exceeds the best integer ÎI found. The node relaxation is the
 // exact bisection solver, so nodes cost microseconds; the number of
 // branched variables is |K|, not |K|·F as in the raw MINLP.
+//
+// The search patches the branched variable's bounds in place on one
+// shared CuBounds and reuses per-depth pooled node solutions, so a node
+// allocates nothing. Each child bisection is warm-started from its
+// parent's ÎI, and an N̂_k within 1e-6 of an integer counts as integral.
+// tests/oracles/stack_discretize.hpp holds the parity oracle, an
+// explicit-stack search that must visit the same nodes in the same order.
 #pragma once
 
 #include <cstdint>
@@ -30,23 +37,6 @@ struct DiscretizeResult {
 
 struct DiscretizeOptions {
   std::int64_t max_nodes = 1'000'000;
-  double integrality_tol = 1e-6;
-  /// Seed each child node's bisection with its parent's relaxed ÎI — a
-  /// valid bracket end after bound tightening, so the search result is
-  /// unchanged and the node solve converges in fewer iterations.
-  bool warm_start_nodes = true;
-  /// Branch by patching the branched variable's two bound values in
-  /// place on ONE shared CuBounds (each child's patch applied around
-  /// its subtree and restored on backtrack) instead of materializing a
-  /// CuBounds copy per node, with per-depth pooled node solutions
-  /// (core::solve_relaxation_into) instead of a fresh n_hat per node —
-  /// the allocation-free warm-path half of ROADMAP item 1's B&B work.
-  /// Purely a memory/speed change: visit order, prune timing, node
-  /// counts, cache keys/hits and results are bit-identical to the
-  /// explicit-stack search (patched_bounds = false, kept as the parity
-  /// oracle; differential_fuzz --patched-bounds asserts the
-  /// equivalence across seeds).
-  bool patched_bounds = true;
   /// Optional shared memoization of node relaxations, keyed by problem
   /// fingerprint × bounds × warm hint (core/relax_cache.hpp). Portfolio
   /// lanes and duplicate batch instances walk identical trees, so a

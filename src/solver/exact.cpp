@@ -13,6 +13,13 @@ namespace {
 using core::Allocation;
 using core::Problem;
 
+/// Node cap for each individual packing (feasibility or min-φ) call.
+/// Without it, one adversarial infeasibility proof mid-search could
+/// drain the whole budget and degrade every later candidate; with it, a
+/// stuck call is abandoned ("unknown", treated conservatively) and the
+/// search continues at full strength.
+constexpr std::int64_t kMaxNodesPerPack = 500'000;
+
 }  // namespace
 
 StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
@@ -35,7 +42,7 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
   int evaluated = 0;
   std::int64_t nodes_total = 0;
 
-  // Each packing runs under its own node cap (see ExactOptions) within
+  // Each packing runs under its own node cap (kMaxNodesPerPack) within
   // the remaining global node/time budget.
   auto pack = [&](const std::vector<int>& totals,
                   PackingMode mode) -> PackingResult {
@@ -52,8 +59,7 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
       all_proved = false;
       return PackingResult{};
     }
-    Budget budget(std::min(options_.max_nodes_per_pack, remaining),
-                  seconds_left);
+    Budget budget(std::min(kMaxNodesPerPack, remaining), seconds_left);
     PackingResult r = packer.pack(totals, mode, budget);
     nodes_total += budget.nodes_used();
     if (options_.shared != nullptr) {

@@ -32,12 +32,6 @@ namespace mfa::solver {
 struct ExactOptions {
   std::int64_t max_nodes = 50'000'000;  ///< total packing-node cap
   double max_seconds = 300.0;           ///< wall-clock cap
-  /// Node cap for each individual packing (feasibility or min-φ) call.
-  /// Without it, one adversarial infeasibility proof mid-search could
-  /// drain the whole budget and degrade every later candidate; with it,
-  /// a stuck call is abandoned ("unknown", treated conservatively) and
-  /// the search continues at full strength.
-  std::int64_t max_nodes_per_pack = 500'000;
   /// Optional budget *shared with other solvers* (the runtime portfolio
   /// races several strategies under one deadline). When set, the solver
   /// additionally charges every packing's nodes against it, respects its

@@ -37,12 +37,13 @@ enum class PackingMode {
   kMinSpreading,   ///< minimize φ = max_k φ_k over feasible placements
 };
 
-/// Migration awareness for re-packs against an incumbent placement
-/// (ROADMAP item 2): the online service must not shuffle CUs across the
-/// whole fleet for a tiny goal gain. A kernel *moves* a CU when its
-/// reference row had the CU on an FPGA where the new placement does not
-/// (CUs torn down; newly added CUs are free). A *group* — in the service,
-/// one pipeline — is disturbed when any of its kernels' rows changed.
+/// Migration awareness for re-packs against an incumbent placement, as
+/// AllocServer::apply_stability runs them: the online service must not
+/// shuffle CUs across the whole fleet for a tiny goal gain. A kernel
+/// *moves* a CU when its reference row had the CU on an FPGA where the
+/// new placement does not (CUs torn down; newly added CUs are free). A
+/// *group* — in the service, one pipeline — is disturbed when any of its
+/// kernels' rows changed.
 ///
 /// Kernels with an empty reference row (new arrivals) and kernels of
 /// `exempt_group` (the event's own target) are never counted. With all
@@ -68,9 +69,6 @@ struct StabilityOptions {
   /// Soft migration cost: kMinSpreading minimizes φ + move_cost · moves
   /// instead of φ alone (0 keeps the pure-φ objective).
   double move_cost = 0.0;
-  /// Deterministic node budget callers use for stability re-packs (the
-  /// service must never let a repack's cost depend on wall clock).
-  std::int64_t repack_nodes = 200'000;
 
   /// True when any constraint or cost term is active.
   [[nodiscard]] bool constrained() const {

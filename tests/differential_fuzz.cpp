@@ -23,15 +23,15 @@
 //     bit-exactly, unlimited budgets must match the unconstrained
 //     optimum φ, seeded hard budgets must be respected by the reported
 //     counters (and those counters must match a recount from the
-//     returned allocation), a soft move cost must never do worse than
-//     the free stay-put option, and the GP+A stability plumbing must
-//     hold the incumbent in place at zero budgets.
+//     returned allocation), and a soft move cost must never do worse
+//     than the free stay-put option.
 //
 //  6. patched-bounds parity — the discretizer's in-place bound-patching
-//     branch-and-bound reproduces the explicit-stack oracle bit for
-//     bit: node counts, incumbent, root relaxation, optimality
-//     provenance and (when sharing a relaxation cache) the hit/miss
-//     trace, with and without node warm starts and under node caps.
+//     branch-and-bound reproduces the explicit-stack oracle
+//     (tests/oracles/stack_discretize.hpp) bit for bit: node counts,
+//     incumbent, root relaxation, optimality provenance and (when
+//     sharing a relaxation cache) the hit/miss trace, with and without
+//     a cache and under node caps.
 //
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
 //                          [--stability] [--patched-bounds]
@@ -55,6 +55,7 @@
 #include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
 #include "io/serialize.hpp"
+#include "oracles/stack_discretize.hpp"
 #include "scenario/generate.hpp"
 #include "solver/discretize.hpp"
 #include "solver/exact.hpp"
@@ -129,15 +130,14 @@ const char* check_gp_reference(const mfa::core::Problem& problem) {
   return nullptr;
 }
 
-/// Check 6: in-place bound-patching B&B (DiscretizeOptions::
-/// patched_bounds) vs the explicit-stack search it replaced on the warm
-/// path. The claim is *bit-for-bit* reproduction, not tolerance-level:
-/// node count, incumbent totals/ÎI, the root relaxation and the
-/// optimality provenance must all be identical, with and without a
-/// shared relaxation cache — and when caches are used, both modes must
-/// produce the same hit/miss trace. Node warm starts rotate with the
-/// seed so both configurations are covered. A tiny node cap on a third
-/// run checks the abort path counts nodes identically too.
+/// Check 6: the discretizer's in-place bound-patching B&B vs the
+/// explicit-stack oracle it replaced, both with the parent-ÎI node hints
+/// Discretizer uses. The claim is *bit-for-bit* reproduction, not
+/// tolerance-level: node count, incumbent totals/ÎI, the root relaxation
+/// and the optimality provenance must all be identical, with and
+/// without a shared relaxation cache — and when caches are used, both
+/// must produce the same hit/miss trace. A tiny node cap on a third run
+/// checks the abort path counts nodes identically too.
 const char* check_patched_bounds(const mfa::core::Problem& problem,
                                  std::uint64_t seed) {
   using mfa::solver::DiscretizeResult;
@@ -167,31 +167,24 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
     }
     return nullptr;
   };
-
-  mfa::solver::DiscretizeOptions stack_opts;
-  stack_opts.patched_bounds = false;
-  stack_opts.warm_start_nodes = (seed % 2) == 0;
-  mfa::solver::DiscretizeOptions patched_opts = stack_opts;
-  patched_opts.patched_bounds = true;
+  const auto both = [&](const mfa::solver::DiscretizeOptions& stack_opts,
+                        const mfa::solver::DiscretizeOptions& patched_opts) {
+    return compare(mfa::oracles::stack_discretize(problem, stack_opts),
+                   mfa::solver::Discretizer(patched_opts).run(problem));
+  };
 
   // Cacheless runs.
-  if (const char* mismatch =
-          compare(mfa::solver::Discretizer(stack_opts).run(problem),
-                  mfa::solver::Discretizer(patched_opts).run(problem))) {
-    return mismatch;
-  }
+  mfa::solver::DiscretizeOptions stack_opts;
+  mfa::solver::DiscretizeOptions patched_opts;
+  if (const char* mismatch = both(stack_opts, patched_opts)) return mismatch;
 
-  // One private cache per mode: results and the hit/miss trace must
+  // One private cache per search: results and the hit/miss trace must
   // both line up.
   mfa::core::RelaxationCache stack_cache;
   mfa::core::RelaxationCache patched_cache;
   stack_opts.cache = &stack_cache;
   patched_opts.cache = &patched_cache;
-  if (const char* mismatch =
-          compare(mfa::solver::Discretizer(stack_opts).run(problem),
-                  mfa::solver::Discretizer(patched_opts).run(problem))) {
-    return mismatch;
-  }
+  if (const char* mismatch = both(stack_opts, patched_opts)) return mismatch;
   const auto stack_stats = stack_cache.stats();
   const auto patched_stats = patched_cache.stats();
   if (stack_stats.hits != patched_stats.hits ||
@@ -211,8 +204,7 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
   patched_opts.cache = nullptr;
   stack_opts.max_nodes = 1 + static_cast<std::int64_t>(seed % 7);
   patched_opts.max_nodes = stack_opts.max_nodes;
-  return compare(mfa::solver::Discretizer(stack_opts).run(problem),
-                 mfa::solver::Discretizer(patched_opts).run(problem));
+  return both(stack_opts, patched_opts);
 }
 
 /// Migration-aware packing oracle (see file comment, check 5). The
@@ -230,9 +222,7 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
 ///    what it may visit — this also exercises the symmetry-breaking
 ///    handoff);
 ///  * a soft move cost never does worse than the free stay-put option:
-///    φ(packed) + c·moves(packed) ≤ φ(reference);
-///  * GpaOptions::stability at zero budgets hands back the incumbent
-///    placement unchanged (the service's Rung-1 wiring).
+///    φ(packed) + c·moves(packed) ≤ φ(reference).
 const char* check_stability(const mfa::core::Problem& problem,
                             std::uint64_t seed) {
   mfa::alloc::GpaOptions gpa_options;
@@ -342,32 +332,6 @@ const char* check_stability(const mfa::core::Problem& problem,
     return "soft-cost pack did worse than the free stay-put option";
   }
 
-  // GP+A plumbing: a re-solve with zero-budget stability must hand back
-  // the incumbent placement unchanged (deterministic GP totals match).
-  // Only unconditional when the greedy stayed within the original
-  // resource fraction — the repack runs at that fraction, so an
-  // escalated incumbent may legitimately not fit and be skipped.
-  if (gpa.value().used_fraction > problem.resource_fraction + 1e-12) {
-    return nullptr;
-  }
-  stab.move_cost = 0.0;
-  stab.max_moves = 0;
-  stab.max_disturbed = 0;
-  gpa_options.stability = &stab;
-  const auto held = mfa::alloc::GpaSolver(gpa_options).solve(problem);
-  if (!held.is_ok()) {
-    return "GP+A with zero-budget stability failed on a solvable seed";
-  }
-  if (!held.value().stability_applied) {
-    return "GP+A ignored a constrained stability reference";
-  }
-  for (std::size_t k = 0; k < kernels; ++k) {
-    for (int f = 0; f < fpgas; ++f) {
-      if (held.value().allocation.cu(k, f) != base.cu(k, f)) {
-        return "GP+A stability repack moved the incumbent at zero budget";
-      }
-    }
-  }
   return nullptr;
 }
 

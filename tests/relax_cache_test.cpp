@@ -7,6 +7,7 @@
 #include "core/fingerprint.hpp"
 #include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
+#include "oracles/stack_discretize.hpp"
 #include "solver/discretize.hpp"
 #include "testutil.hpp"
 
@@ -235,16 +236,14 @@ TEST(RelaxationWarmStart, BisectionHintPreservesOptimum) {
 
 TEST(Discretizer, CachedAndWarmStartedSearchMatchesColdSearch) {
   // The cache + parent-hint warm starts are pure accelerations: totals
-  // and II must match a cold discretization exactly.
+  // and II must match a cold discretization exactly (the stack oracle
+  // with cold node hints and no cache).
   const Problem p = tiny_problem();
-  solver::DiscretizeOptions cold_opts;
-  cold_opts.warm_start_nodes = false;
-  const auto cold = solver::Discretizer(cold_opts).run(p);
+  const auto cold = oracles::stack_discretize(p, {}, oracles::NodeHints::kCold);
   ASSERT_TRUE(cold.is_ok());
 
   RelaxationCache cache;
   solver::DiscretizeOptions warm_opts;
-  warm_opts.warm_start_nodes = true;
   warm_opts.cache = &cache;
   const auto warm = solver::Discretizer(warm_opts).run(p);
   ASSERT_TRUE(warm.is_ok());

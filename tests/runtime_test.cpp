@@ -11,10 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "core/relax_cache.hpp"
+#include "core/solver_context.hpp"
 #include "hls/paper.hpp"
+#include "oracles/sweep.hpp"
 #include "runtime/batch.hpp"
 #include "runtime/portfolio.hpp"
-#include "runtime/relax_cache.hpp"
 #include "runtime/sweep.hpp"
 #include "runtime/thread_pool.hpp"
 #include "testutil.hpp"
@@ -335,20 +337,24 @@ TEST(BatchRunner, FourThreadsFasterThanOneOnMulticore) {
 }
 
 TEST(BatchRunner, SharedCacheDoesNotChangeResults) {
-  // The relaxation cache is a pure memoization: enabled or disabled,
-  // 1 thread or 4, every result must be bit-for-bit identical.
+  // The batch's shared relaxation cache is a pure memoization: on 1
+  // thread or 4, every result must be bit-for-bit identical to solving
+  // each instance alone with no cache at all.
   const std::vector<core::Problem> grid = random_grid(12, 99);
+  const PortfolioOptions options = deterministic_portfolio(50'000);
 
-  auto run = [&grid](int threads, bool share) {
+  std::vector<SolveResult> cold;
+  for (const core::Problem& problem : grid) {
+    cold.push_back(Portfolio(options, 1).solve(problem));
+  }
+  auto run = [&grid, &options](int threads) {
     BatchOptions batch;
     batch.num_threads = threads;
-    batch.share_relaxations = share;
-    batch.portfolio = deterministic_portfolio(50'000);
+    batch.portfolio = options;
     return BatchRunner(batch).solve_all(grid);
   };
-  const std::vector<SolveResult> cold = run(1, false);
-  const std::vector<SolveResult> cached_one = run(1, true);
-  const std::vector<SolveResult> cached_four = run(4, true);
+  const std::vector<SolveResult> cached_one = run(1);
+  const std::vector<SolveResult> cached_four = run(4);
 
   for (std::size_t i = 0; i < grid.size(); ++i) {
     SCOPED_TRACE(i);
@@ -363,8 +369,8 @@ TEST(BatchRunner, SharedCacheDoesNotChangeResults) {
 }
 
 TEST(BatchRunner, ExternalCacheIsPopulatedAndReused) {
-  RelaxationCache cache;
-  SolverContext context;
+  core::RelaxationCache cache;
+  core::SolverContext context;
   context.relax_cache = &cache;
   BatchOptions batch;
   batch.num_threads = 2;
@@ -414,8 +420,8 @@ TEST(RuntimeSweep, GpaPointsCarryHeuristicProvenance) {
 }
 
 TEST(RuntimeSweep, MatchesSingleThreadedAllocSweep) {
-  // The parallel sweep is a drop-in for alloc::run_sweep: same series,
-  // same points, any thread count.
+  // The parallel sweep reproduces the sequential sweep oracle: same
+  // series, same points, any thread count.
   core::Problem problem = hls::paper::case_alex16_2fpga();
   alloc::SweepConfig config;
   config.constraints = alloc::constraint_range(0.60, 0.80, 0.05);
@@ -426,7 +432,7 @@ TEST(RuntimeSweep, MatchesSingleThreadedAllocSweep) {
        {alloc::Method::kGpa, alloc::Method::kMinlp, alloc::Method::kMinlpG}) {
     SCOPED_TRACE(alloc::method_name(method));
     const alloc::SweepSeries reference =
-        alloc::run_sweep(problem, method, config);
+        oracles::run_sweep(problem, method, config);
     SweepOptions options;
     options.num_threads = 4;
     options.config = config;

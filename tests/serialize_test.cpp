@@ -322,12 +322,15 @@ TEST(Serialize, WalSnapshotPlacementsRoundTrip) {
   // Round trip is lossless byte-wise, too.
   EXPECT_EQ(to_json(parsed.value()).dump(), to_json(snapshot).dump());
 
-  // Pre-PR-8 snapshots carry no ledger: parse to an empty one.
-  Json legacy = to_json(snapshot);
-  legacy.set("placements", Json::array());
-  auto old = wal_snapshot_from_json(legacy);
-  ASSERT_TRUE(old.is_ok());
-  EXPECT_TRUE(old.value().placements.empty());
+  // An empty pool's snapshot carries an empty ledger; a snapshot with
+  // no ledger at all is rejected.
+  Json empty = to_json(snapshot);
+  empty.set("placements", Json::array());
+  auto parsed_empty = wal_snapshot_from_json(empty);
+  ASSERT_TRUE(parsed_empty.is_ok());
+  EXPECT_TRUE(parsed_empty.value().placements.empty());
+  const Json no_ledger = without(to_json(snapshot), "placements");
+  EXPECT_FALSE(wal_snapshot_from_json(no_ledger).is_ok());
 
   // A corrupt ledger (negative count) is rejected, not clamped.
   Json bad_row = Json::array();

@@ -2,10 +2,20 @@
 
 #include "alloc/sweep.hpp"
 #include "hls/paper.hpp"
+#include "runtime/sweep.hpp"
 #include "testutil.hpp"
 
 namespace mfa::alloc {
 namespace {
+
+/// One method over `config`'s constraints through the batch sweep.
+SweepSeries sweep(const core::Problem& problem, Method method,
+                  const SweepConfig& config) {
+  runtime::SweepOptions options;
+  options.num_threads = 2;
+  options.config = config;
+  return runtime::run_sweep(problem, method, options);
+}
 
 TEST(ConstraintRange, InclusiveStepping) {
   const std::vector<double> r = constraint_range(0.55, 0.85, 0.10);
@@ -23,7 +33,7 @@ TEST(MethodName, StableLabels) {
 TEST(Sweep, GpaSeriesOnTinyProblem) {
   SweepConfig cfg;
   cfg.constraints = constraint_range(0.6, 1.0, 0.2);
-  SweepSeries s = run_sweep(test::tiny_problem(), Method::kGpa, cfg);
+  SweepSeries s = sweep(test::tiny_problem(), Method::kGpa, cfg);
   ASSERT_EQ(s.points.size(), 3u);
   for (const SweepPoint& pt : s.points) {
     EXPECT_TRUE(pt.feasible);
@@ -39,7 +49,7 @@ TEST(Sweep, MinlpForcesBetaZero) {
   p.beta = 10.0;
   SweepConfig cfg;
   cfg.constraints = {0.8};
-  SweepSeries s = run_sweep(p, Method::kMinlp, cfg);
+  SweepSeries s = sweep(p, Method::kMinlp, cfg);
   ASSERT_EQ(s.points.size(), 1u);
   ASSERT_TRUE(s.points[0].feasible);
   EXPECT_NEAR(s.points[0].goal, s.points[0].ii, 1e-9);
@@ -50,7 +60,7 @@ TEST(Sweep, InfeasiblePointsAreMarked) {
   SweepConfig cfg;
   // 10 % of an FPGA cannot host kernel a (DSP 20 %).
   cfg.constraints = {0.10, 0.90};
-  SweepSeries s = run_sweep(p, Method::kMinlpG, cfg);
+  SweepSeries s = sweep(p, Method::kMinlpG, cfg);
   ASSERT_EQ(s.points.size(), 2u);
   EXPECT_FALSE(s.points[0].feasible);
   EXPECT_TRUE(s.points[1].feasible);
@@ -61,8 +71,8 @@ TEST(Sweep, ExactIiWeaklyBelowGpaOnPaperCase) {
   core::Problem p = hls::paper::case_alex16_2fpga();
   SweepConfig cfg;
   cfg.constraints = constraint_range(0.60, 0.80, 0.10);
-  SweepSeries gpa = run_sweep(p, Method::kGpa, cfg);
-  SweepSeries minlp = run_sweep(p, Method::kMinlp, cfg);
+  SweepSeries gpa = sweep(p, Method::kGpa, cfg);
+  SweepSeries minlp = sweep(p, Method::kMinlp, cfg);
   for (std::size_t i = 0; i < cfg.constraints.size(); ++i) {
     if (!gpa.points[i].feasible || !minlp.points[i].feasible) continue;
     EXPECT_GE(gpa.points[i].ii, minlp.points[i].ii * (1.0 - 1e-9))

@@ -20,6 +20,7 @@
 #include "scenario/trace.hpp"
 #include "service/alloc_server.hpp"
 #include "service/wal.hpp"
+#include "testutil.hpp"
 
 namespace mfa::service {
 namespace {
@@ -364,6 +365,62 @@ TEST(Wal, KillNineRecoveryIsByteIdentical) {
   recovered.value()->stop();
   EXPECT_EQ(read_all(dir_full.path + "/wal.log"),
             read_all(dir_crash.path + "/wal.log"));
+}
+
+TEST(Wal, RecoversAcrossAnUnsolvableSnapshotPoint) {
+  // Two 60 %-DSP pipelines cannot share one FPGA: the second add fails
+  // its re-solve and the server keeps serving p0's stale incumbent. The
+  // snapshot point falls on that failed event, and recovery must still
+  // rebuild the stale incumbent and continue exactly like a server that
+  // never crashed.
+  const TempDir dir("unsolvable");
+  const core::Platform platform{"one", 1};
+  const auto pipeline = [](const std::string& id) {
+    PipelineSpec spec;
+    spec.id = id;
+    spec.app.name = id;
+    spec.app.kernels = {test::make_kernel("conv", 10.0, 10.0, 60.0, 5.0)};
+    return spec;
+  };
+  const std::vector<Event> events = {Event::add(pipeline("p0")),
+                                     Event::add(pipeline("p1")),
+                                     Event::remove("p1")};
+  const std::size_t crash_at = 2;
+
+  ServerOptions options;
+  options.snapshot_every = 2;
+  options.log_capacity = 0;
+  AllocServer uninterrupted(platform, options);
+  for (const Event& event : events) uninterrupted.apply(event);
+  uninterrupted.stop();
+  const std::vector<EventOutcome> full_log = uninterrupted.log();
+  ASSERT_EQ(full_log.size(), events.size());
+  ASSERT_TRUE(full_log[0].solve_status.is_ok());
+  ASSERT_FALSE(full_log[1].solve_status.is_ok());
+
+  options.wal_dir = dir.path;
+  {
+    auto server = AllocServer::open(platform, options);
+    ASSERT_TRUE(server.is_ok()) << server.status().to_string();
+    for (std::size_t i = 0; i < crash_at; ++i) {
+      server.value()->apply(events[i]);
+    }
+    server.value()->stop();
+  }
+  auto recovered = AllocServer::recover(options);
+  ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
+  for (std::size_t i = crash_at; i < events.size(); ++i) {
+    recovered.value()->apply(events[i]);
+  }
+  recovered.value()->stop();
+
+  const std::vector<EventOutcome> recovered_log = recovered.value()->log();
+  ASSERT_EQ(recovered_log.size(), full_log.size());
+  for (std::size_t i = 0; i < full_log.size(); ++i) {
+    SCOPED_TRACE("event " + std::to_string(i));
+    expect_solve_eq(recovered_log[i], full_log[i]);
+  }
+  EXPECT_EQ(incumbent_json(*recovered.value()), incumbent_json(uninterrupted));
 }
 
 TEST(Wal, RecoverWithoutWalDirFails) {
