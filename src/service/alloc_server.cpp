@@ -27,6 +27,8 @@ AllocServer::AllocServer(core::Platform platform, ServerOptions options,
     : options_(std::move(options)),
       cache_(core::RelaxCacheConfig{options_.cache_shards,
                                     options_.cache_entries}),
+      greedy_cache_(
+          core::CacheConfig{options_.cache_shards, options_.cache_entries}),
       composite_(std::move(platform),
                  CompositeConfig{options_.resource_fraction,
                                  options_.bw_fraction, options_.alpha,

@@ -20,7 +20,8 @@
 //    SolveRequest::warm, so the root bisection starts from a bracket
 //    end one probe away instead of a cold bracket, and branch-and-bound
 //    node relaxations hit the server's RelaxationCache;
-//  * Algorithm 1 placements are memoized in a server-wide GreedyCache.
+//  * Algorithm 1 placements are memoized in a server-wide GreedyCache,
+//    bounded like the RelaxationCache.
 //
 // Warm starts and both caches are pure accelerations — the solved
 // optimum matches a cold solve — and the per-event portfolio budget
@@ -55,6 +56,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "alloc/greedy.hpp"
 #include "core/problem.hpp"
 #include "core/relax_cache.hpp"
 #include "core/solver_context.hpp"
@@ -82,7 +84,8 @@ struct ServerOptions {
   /// Seed each event's re-solve from the incumbent (see file comment).
   bool warm_start = true;
 
-  /// Sharded, capacity-bounded relaxation cache owned by the server —
+  /// Shape of both server-owned memo caches, the relaxation cache and
+  /// the greedy placement cache: each is sharded and capacity-bounded —
   /// a daemon must not grow without bound. 0 entries = unbounded.
   std::size_t cache_shards = 16;
   std::size_t cache_entries = 1 << 16;
@@ -233,6 +236,9 @@ class AllocServer {
   [[nodiscard]] core::RelaxationCache::Stats cache_stats() const {
     return cache_.stats();
   }
+  [[nodiscard]] alloc::GreedyCache::Stats greedy_cache_stats() const {
+    return greedy_cache_.stats();
+  }
 
  private:
   /// Tag for the delegated constructor that wires everything but does
@@ -302,6 +308,7 @@ class AllocServer {
   /// Memoized greedy placements (alloc/greedy.hpp): service churn
   /// re-places identical (problem, totals) pairs across events and
   /// portfolio lanes, so placements are computed once and replayed.
+  /// Bounded like cache_ (cache_shards/cache_entries).
   // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
   alloc::GreedyCache greedy_cache_;
   /// The single wiring point handed to the portfolio (points at cache_).

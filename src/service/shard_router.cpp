@@ -6,6 +6,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "io/serialize.hpp"
+
 namespace mfa::service {
 
 std::uint64_t stable_hash(std::string_view bytes) {
@@ -19,13 +21,62 @@ std::uint64_t stable_hash(std::string_view bytes) {
 
 namespace {
 
-/// Virtual nodes per shard on the hash ring. Part of the ring layout
-/// (and so of every WAL's tenant partition): changing it re-partitions
-/// tenants.
-constexpr std::size_t kVirtualNodes = 64;
+/// The WAL root's layout record and the partition this build routes
+/// by (see the file comment). Changing jump_hash or stable_hash needs a
+/// new partition name, so that recover() refuses the old roots.
+constexpr const char* kLayoutName = "layout.json";
+constexpr const char* kPartition = "jump-fnv1a64";
+
+/// Jump consistent hash (Lamping & Veach), integer form: the bucket in
+/// [0, buckets) that `key` lands in.
+std::size_t jump_hash(std::uint64_t key, std::size_t buckets) {
+  std::uint64_t b = 0;
+  std::uint64_t j = 0;
+  while (j < buckets) {
+    b = j;
+    key = key * 2862933555777941757ull + 1;
+    j = ((b + 1) << 31) / ((key >> 33) + 1);
+  }
+  return static_cast<std::size_t>(b);
+}
 
 std::string shard_dir(const std::string& root, std::size_t i) {
   return root + "/shard-" + std::to_string(i);
+}
+
+/// The layout record open() writes for `shards` shards.
+io::Json layout_record(std::size_t shards) {
+  io::Json j = io::Json::object();
+  j.set("schema_version", io::Json::number(1));
+  j.set("format", io::Json::string("mfa-shards"));
+  j.set("shards", io::Json::number(static_cast<double>(shards)));
+  j.set("partition", io::Json::string(kPartition));
+  return j;
+}
+
+/// kInvalid, naming the first mismatching field, unless
+/// <root>/layout.json holds layout_record(shards).
+Status check_layout(const std::string& root, std::size_t shards) {
+  const std::string path = root + "/" + kLayoutName;
+  const auto invalid = [&path](const std::string& why) {
+    return Status{Code::kInvalid, "recover: shard layout " + path + ": " + why};
+  };
+  StatusOr<std::string> text = io::read_file(path);
+  if (!text.is_ok()) {
+    return invalid(std::string("missing; roots written before the ") +
+                   kPartition + " partition cannot be recovered");
+  }
+  StatusOr<io::Json> doc = io::Json::parse(text.value());
+  if (!doc.is_ok()) return invalid(doc.status().message());
+  const io::Json expected = layout_record(shards);
+  for (const auto& [key, want] : expected.members()) {
+    const io::Json* got = doc.value().find(key);
+    if (got == nullptr) return invalid("no \"" + key + "\" field");
+    if (got->dump() != want.dump()) {
+      return invalid(key + " is " + got->dump() + ", not " + want.dump());
+    }
+  }
+  return Status::ok();
 }
 
 /// Merge a broadcast's per-shard outcomes (see ShardRouter::submit).
@@ -60,33 +111,10 @@ EventOutcome merge_outcomes(std::vector<EventOutcome> outcomes) {
 }  // namespace
 
 ShardRouter::ShardRouter(RouterOptions options)
-    : options_(std::move(options)) {
-  build_ring();
-}
-
-void ShardRouter::build_ring() {
-  ring_.reserve(options_.shards * kVirtualNodes);
-  for (std::size_t i = 0; i < options_.shards; ++i) {
-    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
-      const std::string point =
-          "shard-" + std::to_string(i) + "#" + std::to_string(v);
-      ring_.emplace_back(stable_hash(point), i);
-    }
-  }
-  // Sort by point; break hash collisions by shard index so the ring is
-  // a total order independent of insertion order.
-  std::sort(ring_.begin(), ring_.end());
-}
+    : options_(std::move(options)) {}
 
 std::size_t ShardRouter::shard_of(std::string_view id) const {
-  if (shards_.size() <= 1) return 0;
-  const std::uint64_t h = stable_hash(id);
-  auto it = std::lower_bound(
-      ring_.begin(), ring_.end(), h,
-      [](const std::pair<std::uint64_t, std::size_t>& node,
-         std::uint64_t point) { return node.first < point; });
-  if (it == ring_.end()) it = ring_.begin();  // wrap around
-  return it->second;
+  return jump_hash(stable_hash(id), shards_.size());
 }
 
 StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::open(
@@ -110,6 +138,17 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::open(
     if (!shard.is_ok()) return shard.status();
     router->shards_.push_back(std::move(shard.value()));
   }
+  // The layout record lands once every shard's WAL exists; its
+  // directory fsync also makes the shard-<i> entries durable.
+  const RouterOptions& opts = router->options_;
+  if (!opts.wal_root.empty()) {
+    const std::string record = layout_record(opts.shards).dump() + "\n";
+    if (Status s = replace_file(opts.wal_root, kLayoutName, record,
+                                opts.server.wal_fsync);
+        !s.is_ok()) {
+      return s;
+    }
+  }
   return StatusOr<std::unique_ptr<ShardRouter>>(std::move(router));
 }
 
@@ -121,14 +160,10 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::recover(
   if (options.shards == 0) {
     return Status{Code::kInvalid, "router: shards must be >= 1"};
   }
-  // The shard count is part of the on-disk layout: a mismatch would
-  // re-partition tenants mid-history. Reject extra or missing dirs.
-  struct stat st{};
-  if (::stat(shard_dir(options.wal_root, options.shards).c_str(), &st) ==
-      0) {
-    return Status{Code::kInvalid,
-                  "recover: wal_root has more shards than options.shards (" +
-                      std::to_string(options.shards) + ")"};
+  // The partition and shard count decide which WAL owns a tenant: any
+  // other layout would route events to shards that never saw them.
+  if (Status s = check_layout(options.wal_root, options.shards); !s.is_ok()) {
+    return s;
   }
   std::unique_ptr<ShardRouter> router(new ShardRouter(std::move(options)));
   for (std::size_t i = 0; i < router->options_.shards; ++i) {

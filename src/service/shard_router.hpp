@@ -8,12 +8,16 @@
 // pipeline land on the same shard (per-pipeline ordering is preserved)
 // while different shards solve concurrently.
 //
-// Hashing is a ring with virtual nodes over a *pinned* FNV-1a — never
-// std::hash, whose values are implementation-defined and may differ
-// across libstdc++ versions, which would silently re-partition every
-// tenant (and break WAL recovery) on a toolchain upgrade. The
-// assignment is therefore a documented, stable function of (id, shards),
-// with 64 virtual nodes per shard.
+// Hashing is jump consistent hashing (Lamping & Veach, "A Fast, Minimal
+// Memory, Consistent Hash Algorithm", 2014) over a *pinned* FNV-1a 64
+// of the id — never std::hash, whose values are implementation-defined
+// and may differ across libstdc++ versions, which would silently
+// re-partition every tenant (and break WAL recovery) on a toolchain
+// upgrade. Jump hashing needs no table: it spreads any 64-bit key
+// evenly over the shards, and its integer form keeps the assignment a
+// documented, stable function of (id, shards) with no floating-point
+// rounding. The partition is named "jump-fnv1a64" in the layout record
+// (see Durability); any change to it needs a new name.
 //
 // Each shard manages its own platform instance (every shard is
 // configured with the same initial pool shape, so the deployment
@@ -27,7 +31,7 @@
 // the same events.
 //
 // Thread model: the router itself is immutable after open()/recover()
-// — ring_ and shards_ are built once and never mutated, so
+// — shards_ is built once and never mutated, so
 // submit()/stats()/shard_of() need no router-level lock from any
 // thread. All mutable state lives inside the individual AllocServers
 // (guarded by their state_mutex_ and their internally synchronized
@@ -35,9 +39,16 @@
 //
 // Durability: with RouterOptions::wal_root set, shard i logs to
 // <wal_root>/shard-<i> (its own WAL + snapshots), and recover()
-// rebuilds every shard. The shard count is part of the on-disk layout:
-// recovering with a different `shards` would re-partition tenants, so
-// it is rejected.
+// rebuilds every shard. The partition decides which shard's WAL owns a
+// tenant, so it is part of the on-disk layout: once the shard WALs
+// exist, open() durably writes <wal_root>/layout.json,
+//
+//   {"schema_version":1,"format":"mfa-shards","shards":N,
+//    "partition":"jump-fnv1a64"}
+//
+// and recover() refuses, with kInvalid, a root whose record is missing
+// (a root written by a build that partitioned differently has none),
+// unparseable, names another partition, or holds another shard count.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +70,7 @@ struct RouterOptions {
   /// (set wal_root below instead).
   ServerOptions server;
   /// Durability root; empty disables WALs. Shard i uses
-  /// <wal_root>/shard-<i>.
+  /// <wal_root>/shard-<i>; the layout record is <wal_root>/layout.json.
   std::string wal_root;
 };
 
@@ -73,8 +84,8 @@ class ShardRouter {
   static StatusOr<std::unique_ptr<ShardRouter>> open(
       const core::Platform& platform, RouterOptions options);
 
-  /// Rebuilds every shard from <wal_root>/shard-<i>. `options.shards`
-  /// must match the layout that wrote the WALs.
+  /// Rebuilds every shard from <wal_root>/shard-<i>. The root's
+  /// layout.json must name this build's partition and `options.shards`.
   static StatusOr<std::unique_ptr<ShardRouter>> recover(
       RouterOptions options);
 
@@ -93,7 +104,8 @@ class ShardRouter {
 
   [[nodiscard]] std::size_t num_shards() const { return shards_.size(); }
 
-  /// The shard an id routes to: ring successor of stable_hash(id).
+  /// The shard an id routes to: jump consistent hash of stable_hash(id)
+  /// over num_shards().
   [[nodiscard]] std::size_t shard_of(std::string_view id) const;
 
   [[nodiscard]] const AllocServer& shard(std::size_t i) const {
@@ -117,12 +129,9 @@ class ShardRouter {
 
  private:
   explicit ShardRouter(RouterOptions options);
-  void build_ring();
 
   RouterOptions options_;
   std::vector<std::unique_ptr<AllocServer>> shards_;
-  /// (point, shard) pairs sorted by point; successor lookup routes ids.
-  std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };
 
 }  // namespace mfa::service

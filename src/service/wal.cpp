@@ -223,13 +223,18 @@ Status Wal::append(std::uint64_t sequence, const Event& event) {
 }
 
 Status Wal::write_snapshot(const WalSnapshot& snapshot) {
-  const std::string tmp = dir_ + "/" + kSnapshotName + ".tmp";
-  const std::string final_path = dir_ + "/" + kSnapshotName;
+  const std::string text = io::to_json(snapshot).dump(2) + "\n";
+  return replace_file(dir_, kSnapshotName, text, options_.fsync);
+}
+
+Status replace_file(const std::string& dir, const std::string& name,
+                    std::string_view bytes, bool fsync) {
+  const std::string tmp = dir + "/" + name + ".tmp";
+  const std::string final_path = dir + "/" + name;
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return errno_status("open " + tmp);
-  const std::string text = io::to_json(snapshot).dump(2) + "\n";
-  Status s = write_all(fd, text, "write " + tmp);
-  if (s.is_ok() && options_.fsync && ::fsync(fd) != 0) {
+  Status s = write_all(fd, bytes, "write " + tmp);
+  if (s.is_ok() && fsync && ::fsync(fd) != 0) {
     s = errno_status("fsync " + tmp);
   }
   ::close(fd);
@@ -242,7 +247,7 @@ Status Wal::write_snapshot(const WalSnapshot& snapshot) {
     ::unlink(tmp.c_str());
     return rename_error;
   }
-  if (options_.fsync) return sync_dir(dir_);
+  if (fsync) return sync_dir(dir);
   return Status::ok();
 }
 

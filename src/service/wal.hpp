@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -131,7 +132,7 @@ class Wal {
   /// append-before-apply barrier.
   Status append(std::uint64_t sequence, const Event& event);
 
-  /// Atomically replaces `snapshot.json` (write tmp, fsync, rename).
+  /// Atomically replaces `snapshot.json` (see replace_file).
   Status write_snapshot(const WalSnapshot& snapshot);
 
   [[nodiscard]] const std::string& dir() const { return dir_; }
@@ -144,5 +145,13 @@ class Wal {
   int fd_ = -1;  ///< wal.log, O_APPEND
   Options options_;
 };
+
+/// Atomically replaces `<dir>/<name>` with `bytes`: writes
+/// `<name>.tmp`, fsyncs it, renames it over `<name>`, then fsyncs `dir`
+/// so the rename, and every entry created in `dir` before it, is
+/// durable. With `fsync` off both fsyncs are skipped; the rename still
+/// keeps readers from seeing a partial file.
+Status replace_file(const std::string& dir, const std::string& name,
+                    std::string_view bytes, bool fsync);
 
 }  // namespace mfa::service

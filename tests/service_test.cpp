@@ -309,11 +309,14 @@ TEST(AllocServer, CacheEvictionIsTransparent) {
     a.push_back(big.apply(event));
     b.push_back(small.apply(event));
   }
-  // Eviction really happened, and changed nothing observable: every
-  // evicted entry re-solves to identical bytes.
+  // Eviction really happened in both memo caches, and changed nothing
+  // observable: every evicted entry re-solves to identical bytes.
   EXPECT_GT(small.cache_stats().evictions, 0u);
   EXPECT_LE(small.cache_stats().entries, 32u);
   EXPECT_EQ(big.cache_stats().evictions, 0u);
+  EXPECT_GT(small.greedy_cache_stats().evictions, 0u);
+  EXPECT_LE(small.greedy_cache_stats().entries, 32u);
+  EXPECT_EQ(big.greedy_cache_stats().evictions, 0u);
   expect_deterministic_eq(a, b);
 }
 

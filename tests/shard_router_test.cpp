@@ -1,12 +1,14 @@
-// ShardRouter coverage: the pinned hash (stability is a wire/WAL
-// contract), deterministic routing, per-shard equivalence with
-// standalone servers, resize broadcast, and WAL recovery of a sharded
-// deployment.
+// ShardRouter coverage: the pinned hash and partition (stability is a
+// wire/WAL contract), balanced and deterministic routing, per-shard
+// equivalence with standalone servers, resize broadcast, and WAL
+// recovery of a sharded deployment, including the layout record that
+// guards it.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -71,26 +73,68 @@ TEST(ShardRouter, StableHashIsPinnedFnv1a64) {
   EXPECT_EQ(stable_hash("foobar"), 0x85944171f73967e8ull);
 }
 
-TEST(ShardRouter, RoutingIsDeterministicAcrossInstances) {
-  const scenario::Trace trace = small_trace(1);
+std::unique_ptr<ShardRouter> open_router(std::size_t shards) {
   RouterOptions options;
-  options.shards = 4;
-  auto a = ShardRouter::open(trace.platform, options);
-  auto b = ShardRouter::open(trace.platform, options);
-  ASSERT_TRUE(a.is_ok());
-  ASSERT_TRUE(b.is_ok());
-  bool multiple_shards_used = false;
+  options.shards = shards;
+  auto router = ShardRouter::open(small_trace(1).platform, options);
+  EXPECT_TRUE(router.is_ok()) << router.status().to_string();
+  return std::move(router.value());
+}
+
+TEST(ShardRouter, ShardOfIsPinnedJumpFnv1a64) {
+  // Jump hash over stable_hash: these assignments decide which shard's
+  // WAL owns a pipeline, and the layout record names them
+  // "jump-fnv1a64". Changing any of them needs a new partition name, so
+  // that recover() refuses roots written under the old one.
+  const std::unique_ptr<ShardRouter> two = open_router(2);
+  const std::unique_ptr<ShardRouter> four = open_router(4);
+  EXPECT_EQ(two->shard_of("p0"), 1u);
+  EXPECT_EQ(two->shard_of("p1"), 0u);
+  EXPECT_EQ(two->shard_of("p2"), 0u);
+  EXPECT_EQ(two->shard_of("p10"), 0u);
+  EXPECT_EQ(two->shard_of("p11"), 1u);
+  EXPECT_EQ(two->shard_of("foobar"), 1u);
+  EXPECT_EQ(two->shard_of("pipeline-7"), 0u);
+  EXPECT_EQ(four->shard_of("p0"), 2u);
+  EXPECT_EQ(four->shard_of("p1"), 2u);
+  EXPECT_EQ(four->shard_of("p2"), 3u);
+  EXPECT_EQ(four->shard_of("p10"), 3u);
+  EXPECT_EQ(four->shard_of("p11"), 3u);
+  EXPECT_EQ(four->shard_of("foobar"), 1u);
+  EXPECT_EQ(four->shard_of("pipeline-7"), 2u);
+}
+
+TEST(ShardRouter, RoutingIsDeterministicAcrossInstances) {
+  const std::unique_ptr<ShardRouter> a = open_router(4);
+  const std::unique_ptr<ShardRouter> b = open_router(4);
   for (int i = 0; i < 64; ++i) {
     const std::string id = "pipeline-" + std::to_string(i);
-    const std::size_t shard = a.value()->shard_of(id);
-    EXPECT_LT(shard, options.shards);
-    EXPECT_EQ(shard, b.value()->shard_of(id));
-    if (shard != a.value()->shard_of("pipeline-0")) {
-      multiple_shards_used = true;
+    const std::size_t shard = a->shard_of(id);
+    EXPECT_LT(shard, 4u);
+    EXPECT_EQ(shard, b->shard_of(id));
+  }
+}
+
+TEST(ShardRouter, PartitionIsBalanced) {
+  // Ids that differ only in their last characters (the trace
+  // generator's p<i>, and two other common forms) must spread evenly:
+  // every shard gets within 20% of its even share at 2, 4 and 8 shards.
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    const std::unique_ptr<ShardRouter> router = open_router(shards);
+    for (const std::string prefix : {"p", "pipeline-", "tenant-"}) {
+      SCOPED_TRACE(prefix + "<i> over " + std::to_string(shards) + " shards");
+      constexpr int kIds = 1000;
+      std::vector<int> load(shards, 0);
+      for (int i = 0; i < kIds; ++i) {
+        ++load[router->shard_of(prefix + std::to_string(i))];
+      }
+      const double even = static_cast<double>(kIds) / shards;
+      for (std::size_t s = 0; s < shards; ++s) {
+        EXPECT_GE(load[s], 0.8 * even) << "shard " << s;
+        EXPECT_LE(load[s], 1.2 * even) << "shard " << s;
+      }
     }
   }
-  // The ring actually spreads ids (not a fixed-to-one-shard bug).
-  EXPECT_TRUE(multiple_shards_used);
 }
 
 TEST(ShardRouter, MatchesStandaloneServersPerShard) {
@@ -215,14 +259,51 @@ TEST(ShardRouter, RecoverRejectsShardCountMismatch) {
     for (const Event& event : trace.events) router.value()->apply(event);
     router.value()->stop();
   }
+  const std::string layout = dir.path + "/layout.json";
+  const std::string record =
+      "{\"schema_version\":1,\"format\":\"mfa-shards\",\"shards\":2,"
+      "\"partition\":\"jump-fnv1a64\"}\n";
+  const std::string other_partition =
+      "{\"schema_version\":1,\"format\":\"mfa-shards\",\"shards\":2,"
+      "\"partition\":\"ring-fnv1a64\"}\n";
+  StatusOr<std::string> written = io::read_file(layout);
+  ASSERT_TRUE(written.is_ok()) << written.status().to_string();
+  EXPECT_EQ(written.value(), record);
+  const auto expect_invalid = [](const RouterOptions& o,
+                                 const std::string& why) {
+    SCOPED_TRACE(why);
+    auto recovered = ShardRouter::recover(o);
+    ASSERT_FALSE(recovered.is_ok());
+    EXPECT_EQ(recovered.status().code(), Code::kInvalid);
+    EXPECT_NE(recovered.status().message().find("layout"), std::string::npos)
+        << recovered.status().message();
+  };
+  const auto rewrite = [&layout](const std::string& text) {
+    std::ofstream(layout, std::ios::trunc) << text;
+  };
+
   // Fewer shards than the layout: shard-1's history would be orphaned.
   RouterOptions fewer = options;
   fewer.shards = 1;
-  EXPECT_FALSE(ShardRouter::recover(fewer).is_ok());
+  expect_invalid(fewer, "fewer shards");
   // More shards than the layout: shard-2 has no WAL to recover from.
   RouterOptions more = options;
   more.shards = 3;
-  EXPECT_FALSE(ShardRouter::recover(more).is_ok());
+  expect_invalid(more, "more shards");
+
+  // A root written before the layout record existed has none.
+  fs::remove(layout);
+  expect_invalid(options, "missing record");
+  rewrite(other_partition);
+  expect_invalid(options, "other partition");
+  rewrite(record.substr(0, 30));
+  expect_invalid(options, "corrupt record");
+
+  // The record alone decided: restoring it recovers the root.
+  rewrite(record);
+  auto recovered = ShardRouter::recover(options);
+  ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
+  recovered.value()->stop();
 }
 
 TEST(ShardRouter, OpenRejectsZeroShards) {
