@@ -46,6 +46,7 @@ Json stats_to_json(const service::ServiceStats& s) {
   j.set("budget_exceeded",
         Json::number(static_cast<double>(s.budget_exceeded)));
   j.set("snapshots", Json::number(static_cast<double>(s.snapshots)));
+  j.set("wal_commits", Json::number(static_cast<double>(s.wal_commits)));
   j.set("wal_errors", Json::number(static_cast<double>(s.wal_errors)));
   j.set("p50_ms", Json::number(s.p50_ms));
   j.set("p95_ms", Json::number(s.p95_ms));

@@ -157,9 +157,7 @@ Status AllocServer::restore(const WalRecovery& recovery) {
       // Gaps are events that failed durability and were never applied.
       sequence_ = record.sequence;
     }
-    EventOutcome outcome = process(Event(record.event));
-    LockGuard lock(state_mutex_);
-    retain_outcome(outcome);
+    process(Event(record.event), GroupCommit{});
   }
   {
     LockGuard lock(state_mutex_);
@@ -237,13 +235,35 @@ std::future<EventOutcome> AllocServer::submit(Event event) {
 }
 
 void AllocServer::dispatcher_loop() {
-  while (auto item = queue_.pop()) {
-    EventOutcome outcome = process(std::move(item->event));
+  std::vector<WalRecord> group;
+  for (std::deque<EventQueue::Item> items = queue_.pop_all(); !items.empty();
+       items = queue_.pop_all()) {
+    // ---- Durability barrier: group commit, append-before-apply. The
+    // whole drain goes down in one write and one fsync before any of it
+    // mutates anything. A failed append fails every event of the group
+    // (nothing mutates, nothing solves) — acknowledging an un-logged
+    // mutation would break the recovery contract.
+    const auto t0 = Clock::now();
+    GroupCommit commit;
     {
       LockGuard lock(state_mutex_);
-      retain_outcome(outcome);
+      if (wal_) {
+        // process() numbers the events from sequence_ in this order.
+        for (const EventQueue::Item& item : items) {
+          group.push_back(WalRecord{sequence_ + group.size(), item.event});
+        }
+        commit.status = wal_->append(group);
+        if (commit.status.is_ok()) ++stats_.wal_commits;
+        group.clear();
+      }
     }
-    item->reply.set_value(std::move(outcome));
+    commit.seconds = seconds_since(t0);
+    // Release each item once acknowledged: a backlog of queued events
+    // is freed as it drains, not all at once at the end.
+    for (; !items.empty(); items.pop_front()) {
+      EventQueue::Item& item = items.front();
+      item.reply.set_value(process(std::move(item.event), commit));
+    }
   }
 }
 
@@ -464,7 +484,7 @@ MFA_WARM_PATH void AllocServer::apply_resize(core::Platform platform) {
   composite_.resize_platform(std::move(platform));
 }
 
-EventOutcome AllocServer::process(Event event) {
+EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
   const auto t0 = Clock::now();
   // The dispatcher is the only mutator, but observers (active_pipelines,
   // incumbent, log) read concurrently: hold the state lock across the
@@ -476,17 +496,12 @@ EventOutcome AllocServer::process(Event event) {
   outcome.sequence = sequence_++;
   outcome.type = event.type;
 
-  // ---- Durability barrier: append-before-apply. A failed append fails
-  // the *event* (nothing mutates, nothing solves) — acknowledging an
-  // un-logged mutation would break the recovery contract. Replayed
-  // events are already in the log.
-  bool apply = true;
-  if (wal_ && !replaying_) {
-    if (Status s = wal_->append(outcome.sequence, event); !s.is_ok()) {
-      outcome.status = std::move(s);
-      ++stats_.wal_errors;
-      apply = false;
-    }
+  // ---- The event's group failed its WAL append (see dispatcher_loop):
+  // fail the event unapplied.
+  const bool apply = commit.status.is_ok();
+  if (!apply) {
+    outcome.status = commit.status;
+    ++stats_.wal_errors;
   }
 
   // ---- Apply the workload mutation as a composite *delta*.
@@ -678,7 +693,7 @@ EventOutcome AllocServer::process(Event event) {
       outcome.solve.totals.push_back(incumbent_->allocation->total_cu(k));
     }
   }
-  outcome.seconds = seconds_since(t0);
+  outcome.seconds = commit.seconds + seconds_since(t0);
 
   stats_.sequence = sequence_;
   stats_.active_pipelines = pipelines_.size();
@@ -699,6 +714,7 @@ EventOutcome AllocServer::process(Event event) {
   if (outcome.diff.stability_applied) ++stats_.stability_repacks;
   if (outcome.diff.budget_exceeded) ++stats_.budget_exceeded;
   stats_.warm_allocs += outcome.warm_allocs;
+  retain_outcome(outcome);
   return outcome;
 }
 

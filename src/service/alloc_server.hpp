@@ -38,7 +38,12 @@
 // Durability (ServerOptions::wal_dir): construct through open() and the
 // server keeps a write-ahead log (service/wal.hpp) — each event is
 // appended and fsync'd *before* it mutates anything, and the live
-// workload is snapshotted every `snapshot_every` events. recover()
+// workload is snapshotted every `snapshot_every` events. The dispatcher
+// commits in groups: it takes everything queued at once, appends the
+// whole group with one write and one fsync, then applies, retains and
+// acknowledges the events one at a time in sequence order, so an
+// acknowledged event is always durable. A failed group append fails
+// every event of the group, unapplied. recover()
 // rebuilds a crashed server from snapshot + log tail; because warm
 // starts and caches are byte-transparent and the dispatcher is
 // deterministic, the recovered incumbent is *byte-identical* to an
@@ -167,7 +172,13 @@ struct ServiceStats {
   std::uint64_t stability_repacks = 0;
   std::uint64_t budget_exceeded = 0;
   std::uint64_t snapshots = 0;   ///< snapshots successfully written
-  std::uint64_t wal_errors = 0;  ///< failed appends/snapshots
+  /// WAL group commits that succeeded, each one write plus (with
+  /// wal_fsync) one fsync; (events_ok + events_failed) / wal_commits is
+  /// the events per commit.
+  std::uint64_t wal_commits = 0;
+  /// Failed snapshots, plus the events of every failed group append
+  /// (counted once per event the failure failed).
+  std::uint64_t wal_errors = 0;
   /// Heap allocations observed inside warm delta application across all
   /// events (see EventOutcome::warm_allocs; 0 unless the counting
   /// interposer is linked).
@@ -247,10 +258,24 @@ class AllocServer {
   AllocServer(core::Platform platform, ServerOptions options, DeferStart);
   void start();
 
+  /// Drains the queue group by group: one WAL append per group, then
+  /// process() and acknowledge per event.
   void dispatcher_loop();
-  /// Applies one event end to end (WAL append, composite delta,
-  /// re-solve, snapshot); acquires state_mutex_ for the whole mutation.
-  EventOutcome process(Event event) MFA_EXCLUDES(state_mutex_);
+
+  /// How an event's group went to the WAL: the append's status (ok
+  /// without a WAL, and for replayed events) and its wall time, which
+  /// every event of the group is charged in its `seconds`.
+  struct GroupCommit {
+    Status status;
+    double seconds = 0.0;
+  };
+
+  /// Applies one already-logged event end to end (composite delta,
+  /// re-solve, snapshot) and retains its outcome, under one hold of
+  /// state_mutex_. A failed `commit` fails the event without applying
+  /// it.
+  EventOutcome process(Event event, const GroupCommit& commit)
+      MFA_EXCLUDES(state_mutex_);
 
   /// Re-solves the current composite and refreshes incumbent/seed/
   /// occupancy state, recording solve provenance and the migration diff
@@ -350,10 +375,11 @@ class AllocServer {
   ServiceStats stats_ MFA_GUARDED_BY(state_mutex_);
 
   /// Durability; engaged by open()/recover() before the dispatcher
-  /// starts, then appended to by process() under state_mutex_.
+  /// starts, then appended to by dispatcher_loop() and snapshotted by
+  /// process(), both under state_mutex_.
   std::optional<Wal> wal_ MFA_GUARDED_BY(state_mutex_);
-  /// True while restore() replays the log: suppresses re-appending the
-  /// replayed events to the WAL and re-counting snapshots.
+  /// True while restore() replays the log: suppresses re-writing and
+  /// re-counting snapshots (replayed events are already logged).
   bool replaying_ MFA_GUARDED_BY(state_mutex_) = false;
 
   // mfa-lint: allow(mutex-hygiene) EventQueue, internally synchronized

@@ -200,7 +200,10 @@ struct EventOutcome {
   /// --check fails on any nonzero value. Deterministic per build
   /// configuration, so it is serialized with the other counters.
   std::uint64_t warm_allocs = 0;
-  double seconds = 0.0;  ///< wall-clock event latency (not logged)
+  /// Wall-clock event latency: the append + fsync of the WAL group the
+  /// event was committed in, plus the event's own apply (delta,
+  /// re-solve, snapshot). Not in the replay log.
+  double seconds = 0.0;
 };
 
 }  // namespace mfa::service

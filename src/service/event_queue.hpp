@@ -1,18 +1,19 @@
 // MPMC work queue feeding the allocation service's dispatcher.
 //
 // Producers (request handlers, the trace replayer, tests) push events
-// from any thread and receive a future for the outcome; consumers
-// block-pop in FIFO order. The queue is deliberately tiny — mutex +
-// condition variable, like runtime::ThreadPool — because service events
-// are coarse (each triggers a solve); what matters is strict FIFO
-// hand-off, multi-producer safety, and a clean shutdown that fails
-// still-queued submissions instead of dropping their promises.
+// from any thread and receive a future for the outcome; a consumer
+// takes everything queued at once, in FIFO order, so the dispatcher can
+// commit the whole drain to its WAL with one fsync. The queue is
+// deliberately tiny — mutex + condition variable, like
+// runtime::ThreadPool — because service events are coarse (each
+// triggers a solve); what matters is strict FIFO hand-off,
+// multi-producer safety, and a clean shutdown that fails still-queued
+// submissions instead of dropping their promises.
 #pragma once
 
 #include <cstddef>
 #include <deque>
 #include <future>
-#include <optional>
 #include <utility>
 
 #include "service/event.hpp"
@@ -55,17 +56,17 @@ class EventQueue {
     return future;
   }
 
-  /// Blocks until an item is available or the queue is closed; nullopt
+  /// Blocks until an item is available or the queue is closed, then
+  /// takes every queued item at once, in FIFO order; an empty result
   /// means closed *and* drained (consumers should exit).
-  std::optional<Item> pop() {
+  std::deque<Item> pop_all() {
+    std::deque<Item> drained;
     LockGuard lock(mutex_);
     // Explicit predicate loop (not a wait-with-lambda): the thread
     // safety analysis follows this shape; see support/mutex.hpp.
     while (!closed_ && items_.empty()) cv_.wait(mutex_);
-    if (items_.empty()) return std::nullopt;
-    Item item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    drained.swap(items_);
+    return drained;
   }
 
   /// Stops accepting submissions; queued items remain poppable so the

@@ -228,6 +228,7 @@ ServiceStats ShardRouter::stats() const {
     merged.stability_repacks += s.stability_repacks;
     merged.budget_exceeded += s.budget_exceeded;
     merged.snapshots += s.snapshots;
+    merged.wal_commits += s.wal_commits;
     merged.wal_errors += s.wal_errors;
     merged.warm_allocs += s.warm_allocs;
     merged.p50_ms = std::max(merged.p50_ms, s.p50_ms);

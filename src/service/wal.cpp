@@ -209,17 +209,24 @@ Wal::~Wal() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-Status Wal::append(std::uint64_t sequence, const Event& event) {
+Status Wal::append(const std::vector<WalRecord>& records) {
   if (fd_ < 0) return Status{Code::kInvalid, "wal: not open"};
-  WalRecord record;
-  record.sequence = sequence;
-  record.event = event;
-  const std::string line = io::to_json(record).dump() + "\n";
-  if (Status s = write_all(fd_, line, "wal append"); !s.is_ok()) return s;
+  std::string lines;
+  for (const WalRecord& record : records) {
+    lines += io::to_json(record).dump();
+    lines += '\n';
+  }
+  if (Status s = write_all(fd_, lines, "wal append"); !s.is_ok()) return s;
   if (options_.fsync && ::fsync(fd_) != 0) {
     return errno_status("wal fsync");
   }
   return Status::ok();
+}
+
+Status Wal::append(std::uint64_t sequence, const Event& event) {
+  std::vector<WalRecord> group;
+  group.push_back(WalRecord{sequence, event});
+  return append(group);
 }
 
 Status Wal::write_snapshot(const WalSnapshot& snapshot) {

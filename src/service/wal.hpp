@@ -4,12 +4,15 @@
 // PR 4's byte-identical event log was an *observability* artifact; this
 // header promotes the idea to a real WAL. A served event is appended to
 // `<dir>/wal.log` — one compact JSON record per line, fsync'd — *before*
-// it is applied (append-before-apply), so after a crash the log contains
-// every event whose outcome was ever acknowledged, plus at most one
-// trailing event that was logged but not yet applied. Recovery replays
-// the log through the same deterministic dispatcher and lands on the
-// exact state an uninterrupted run would have reached: the solve stack
-// is a pure function of (initial platform, event sequence, options), a
+// it is applied (append-before-apply). The dispatcher commits in groups:
+// every event its queue held goes down in one write and one fsync, and
+// only then are the group's events applied and acknowledged, one at a
+// time. So after a crash the log contains every event whose outcome was
+// ever acknowledged, plus possibly the rest of the last group: events
+// that were logged but not yet applied. Recovery replays the log
+// through the same deterministic dispatcher and lands on the exact
+// state an uninterrupted run would have reached: the solve stack is a
+// pure function of (initial platform, event sequence, options), a
 // property tests/service_test.cpp has enforced since PR 4.
 //
 // Layout of a WAL directory:
@@ -29,13 +32,21 @@
 // history — the crash-recovery CI job byte-compares it against an
 // uninterrupted run's log.
 //
-// Torn writes: a crash can leave a partial final line. load() accepts
-// exactly one unparseable *trailing* record and drops it (the event was
-// never applied nor acknowledged — append-before-apply means losing it
-// is correct); an unparseable record anywhere else is corruption and
-// fails with kInvalid. Every record carries schema_version and load()
-// rejects unknown or missing versions with a typed Status (see
-// io/serialize.hpp).
+// Torn writes: a crash can cut the last group's write at any byte,
+// leaving the group's complete records before the cut and at most one
+// partial final line. load() accepts exactly one unparseable *trailing*
+// record and drops it (the event was never applied nor acknowledged —
+// append-before-apply means losing it is correct); an unparseable
+// record anywhere else is corruption and fails with kInvalid. Every
+// record carries schema_version and load() rejects unknown or missing
+// versions with a typed Status (see io/serialize.hpp).
+//
+// Known gap: a group whose write lands but whose fsync fails (or whose
+// write fails after some of its bytes landed) is reported failed, and
+// none of its events is applied, yet the bytes may still reach the disk
+// and recovery would then replay events a client was told had failed.
+// A per-event append has the same gap; closing it needs the WAL
+// fault-injection seam on the ROADMAP.
 #pragma once
 
 #include <cstdint>
@@ -128,8 +139,13 @@ class Wal {
   Wal& operator=(const Wal&) = delete;
   ~Wal();
 
-  /// Appends one record and (by default) fsyncs before returning — the
-  /// append-before-apply barrier.
+  /// Group commit: appends `records` (ascending sequences) with one
+  /// write and, by default, one fsync before returning — the
+  /// append-before-apply barrier for the whole group. On failure the
+  /// caller must apply none of them (see the known gap above).
+  Status append(const std::vector<WalRecord>& records);
+
+  /// The one-record group.
   Status append(std::uint64_t sequence, const Event& event);
 
   /// Atomically replaces `snapshot.json` (see replace_file).

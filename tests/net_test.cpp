@@ -348,6 +348,26 @@ TEST_F(ApiTest, StatsExposeStabilityCounters) {
   }
 }
 
+TEST_F(ApiTest, StatsExposeWalCounters) {
+  ASSERT_EQ(call("POST", "/v1/events", add_event_body("tenant-w")).status,
+            200);
+  auto stats = io::Json::parse(call("GET", "/v1/stats").body);
+  ASSERT_TRUE(stats.is_ok());
+  std::vector<const io::Json*> blocks{stats.value().find("merged")};
+  const io::Json* shards = stats.value().find("shards");
+  ASSERT_NE(shards, nullptr);
+  for (std::size_t i = 0; i < shards->size(); ++i) {
+    blocks.push_back(&shards->at(i));
+  }
+  for (const io::Json* block : blocks) {
+    ASSERT_NE(block, nullptr);
+    for (const char* key : {"snapshots", "wal_commits", "wal_errors"}) {
+      ASSERT_NE(block->find(key), nullptr) << key;
+      EXPECT_EQ(block->find(key)->as_number(), 0.0) << key;  // no WAL here
+    }
+  }
+}
+
 TEST_F(ApiTest, ValidBatchRunsAndReturnsOutcomes) {
   const HttpResponse response =
       call("POST", "/v1/events", add_event_body("tenant-a"));

@@ -1,13 +1,15 @@
 // Allocation-service coverage: trace generator determinism and JSON
 // round-trips, replay-log determinism (the `serve --trace` contract),
 // warm == cold solution parity on every event, cache-eviction
-// transparency, event-queue MPMC behavior, and the event error paths
-// (unknown ids, duplicates, empty pools).
+// transparency, event-queue MPMC behavior, WAL group-commit
+// transparency, and the event error paths (unknown ids, duplicates,
+// empty pools).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
 #include <optional>
@@ -721,17 +723,91 @@ TEST(AllocServer, MpmcSubmissionProcessesEveryEventExactlyOnce) {
 
 TEST(EventQueue, ClosedQueueFailsFastAndDrains) {
   EventQueue queue;
-  auto f1 = queue.push(Event::remove("a"));
+  std::vector<std::future<EventOutcome>> futures;
+  for (const char* id : {"a", "b", "c"}) {
+    futures.push_back(queue.push(Event::remove(id)));
+  }
+  // One call takes every queued item, in FIFO order.
+  std::deque<EventQueue::Item> items = queue.pop_all();
+  ASSERT_EQ(items.size(), 3u);
+  EXPECT_EQ(items[0].event.id, "a");
+  EXPECT_EQ(items[1].event.id, "b");
+  EXPECT_EQ(items[2].event.id, "c");
+  for (EventQueue::Item& item : items) item.reply.set_value(EventOutcome{});
+  for (auto& f : futures) f.get();
+
+  auto f1 = queue.push(Event::remove("d"));
   queue.close();
   // Still-queued items drain…
-  auto item = queue.pop();
-  ASSERT_TRUE(item.has_value());
-  item->reply.set_value(EventOutcome{});
+  items = queue.pop_all();
+  ASSERT_EQ(items.size(), 1u);
+  EXPECT_EQ(items[0].event.id, "d");
+  items[0].reply.set_value(EventOutcome{});
   f1.get();
-  // …then pop reports closed, and new pushes fail fast.
-  EXPECT_FALSE(queue.pop().has_value());
-  auto f2 = queue.push(Event::remove("b"));
+  // …then pop_all reports closed with an empty result, and new pushes
+  // fail fast.
+  EXPECT_TRUE(queue.pop_all().empty());
+  auto f2 = queue.push(Event::remove("e"));
   EXPECT_EQ(f2.get().status.code(), Code::kInvalid);
+}
+
+TEST(AllocServer, GroupCommitIsTransparent) {
+  // The same trace through two WAL-enabled servers: submit() in a tight
+  // loop, so the dispatcher commits many queued events per fsync, and
+  // apply(), so every commit holds one event. Grouping may change the
+  // number of fsyncs and nothing else.
+  const Trace trace = scenario::generate_trace(small_spec(200), 20190702);
+  ServerOptions options;
+  options.log_capacity = 0;
+  options.snapshot_every = 7;  // snapshots land inside groups
+  struct Run {
+    std::vector<std::string> outcomes;  // io::to_json drops `seconds`
+    ServiceStats stats;
+    std::string wal;
+    std::string snapshot;
+  };
+  const auto bytes = [](const std::string& path) {
+    StatusOr<std::string> text = io::read_file(path);
+    return text.is_ok() ? text.value() : text.status().to_string();
+  };
+  const auto run = [&](const std::string& tag, bool grouped) {
+    const test::TempDir dir(tag);
+    ServerOptions durable = options;
+    durable.wal_dir = dir.path;
+    auto server = AllocServer::open(trace.platform, durable);
+    EXPECT_TRUE(server.is_ok()) << server.status().to_string();
+    Run out;
+    if (!server.is_ok()) return out;
+    if (grouped) {
+      std::vector<std::future<EventOutcome>> futures;
+      for (const Event& event : trace.events) {
+        futures.push_back(server.value()->submit(event));
+      }
+      for (auto& f : futures) f.get();
+    } else {
+      for (const Event& event : trace.events) server.value()->apply(event);
+    }
+    server.value()->stop();
+    for (const EventOutcome& outcome : server.value()->log()) {
+      out.outcomes.push_back(io::to_json(outcome).dump());
+    }
+    out.stats = server.value()->stats();
+    out.wal = bytes(dir.path + "/wal.log");
+    out.snapshot = bytes(dir.path + "/snapshot.json");
+    return out;
+  };
+  const Run grouped = run("grouped", true);
+  const Run single = run("single", false);
+
+  ASSERT_EQ(single.outcomes.size(), trace.events.size());
+  EXPECT_EQ(grouped.outcomes, single.outcomes);
+  EXPECT_EQ(grouped.wal, single.wal);
+  EXPECT_EQ(grouped.snapshot, single.snapshot);
+  EXPECT_GT(single.stats.snapshots, 0u);
+  EXPECT_EQ(grouped.stats.snapshots, single.stats.snapshots);
+  EXPECT_EQ(single.stats.wal_commits, trace.events.size());
+  EXPECT_LT(grouped.stats.wal_commits, trace.events.size());
+  EXPECT_EQ(grouped.stats.wal_errors, 0u);
 }
 
 TEST(AllocServer, StopDrainsQueuedEvents) {

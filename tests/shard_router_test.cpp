@@ -1,10 +1,9 @@
 // ShardRouter coverage: the pinned hash and partition (stability is a
 // wire/WAL contract), balanced and deterministic routing, per-shard
-// equivalence with standalone servers, resize broadcast, and WAL
-// recovery of a sharded deployment, including the layout record that
-// guards it.
+// equivalence with standalone servers, resize broadcast, merged WAL
+// counters, and WAL recovery of a sharded deployment, including the
+// layout record that guards it.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <filesystem>
@@ -25,19 +24,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct TempDir {
-  explicit TempDir(const std::string& tag) {
-    path = (fs::temp_directory_path() /
-            ("mfa_router_test_" + tag + "_" + std::to_string(::getpid())))
-               .string();
-    fs::remove_all(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
+using test::TempDir;
 
 scenario::Trace small_trace(int events, std::uint64_t seed = 71) {
   scenario::TraceSpec spec;
@@ -245,6 +232,28 @@ TEST(ShardRouter, RecoversEveryShardFromWalRoot) {
   }
   EXPECT_EQ(recovered.value()->active_pipelines(), active);
   recovered.value()->stop();
+}
+
+TEST(ShardRouter, StatsSumEveryShardsWalCommits) {
+  // apply() waits for each event, so every WAL commit holds one event
+  // and a shard's commits equal its event count (a broadcast resize
+  // counts on every shard); the merged count is their sum.
+  const TempDir dir("commits");
+  const scenario::Trace trace = small_trace(14);
+  RouterOptions options;
+  options.shards = 2;
+  options.wal_root = dir.path;
+  auto router = ShardRouter::open(trace.platform, options);
+  ASSERT_TRUE(router.is_ok()) << router.status().to_string();
+  for (const Event& event : trace.events) router.value()->apply(event);
+  router.value()->stop();
+  std::uint64_t commits = 0;
+  for (const ServiceStats& s : router.value()->shard_stats()) {
+    EXPECT_EQ(s.wal_commits, s.sequence);
+    commits += s.wal_commits;
+  }
+  EXPECT_GE(commits, trace.events.size());
+  EXPECT_EQ(router.value()->stats().wal_commits, commits);
 }
 
 TEST(ShardRouter, RecoverRejectsShardCountMismatch) {

@@ -1,14 +1,38 @@
 // Shared helpers for the mfalloc test suite: seeded random problem
-// instances (small enough for the naive oracle) and convenience builders.
+// instances (small enough for the naive oracle), convenience builders,
+// and temporary directories for the WAL tests.
 #pragma once
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <random>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/problem.hpp"
 
 namespace mfa::test {
+
+/// Fresh directory under the system temp dir, unique per test
+/// process and tag, removed on destruction.
+struct TempDir {
+  explicit TempDir(const std::string& tag)
+      : path((std::filesystem::temp_directory_path() /
+              ("mfa_test_" + tag + "_" + std::to_string(::getpid())))
+                 .string()) {
+    std::filesystem::remove_all(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path, ec);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  std::string path;
+};
 
 /// Deterministic kernel builder (BRAM/DSP axes, % of one FPGA).
 inline core::Kernel make_kernel(const std::string& name, double wcet_ms,

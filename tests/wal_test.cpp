@@ -1,15 +1,15 @@
 // WAL + crash-recovery coverage: log/snapshot round-trips, torn-tail
-// tolerance, corruption detection, and the headline guarantee — a
-// server recovered from its WAL (including after a real SIGKILL) is
-// byte-identical to one that never crashed.
+// and torn-group tolerance, corruption detection, and the headline
+// guarantee — a server recovered from its WAL (including after a real
+// SIGKILL) is byte-identical to one that never crashed.
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
@@ -25,22 +25,7 @@
 namespace mfa::service {
 namespace {
 
-namespace fs = std::filesystem;
-
-/// Fresh scratch directory per test, removed on destruction.
-struct TempDir {
-  explicit TempDir(const std::string& tag) {
-    path = (fs::temp_directory_path() /
-            ("mfa_wal_test_" + tag + "_" + std::to_string(::getpid())))
-               .string();
-    fs::remove_all(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-  std::string path;
-};
+using test::TempDir;
 
 scenario::Trace small_trace(int events, std::uint64_t seed = 20190702) {
   scenario::TraceSpec spec;
@@ -79,6 +64,16 @@ std::string incumbent_json(const AllocServer& server) {
   const std::optional<runtime::SolveResult> inc = server.incumbent();
   if (!inc.has_value() || !inc->allocation.has_value()) return "";
   return io::to_json(*inc->allocation).dump() + "|" + inc->winner;
+}
+
+/// A server's retained outcomes, each without its wall-clock `seconds`
+/// (io::to_json drops it) — every other field, counters included.
+std::vector<std::string> outcome_log(const AllocServer& server) {
+  std::vector<std::string> out;
+  for (const EventOutcome& outcome : server.log()) {
+    out.push_back(io::to_json(outcome).dump());
+  }
+  return out;
 }
 
 TEST(Wal, AppendLoadRoundTrip) {
@@ -130,6 +125,106 @@ TEST(Wal, TornTrailingRecordIsDropped) {
   ASSERT_TRUE(recovery.is_ok()) << recovery.status().to_string();
   EXPECT_EQ(recovery.value().tail.size(), trace.events.size() - 1);
   EXPECT_EQ(recovery.value().next_sequence, trace.events.size() - 1);
+}
+
+TEST(Wal, TornGroupKeepsEveryCompleteRecord) {
+  // A group commit is one write, and a crash can cut it at any byte.
+  // Record 0 is committed alone, records 1.. as one group; the log is
+  // then truncated at every byte offset inside that group.
+  const TempDir dir("torngroup");
+  const scenario::Trace trace = small_trace(10);
+  const std::string log_path = dir.path + "/wal.log";
+  std::size_t group_start = 0;
+  {
+    auto wal = Wal::create(dir.path, trace.platform);
+    ASSERT_TRUE(wal.is_ok()) << wal.status().to_string();
+    ASSERT_TRUE(wal.value().append(0, trace.events[0]).is_ok());
+    group_start = read_all(log_path).size();
+    std::vector<WalRecord> group;
+    for (std::size_t i = 1; i < trace.events.size(); ++i) {
+      group.push_back(WalRecord{i, trace.events[i]});
+    }
+    ASSERT_TRUE(wal.value().append(group).is_ok());
+  }
+  const std::string bytes = read_all(log_path);
+  // Record i is the line [starts[i], ends[i]), terminated by '\n'.
+  std::vector<std::size_t> starts;
+  std::vector<std::size_t> ends;
+  for (std::size_t pos = bytes.find('\n') + 1; pos < bytes.size();) {
+    const std::size_t newline = bytes.find('\n', pos);
+    ASSERT_NE(newline, std::string::npos);
+    starts.push_back(pos);
+    ends.push_back(newline);
+    pos = newline + 1;
+  }
+  ASSERT_EQ(starts.size(), trace.events.size());
+  ASSERT_EQ(starts[1], group_start);
+  std::vector<std::string> events;
+  for (const Event& event : trace.events) {
+    events.push_back(io::to_json(event).dump());
+  }
+  const auto cut_at = [&](std::size_t offset) {
+    std::ofstream(log_path, std::ios::binary | std::ios::trunc)
+        << bytes.substr(0, offset);
+  };
+  // Records whose JSON lies wholly before the cut. A record cut just
+  // before its newline still parses, so it counts as complete.
+  const auto complete_before = [&ends](std::size_t offset) {
+    return static_cast<std::size_t>(
+        std::upper_bound(ends.begin(), ends.end(), offset) - ends.begin());
+  };
+
+  for (std::size_t cut = group_start; cut <= bytes.size(); ++cut) {
+    cut_at(cut);
+    const std::size_t complete = complete_before(cut);
+    auto recovery = Wal::load(dir.path);
+    ASSERT_TRUE(recovery.is_ok())
+        << "cut at " << cut << ": " << recovery.status().to_string();
+    const std::vector<WalRecord>& tail = recovery.value().tail;
+    ASSERT_EQ(tail.size(), complete) << "cut at " << cut;
+    EXPECT_EQ(recovery.value().next_sequence, complete) << "cut at " << cut;
+    for (std::size_t i = 0; i < complete; ++i) {
+      EXPECT_EQ(tail[i].sequence, i) << "cut at " << cut;
+      EXPECT_EQ(io::to_json(tail[i].event).dump(), events[i])
+          << "cut at " << cut;
+    }
+  }
+
+  // Recovery from a cut at each record boundary and mid-way through
+  // each record lands where an uninterrupted server fed the surviving
+  // prefix does: same incumbent, same outcome log.
+  std::vector<std::string> prefix_incumbent{""};
+  std::vector<std::vector<std::string>> prefix_log{{}};
+  {
+    ServerOptions plain;
+    plain.log_capacity = 0;
+    AllocServer uninterrupted(trace.platform, plain);
+    for (const Event& event : trace.events) {
+      uninterrupted.apply(event);
+      prefix_incumbent.push_back(incumbent_json(uninterrupted));
+      prefix_log.push_back(outcome_log(uninterrupted));
+    }
+  }
+  std::vector<std::size_t> recovery_cuts;
+  for (std::size_t i = 1; i < starts.size(); ++i) {
+    recovery_cuts.push_back(starts[i]);
+    recovery_cuts.push_back(starts[i] + (ends[i] - starts[i]) / 2);
+  }
+  recovery_cuts.push_back(bytes.size());
+  for (const std::size_t cut : recovery_cuts) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    cut_at(cut);
+    const std::size_t complete = complete_before(cut);
+    ServerOptions options;
+    options.wal_dir = dir.path;
+    options.log_capacity = 0;
+    auto recovered = AllocServer::recover(options);
+    ASSERT_TRUE(recovered.is_ok()) << recovered.status().to_string();
+    recovered.value()->stop();
+    EXPECT_EQ(recovered.value()->stats().sequence, complete);
+    EXPECT_EQ(incumbent_json(*recovered.value()), prefix_incumbent[complete]);
+    EXPECT_EQ(outcome_log(*recovered.value()), prefix_log[complete]);
+  }
 }
 
 TEST(Wal, CorruptMiddleRecordIsRejected) {
