@@ -1,27 +1,24 @@
-// Serving-path benchmark: warm-started incremental re-solves vs cold,
-// and the price of durability.
+// Serving-path benchmark: the default per-event re-solve, and the
+// price of durability.
 //
-// Replays one seeded arrival trace (scenario/trace.hpp) through two
-// AllocServers on the default solver configuration that differ only in
-// ServerOptions::warm_start. The warm server seeds every event's root
-// bisection from the incumbent allocation's ÎI; the cold server
-// re-solves each event from scratch. Both run the same sharded
-// capacity-bounded cache configuration, so the comparison isolates the
-// warm start itself.
+// Replays one seeded arrival trace (scenario/trace.hpp) through an
+// AllocServer on the default configuration (ServerOptions{}): every
+// event's composite is re-solved from scratch by the portfolio's GP+A
+// lanes, through the server's sharded capacity-bounded caches.
 //
-// Reported per mode: wall-clock replay time, mean/p50/p95/p99/max
+// Reported per replay: wall-clock replay time, mean/p50/p95/p99/max
 // per-event latency, B&B nodes, relaxation-cache hits and the warm-path
 // allocation count.
 //
-// A third replay runs the warm configuration with a write-ahead log
+// A second replay runs the same configuration with a write-ahead log
 // (fsync on) to price durability: the WAL column reports the same
 // latency metrics, so the append-before-apply overhead is visible per
 // event rather than hidden in the daemon.
 //
 // `--check` exits non-zero when a gate fails:
 //   * the WAL replay's deterministic event log must be byte-identical
-//     to the non-WAL warm replay — durability is observability-free
-//     (the property crash recovery rides on), and
+//     to the plain replay — durability is observability-free (the
+//     property crash recovery rides on), and
 //   * zero heap allocations inside warm delta application — the runtime
 //     half of the zero-allocation warm path (support/alloc_count.hpp).
 //     Enforced when the counting interposer is linked
@@ -79,10 +76,9 @@ double percentile(std::vector<double> v, double p) {
 /// One full trace replay. A non-empty `wal_dir` runs the durable path
 /// (AllocServer::open, fsync'd append-before-apply) so the WAL column
 /// prices exactly what the daemon pays.
-ReplayStats replay(const mfa::scenario::Trace& trace, bool warm_start,
+ReplayStats replay(const mfa::scenario::Trace& trace,
                    const std::string& wal_dir = "") {
   mfa::service::ServerOptions options;
-  options.warm_start = warm_start;
   options.wal_dir = wal_dir;
 
   ReplayStats stats;
@@ -129,75 +125,58 @@ void write_json(const std::string& path, const mfa::io::Json& doc) {
   }
 }
 
-void emit_json(int events, const ReplayStats& cold, const ReplayStats& warm,
-               const ReplayStats& wal) {
+void emit_json(int events, const ReplayStats& plain, const ReplayStats& wal) {
   const char* dir = std::getenv("MFA_BENCH_OUT");
   if (dir == nullptr || *dir == '\0') return;
   mfa::io::Json doc = mfa::io::Json::object();
   doc.set("bench", mfa::io::Json::string("service_churn"));
   doc.set("events", mfa::io::Json::number(events));
-  doc.set("cold_seconds", mfa::io::Json::number(cold.seconds));
-  doc.set("warm_seconds", mfa::io::Json::number(warm.seconds));
-  doc.set("cold_mean_event_ms", mfa::io::Json::number(cold.mean_event_ms));
-  doc.set("warm_mean_event_ms", mfa::io::Json::number(warm.mean_event_ms));
-  doc.set("cold_nodes", mfa::io::Json::number(static_cast<double>(cold.nodes)));
-  doc.set("warm_nodes", mfa::io::Json::number(static_cast<double>(warm.nodes)));
-  doc.set("cold_relax_hits",
-          mfa::io::Json::number(static_cast<double>(cold.relax.hits)));
-  doc.set("warm_relax_hits",
-          mfa::io::Json::number(static_cast<double>(warm.relax.hits)));
-  // Durability pricing: same warm configuration, WAL on (fsync).
+  doc.set("seconds", mfa::io::Json::number(plain.seconds));
+  doc.set("mean_event_ms", mfa::io::Json::number(plain.mean_event_ms));
+  doc.set("p95_event_ms", mfa::io::Json::number(plain.p95_event_ms));
+  doc.set("p99_event_ms", mfa::io::Json::number(plain.p99_event_ms));
+  doc.set("max_event_ms", mfa::io::Json::number(plain.max_event_ms));
+  doc.set("nodes", mfa::io::Json::number(static_cast<double>(plain.nodes)));
+  doc.set("relax_hits",
+          mfa::io::Json::number(static_cast<double>(plain.relax.hits)));
+  // Durability pricing: same configuration, WAL on (fsync).
   doc.set("wal_seconds", mfa::io::Json::number(wal.seconds));
   doc.set("wal_mean_event_ms", mfa::io::Json::number(wal.mean_event_ms));
   doc.set("wal_p95_event_ms", mfa::io::Json::number(wal.p95_event_ms));
   doc.set("wal_overhead_ratio",
-          mfa::io::Json::number(warm.mean_event_ms > 0.0
-                                    ? wal.mean_event_ms / warm.mean_event_ms
+          mfa::io::Json::number(plain.mean_event_ms > 0.0
+                                    ? wal.mean_event_ms / plain.mean_event_ms
                                     : 0.0));
   doc.set("wal_log_identical",
-          mfa::io::Json::boolean(wal.log_digest == warm.log_digest));
-  // Tail latency and the zero-allocation gate's inputs.
-  doc.set("warm_p95_event_ms", mfa::io::Json::number(warm.p95_event_ms));
-  doc.set("warm_p99_event_ms", mfa::io::Json::number(warm.p99_event_ms));
-  doc.set("warm_max_event_ms", mfa::io::Json::number(warm.max_event_ms));
+          mfa::io::Json::boolean(wal.log_digest == plain.log_digest));
+  // The zero-allocation gate's inputs.
   doc.set("alloc_counting_linked",
           mfa::io::Json::boolean(mfa::alloc_counting_linked()));
+  const std::uint64_t warm_allocs = plain.warm_allocs + wal.warm_allocs;
   doc.set("warm_allocs",
-          mfa::io::Json::number(static_cast<double>(
-              cold.warm_allocs + warm.warm_allocs + wal.warm_allocs)));
+          mfa::io::Json::number(static_cast<double>(warm_allocs)));
   write_json(std::string(dir) + "/BENCH_service_churn.json", doc);
 }
 
-void print_mode_table(const ReplayStats& cold, const ReplayStats& warm,
-                      const ReplayStats& wal) {
-  const auto row_i = [](const char* name, std::int64_t c, std::int64_t w,
-                        std::int64_t d) {
-    std::printf("%-28s %14lld %14lld %14lld\n", name,
-                static_cast<long long>(c), static_cast<long long>(w),
-                static_cast<long long>(d));
+void print_table(const ReplayStats& plain, const ReplayStats& wal) {
+  const auto row_i = [](const char* name, std::int64_t p, std::int64_t w) {
+    std::printf("%-28s %14lld %14lld\n", name, static_cast<long long>(p),
+                static_cast<long long>(w));
   };
-  const auto row_f = [](const char* name, double c, double w, double d) {
-    std::printf("%-28s %14.3f %14.3f %14.3f\n", name, c, w, d);
+  const auto row_f = [](const char* name, double p, double w) {
+    std::printf("%-28s %14.3f %14.3f\n", name, p, w);
   };
-  std::printf("%-28s %14s %14s %14s\n", "metric", "cold", "warm",
-              "warm+wal");
-  row_i("B&B nodes", cold.nodes, warm.nodes, wal.nodes);
-  row_f("replay seconds", cold.seconds, warm.seconds, wal.seconds);
-  row_f("mean event latency (ms)", cold.mean_event_ms, warm.mean_event_ms,
-        wal.mean_event_ms);
-  row_f("p50 event latency (ms)", cold.p50_event_ms, warm.p50_event_ms,
-        wal.p50_event_ms);
-  row_f("p95 event latency (ms)", cold.p95_event_ms, warm.p95_event_ms,
-        wal.p95_event_ms);
-  row_f("p99 event latency (ms)", cold.p99_event_ms, warm.p99_event_ms,
-        wal.p99_event_ms);
-  row_f("max event latency (ms)", cold.max_event_ms, warm.max_event_ms,
-        wal.max_event_ms);
-  row_i("warm-path allocations", static_cast<std::int64_t>(cold.warm_allocs),
-        static_cast<std::int64_t>(warm.warm_allocs),
+  std::printf("%-28s %14s %14s\n", "metric", "default", "default+wal");
+  row_i("B&B nodes", plain.nodes, wal.nodes);
+  row_f("replay seconds", plain.seconds, wal.seconds);
+  row_f("mean event latency (ms)", plain.mean_event_ms, wal.mean_event_ms);
+  row_f("p50 event latency (ms)", plain.p50_event_ms, wal.p50_event_ms);
+  row_f("p95 event latency (ms)", plain.p95_event_ms, wal.p95_event_ms);
+  row_f("p99 event latency (ms)", plain.p99_event_ms, wal.p99_event_ms);
+  row_f("max event latency (ms)", plain.max_event_ms, wal.max_event_ms);
+  row_i("warm-path allocations", static_cast<std::int64_t>(plain.warm_allocs),
         static_cast<std::int64_t>(wal.warm_allocs));
-  row_i("relaxation cache hits", static_cast<std::int64_t>(cold.relax.hits),
-        static_cast<std::int64_t>(warm.relax.hits),
+  row_i("relaxation cache hits", static_cast<std::int64_t>(plain.relax.hits),
         static_cast<std::int64_t>(wal.relax.hits));
 }
 
@@ -224,37 +203,33 @@ int main(int argc, char** argv) {
   std::printf("service_churn: %d events, %d-FPGA pool (seed fixed)\n\n",
               events, trace.platform.num_fpgas);
 
-  const ReplayStats cold = replay(trace, /*warm_start=*/false);
-  const ReplayStats warm = replay(trace, /*warm_start=*/true);
+  const ReplayStats plain = replay(trace);
 
-  // Durable replay: same warm configuration plus a fsync'd WAL in a
-  // scratch directory, removed afterwards.
+  // Durable replay: same configuration plus a fsync'd WAL in a scratch
+  // directory, removed afterwards.
   char wal_template[] = "/tmp/mfa_churn_wal_XXXXXX";
   const char* wal_dir = ::mkdtemp(wal_template);
   if (wal_dir == nullptr) {
     std::fprintf(stderr, "fatal: mkdtemp failed\n");
     return 1;
   }
-  const ReplayStats wal = replay(trace, /*warm_start=*/true, wal_dir);
+  const ReplayStats wal = replay(trace, wal_dir);
   {
     std::error_code ec;
     std::filesystem::remove_all(wal_dir, ec);
   }
 
-  print_mode_table(cold, warm, wal);
-  const bool wal_identical = wal.log_digest == warm.log_digest;
-  std::printf("\nheadline: warm mean event latency %.3f ms vs cold %.3f ms "
-              "(B&B nodes warm %lld, cold %lld)\n",
-              warm.mean_event_ms, cold.mean_event_ms,
-              static_cast<long long>(warm.nodes),
-              static_cast<long long>(cold.nodes));
-  std::printf("durability: WAL replay %.2fx warm mean event latency, "
+  print_table(plain, wal);
+  const bool wal_identical = wal.log_digest == plain.log_digest;
+  std::printf("\nheadline: mean event latency %.3f ms, B&B nodes %lld\n",
+              plain.mean_event_ms, static_cast<long long>(plain.nodes));
+  std::printf("durability: WAL replay %.2fx mean event latency, "
               "event log byte-identical: %s\n",
-              warm.mean_event_ms > 0.0
-                  ? wal.mean_event_ms / warm.mean_event_ms
+              plain.mean_event_ms > 0.0
+                  ? wal.mean_event_ms / plain.mean_event_ms
                   : 0.0,
               wal_identical ? "yes" : "NO");
-  emit_json(events, cold, warm, wal);
+  emit_json(events, plain, wal);
   if (check) {
     int rc = 0;
     if (!wal_identical) {
@@ -268,7 +243,7 @@ int main(int argc, char** argv) {
     // rule; this is the runtime witness.
     if (mfa::alloc_counting_linked()) {
       const std::uint64_t total_warm_allocs =
-          cold.warm_allocs + warm.warm_allocs + wal.warm_allocs;
+          plain.warm_allocs + wal.warm_allocs;
       if (total_warm_allocs != 0) {
         std::printf("FAIL: warm deltas performed %llu heap allocations "
                     "(expected 0)\n",

@@ -17,7 +17,7 @@
 // additionally writes the *deterministic* event log (no wall-clock
 // fields), byte-identical across runs for a fixed trace and thread
 // count. `post` speaks the versioned wire API (net/api.hpp): events go
-// up in batches as {"schema_version":2,"events":[...]}, outcomes come
+// up in batches as {"schema_version":3,"events":[...]}, outcomes come
 // back per event; `--resume` asks GET /v1/stats how far the daemon got
 // (e.g. after a crash + `mfallocd --recover`) and continues from there.
 //
@@ -344,7 +344,6 @@ int cmd_serve(const ArgParser& args) {
   }
 
   mfa::service::ServerOptions options;
-  options.warm_start = !args.flag_set("cold");
   options.portfolio.run_exact = args.flag_set("exact");
   const auto jobs = args.int_or("jobs", options.solver_threads, 0, 4096);
   if (!jobs.is_ok()) return flag_error(args, jobs.status());
@@ -372,7 +371,6 @@ int cmd_serve(const ArgParser& args) {
   mfa::io::Json doc = mfa::io::Json::object();
   doc.set("events",
           mfa::io::Json::number(static_cast<double>(outcomes.size())));
-  doc.set("warm_start", mfa::io::Json::boolean(options.warm_start));
   double total_s = 0.0;
   double max_s = 0.0;
   mfa::io::Json per_event = mfa::io::Json::array();

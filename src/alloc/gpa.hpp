@@ -26,8 +26,7 @@ namespace mfa::alloc {
 
 struct GpaOptions {
   /// Warm start for the *root* relaxation, typically a related solve's
-  /// (ÎI, N̂) — the allocation service seeds each event's re-solve from
-  /// its incumbent. The root bisection probes warm->ii once as a bracket
+  /// (ÎI, N̂). The root bisection probes warm->ii once as a bracket
   /// end. Always safe: a useless seed only costs the probe. Cache keys
   /// fold the seed in, so warm entries never alias cold ones.
   std::optional<core::RelaxedSolution> warm;

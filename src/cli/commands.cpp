@@ -62,7 +62,6 @@ void declare_serve(ArgParser& p) {
   p.option("trace", "trace.json", "arrival trace to replay",
            /*required=*/true)
       .option("jobs", "N", "solver threads (1 = deterministic lanes)")
-      .flag("cold", "disable the incumbent warm start")
       .option("log", "out.json", "also write the deterministic event log")
       .flag("exact", "add the budgeted exact lane per event")
       .option("max-moves", "K",

@@ -1,7 +1,7 @@
 // Structural fingerprints of allocation-problem instances, used as cache
 // keys. The 128-bit Fingerprint primitive itself lives in
-// support/fingerprint.hpp (shared with the gp layer); this header owns
-// the problem-level hashing.
+// support/fingerprint.hpp (shared with the greedy placement cache's
+// keys, alloc/greedy.hpp); this header owns the problem-level hashing.
 //
 // relaxation_fingerprint() hashes precisely the fields the continuous
 // relaxation (core/relaxation) depends on — kernel WCET/resources/

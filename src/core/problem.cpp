@@ -4,52 +4,6 @@
 
 namespace mfa::core {
 
-std::shared_ptr<const ProblemStructure> ProblemStructure::capture(
-    const Problem& problem) {
-  auto s = std::make_shared<ProblemStructure>();
-  s->app_name = problem.app.name;
-  s->kernel_names.reserve(problem.app.size());
-  s->kernel_res.reserve(problem.app.size());
-  s->kernel_bw.reserve(problem.app.size());
-  for (const Kernel& k : problem.app.kernels) {
-    s->kernel_names.push_back(k.name);
-    s->kernel_res.push_back(k.res);
-    s->kernel_bw.push_back(k.bw);
-  }
-  return s;
-}
-
-bool ProblemStructure::matches(const Problem& problem) const {
-  if (app_name != problem.app.name) return false;
-  if (kernel_names.size() != problem.app.size()) return false;
-  for (std::size_t k = 0; k < kernel_names.size(); ++k) {
-    const Kernel& kern = problem.app.kernels[k];
-    if (kernel_names[k] != kern.name) return false;
-    for (std::size_t axis = 0; axis < kNumResources; ++axis) {
-      if (kernel_res[k].axis(axis) != kern.res.axis(axis)) return false;
-    }
-    if (kernel_bw[k] != kern.bw) return false;
-  }
-  return true;
-}
-
-void Problem::assign_numerics_from(const Problem& other) {
-  MFA_ASSERT_MSG(structure != nullptr && structure == other.structure,
-                 "assign_numerics_from across different structures");
-  MFA_ASSERT(app.kernels.size() == other.app.kernels.size());
-  for (std::size_t k = 0; k < app.kernels.size(); ++k) {
-    app.kernels[k].wcet_ms = other.app.kernels[k].wcet_ms;
-  }
-  // Copy-assignment reuses the destination's string/vector capacity, so
-  // a same-shape platform refresh (the steady state between resizes)
-  // touches no allocator.
-  platform = other.platform;
-  resource_fraction = other.resource_fraction;
-  bw_fraction = other.bw_fraction;
-  alpha = other.alpha;
-  beta = other.beta;
-}
-
 double Application::total_wcet() const {
   double acc = 0.0;
   for (const Kernel& k : kernels) acc += k.wcet_ms;

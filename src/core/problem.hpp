@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -95,50 +94,11 @@ struct Platform {
   [[nodiscard]] double fpga_bw_capacity(int f) const;
 };
 
-struct Problem;
-
-/// The immutable *structural* skeleton of a Problem — everything that
-/// identifies the kernel set but not its numbers: the application name,
-/// kernel names, per-CU resource vectors and bandwidth demands. The
-/// platform and all scalars (WCETs, fractions, α/β) are deliberately
-/// absent: they are the numeric side that warm events (Reprioritize,
-/// ResizePlatform) patch in place.
-///
-/// Shared-ptr-owned and never mutated after capture(): holders of
-/// structurally identical Problem snapshots share one skeleton, and
-/// pointer equality of `Problem::structure` is a constant-time witness
-/// that two instances differ only in numerics — which is what lets
-/// assign_numerics_from() refresh a snapshot buffer without touching
-/// (or allocating) any structural field. See service/composite.hpp for
-/// the publish-ring consumer.
-struct ProblemStructure {
-  std::string app_name;
-  std::vector<std::string> kernel_names;
-  std::vector<ResourceVec> kernel_res;
-  std::vector<double> kernel_bw;
-
-  /// Captures `problem`'s current structural fields into a fresh
-  /// immutable skeleton.
-  static std::shared_ptr<const ProblemStructure> capture(
-      const Problem& problem);
-
-  /// Deep field-by-field check that `problem`'s structural fields still
-  /// match this skeleton — the honesty test behind the pointer-equality
-  /// fast path (asserted in debug paths and unit tests).
-  [[nodiscard]] bool matches(const Problem& problem) const;
-};
-
 /// A complete problem instance: application + platform + constraint
 /// fractions + objective weights.
 struct Problem {
   Application app;
   Platform platform;
-
-  /// Optional shared structural skeleton (see ProblemStructure). Null
-  /// for ad-hoc instances; the composite builder keeps it bound so
-  /// snapshot buffers can be refreshed numerics-only. Copies share the
-  /// skeleton; structural edits must re-capture().
-  std::shared_ptr<const ProblemStructure> structure;
 
   /// The swept "Resource Constraint (%)" of Figs. 2–5, as a fraction of
   /// the platform capacity applied uniformly to all resource axes (R in
@@ -201,15 +161,6 @@ struct Problem {
   /// assignment, and at least one CU of every kernel placeable on some
   /// FPGA (a necessary feasibility condition).
   [[nodiscard]] Status validate() const;
-
-  /// Copies `other`'s numeric side — WCETs, platform, fractions, α/β —
-  /// into this instance, leaving every structural field untouched.
-  /// Requires both instances to carry the *same* structure skeleton
-  /// (pointer equality), which guarantees names/res/bw already agree,
-  /// so the result is byte-identical to a full copy of `other`.
-  /// Existing string/vector capacity is reused: refreshing a snapshot
-  /// buffer of unchanged shape performs no heap allocation.
-  void assign_numerics_from(const Problem& other);
 };
 
 }  // namespace mfa::core

@@ -484,7 +484,6 @@ Json to_json(const service::EventOutcome& o) {
   j.set("status", Json::string(o.status.to_string()));
   j.set("solve_status", Json::string(o.solve_status.to_string()));
   j.set("active", Json::number(static_cast<double>(o.active_pipelines)));
-  j.set("warm", Json::boolean(o.solve.warm_started));
   j.set("ii_ms", Json::number(o.solve.ii));
   j.set("phi", Json::number(o.solve.phi));
   j.set("goal", Json::number(o.solve.goal));

@@ -32,15 +32,17 @@
 // payload corpus enforcing exactly that).
 //
 // Versioning: every payload this header *writes* carries a top-level
-// "schema_version" (currently 2). Readers accept every version from 1
+// "schema_version" (currently 3). Readers accept every version from 1
 // to the current one and, for the formats that predate versioning
 // (problem, trace, allocation), a missing field — those parse as legacy
 // v0 with unchanged semantics. Version 2 dropped the GP compilation
 // counters (gp_compiles, gp_patches, model_hits, model_misses) from
-// event outcomes and service stats; every input format reads the same
-// in both versions. Formats born versioned (WAL records, wire-API
-// bodies) require the field. An unknown or malformed version is a
-// typed Code::kInvalid, never a guess.
+// event outcomes and service stats; version 3 dropped "warm" (the
+// server no longer seeds a re-solve from its incumbent) from event
+// outcomes. Every input format reads the same in all three versions.
+// Formats born versioned (WAL records, wire-API bodies) require the
+// field. An unknown or malformed version is a typed Code::kInvalid,
+// never a guess.
 // Service traces (the `gentrace` / `serve --trace` formats) are a
 // platform plus an event list; each event carries exactly its payload:
 //
@@ -64,7 +66,7 @@
 namespace mfa::io {
 
 /// Version stamped into every payload written by this layer.
-inline constexpr int kSchemaVersion = 2;
+inline constexpr int kSchemaVersion = 3;
 
 /// Validates `j`'s "schema_version" against kSchemaVersion. A missing
 /// field is accepted as legacy v0 unless `required` (new formats);

@@ -85,9 +85,8 @@ struct SolveRequest {
   /// Overrides the batch-level portfolio configuration when set.
   std::optional<PortfolioOptions> options;
   /// Warm start for the GP+A lanes' root relaxation, typically the
-  /// incumbent of a closely related solve (the allocation service seeds
-  /// each event's re-solve from the previous allocation's ÎI and N̂).
-  /// Exact/naive lanes ignore it. Always safe: a stale seed only costs
+  /// `relaxed` result of a closely related solve. Exact/naive lanes
+  /// ignore it. Always safe: a stale seed only costs
   /// one feasibility probe, never correctness — the root solver
   /// converges to the same optimum and cache keys fold the seed in.
   std::optional<core::RelaxedSolution> warm;

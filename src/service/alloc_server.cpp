@@ -96,6 +96,7 @@ StatusOr<std::unique_ptr<AllocServer>> AllocServer::recover(
       recovery.initial_platform, std::move(options), DeferStart{}));
   if (Status s = server->restore(recovery); !s.is_ok()) return s;
   StatusOr<Wal> wal = Wal::open(server->options_.wal_dir,
+                                recovery.valid_bytes,
                                 Wal::Options{server->options_.wal_fsync});
   if (!wal.is_ok()) return wal.status();
   server->wal_.emplace(std::move(wal.value()));
@@ -116,7 +117,7 @@ Status AllocServer::restore(const WalRecovery& recovery) {
   if (recovery.snapshot) {
     // Splice the snapshotted workload in wholesale, then re-derive the
     // incumbent with one solve: the incumbent is a pure function of
-    // (platform, live pipelines, options) and warm starts are
+    // (platform, live pipelines, options) and the caches are
     // byte-transparent, so this lands on exactly the allocation the
     // uninterrupted run held at the snapshot point.
     LockGuard lock(state_mutex_);
@@ -274,59 +275,6 @@ void AllocServer::retain_outcome(const EventOutcome& outcome) {
   }
 }
 
-std::optional<core::RelaxedSolution> AllocServer::make_warm(
-    const core::Problem& problem) const {
-  if (!options_.warm_start || last_ii_ <= 0.0) return std::nullopt;
-  core::RelaxedSolution warm;
-  warm.ii = last_ii_;
-  warm.n_hat.reserve(problem.num_kernels());
-  for (const PipelineSpec& pipe : pipelines_) {
-    auto it = last_totals_.find(pipe.id);
-    for (std::size_t k = 0; k < pipe.app.kernels.size(); ++k) {
-      if (it != last_totals_.end() && k < it->second.size()) {
-        // Surviving pipeline: carry its previous N̂ over.
-        warm.n_hat.push_back(it->second[k]);
-      } else {
-        // New arrival: the CU count that would meet the incumbent ÎI.
-        const double wcet = pipe.app.kernels[k].wcet_ms * pipe.weight;
-        warm.n_hat.push_back(std::max(1.0, wcet / last_ii_));
-      }
-    }
-  }
-
-  // Pull the seed inside the *new* composite's pooled constraints: a
-  // fresh arrival's N̂ rides on top of the survivors', which can
-  // overshoot the pool. Scaling N̂ by s < 1 and ÎI by 1/s preserves the
-  // latency products ÎI·N̂_k, so the scaled seed stays latency-feasible
-  // while re-entering the resource region (the 0.95 margin keeps it
-  // strictly interior). The scaled ÎI is the hint the root bisection
-  // probes first.
-  const core::ResourceVec pooled = problem.pooled_cap();
-  double scale = 1.0;
-  for (std::size_t axis = 0; axis < core::kNumResources; ++axis) {
-    if (pooled.axis(axis) <= 0.0) continue;
-    double used = 0.0;
-    for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-      used += warm.n_hat[k] * problem.app.kernels[k].res.axis(axis);
-    }
-    if (used > 0.0) {
-      scale = std::min(scale, 0.95 * pooled.axis(axis) / used);
-    }
-  }
-  double bw_used = 0.0;
-  for (std::size_t k = 0; k < problem.num_kernels(); ++k) {
-    bw_used += warm.n_hat[k] * problem.app.kernels[k].bw;
-  }
-  if (bw_used > 0.0 && problem.pooled_bw_cap() > 0.0) {
-    scale = std::min(scale, 0.95 * problem.pooled_bw_cap() / bw_used);
-  }
-  if (scale < 1.0) {
-    warm.ii /= scale;
-    for (double& n : warm.n_hat) n *= scale;
-  }
-  return warm;
-}
-
 void AllocServer::resolve_workload(EventOutcome& outcome) {
   // Sample this server's own relaxation cache around the solve so the
   // outcome records what this event actually paid for (with sequential
@@ -335,8 +283,6 @@ void AllocServer::resolve_workload(EventOutcome& outcome) {
   const auto relax0 = cache_.stats();
   runtime::SolveRequest request;
   request.problem = composite_.snapshot();
-  request.warm = make_warm(*request.problem);
-  outcome.solve.warm_started = request.warm.has_value();
   runtime::SolveResult result = portfolio_->solve(request);
   outcome.solve_status = result.status;
   outcome.solve.nodes = result.nodes;
@@ -350,26 +296,6 @@ void AllocServer::resolve_workload(EventOutcome& outcome) {
     outcome.diff =
         occupancy_.diff_against(pipelines_, *result.allocation, outcome.id);
     apply_stability(result, outcome);
-    // Refresh the warm seed: the winning lane's root relaxation
-    // (ÎI, N̂), sliced per pipeline so surviving tenants carry their N̂
-    // into the next composite. An exact-lane winner has no root; fall
-    // back to its integer totals.
-    last_totals_.clear();
-    const bool have_relaxed =
-        result.relaxed.has_value() &&
-        result.relaxed->n_hat.size() == result.allocation->num_kernels();
-    std::size_t k = 0;
-    for (const PipelineSpec& pipe : pipelines_) {
-      std::vector<double>& totals = last_totals_[pipe.id];
-      totals.reserve(pipe.app.kernels.size());
-      for (std::size_t j = 0; j < pipe.app.kernels.size(); ++j, ++k) {
-        totals.push_back(have_relaxed
-                             ? result.relaxed->n_hat[k]
-                             : static_cast<double>(
-                                   result.allocation->total_cu(k)));
-      }
-    }
-    last_ii_ = have_relaxed ? result.relaxed->ii : result.ii;
     incumbent_ = std::move(result);
     incumbent_current_ = true;
     // Occupancy moves in lock-step with the incumbent: the same update
@@ -378,11 +304,7 @@ void AllocServer::resolve_workload(EventOutcome& outcome) {
     occupancy_.update(*request.problem, pipelines_,
                       *incumbent_->allocation);
   } else {
-    // Keep serving the previous allocation (and its occupancy records);
-    // the failed state's seed data would poison the next warm start, so
-    // drop it.
-    last_totals_.clear();
-    last_ii_ = 0.0;
+    // Keep serving the previous allocation (and its occupancy records).
     incumbent_current_ = false;
   }
 }
@@ -555,7 +477,6 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
               Code::kInvalid, "unknown pipeline id: '" + event.id + "'"};
         } else {
           touched = static_cast<std::size_t>(it - pipelines_.begin());
-          last_totals_.erase(it->id);
           removed = std::move(*it);
           pipelines_.erase(it);
           composite_.remove_pipeline(touched);
@@ -615,14 +536,9 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
       incumbent_.reset();
       incumbent_current_ = true;
       occupancy_.clear();
-      last_totals_.clear();
-      last_ii_ = 0.0;
     } else {
-      // live(), not snapshot(): validation must not cycle the publish
-      // ring — in the steady state the ring alternates between the
-      // incumbent's pinned snapshot and the one being refreshed for
-      // this event's solve, and a third reference per event would force
-      // the refresh back into a full clone.
+      // Validation reads the live composite in place; only a composite
+      // that passes is copied out (snapshot()) for the solve.
       if (Status valid = composite_.live().validate();
           valid.code() == Code::kInvalid) {
         // Structurally malformed composite: apply the inverse delta and

@@ -16,15 +16,15 @@
 //    rewrites a few WCET coefficients in place, ResizePlatform swaps the
 //    platform, only Add/Remove splice the kernel set — instead of
 //    rebuilding the super-pipeline from scratch per event;
-//  * the solve is warm-started from the incumbent allocation's ÎI via
-//    SolveRequest::warm, so the root bisection starts from a bracket
-//    end one probe away instead of a cold bracket, and branch-and-bound
-//    node relaxations hit the server's RelaxationCache;
+//  * root and branch-and-bound node relaxations are memoized in the
+//    server's RelaxationCache, so a composite seen before re-solves
+//    from lookups;
 //  * Algorithm 1 placements are memoized in a server-wide GreedyCache,
 //    bounded like the RelaxationCache.
 //
-// Warm starts and both caches are pure accelerations — the solved
-// optimum matches a cold solve — and the per-event portfolio budget
+// Each event's solve itself starts from scratch, as the paper's GP+A
+// does. Both caches are pure accelerations — a hit returns exactly what
+// solving would — and the per-event portfolio budget
 // (ServerOptions::portfolio.max_nodes/max_seconds, enforced through the
 // portfolio's shared Budget when exact lanes are enabled) bounds each
 // event's latency.
@@ -43,11 +43,11 @@
 // whole group with one write and one fsync, then applies, retains and
 // acknowledges the events one at a time in sequence order, so an
 // acknowledged event is always durable. A failed group append fails
-// every event of the group, unapplied. recover()
-// rebuilds a crashed server from snapshot + log tail; because warm
-// starts and caches are byte-transparent and the dispatcher is
-// deterministic, the recovered incumbent is *byte-identical* to an
-// uninterrupted run's (the crash-recovery CI job asserts exactly that).
+// every event of the group, unapplied. recover() rebuilds a crashed
+// server from snapshot + log tail; because the caches are
+// byte-transparent and the dispatcher is deterministic, the recovered
+// incumbent is *byte-identical* to an uninterrupted run's (the
+// crash-recovery CI job asserts exactly that).
 #pragma once
 
 #include <cstddef>
@@ -58,7 +58,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/greedy.hpp"
@@ -85,9 +84,6 @@ struct ServerOptions {
   /// budgeted exact lanes would make the event log timing-dependent.
   /// Enable run_exact for proof-grade serving where latency permits.
   runtime::PortfolioOptions portfolio;
-
-  /// Seed each event's re-solve from the incumbent (see file comment).
-  bool warm_start = true;
 
   /// Shape of both server-owned memo caches, the relaxation cache and
   /// the greedy placement cache: each is sharded and capacity-bounded —
@@ -202,10 +198,11 @@ class AllocServer {
 
   /// Rebuilds a server from options.wal_dir: loads the snapshot (if
   /// any), re-solves the spliced workload once, replays the log tail
-  /// through the normal dispatcher path, then resumes appending to the
-  /// same log. The caller must pass the same solver/composite options
-  /// as the original run for the byte-identity guarantee to hold (the
-  /// pool's *shape* comes from the WAL, not from the options).
+  /// through the normal dispatcher path, then cuts a torn final line
+  /// off the log and resumes appending to it. The caller must pass the
+  /// same solver/composite options as the original run for the
+  /// byte-identity guarantee to hold (the pool's *shape* comes from the
+  /// WAL, not from the options).
   static StatusOr<std::unique_ptr<AllocServer>> recover(ServerOptions options);
 
   /// Stops accepting events, drains the queue, joins the dispatcher.
@@ -277,7 +274,7 @@ class AllocServer {
   EventOutcome process(Event event, const GroupCommit& commit)
       MFA_EXCLUDES(state_mutex_);
 
-  /// Re-solves the current composite and refreshes incumbent/seed/
+  /// Re-solves the current composite and refreshes incumbent and
   /// occupancy state, recording solve provenance and the migration diff
   /// into `outcome` (outcome.id names the event's target, "" for
   /// resize). Requires state_mutex_ held and a non-empty pipeline set.
@@ -316,12 +313,6 @@ class AllocServer {
   /// state_mutex_ held.
   void retain_outcome(const EventOutcome& outcome)
       MFA_REQUIRES(state_mutex_);
-
-  /// Warm seed for the next solve, aligned to `problem`'s kernels from
-  /// the per-pipeline totals of the previous one (nullopt on cold
-  /// starts or when disabled).
-  [[nodiscard]] std::optional<core::RelaxedSolution> make_warm(
-      const core::Problem& problem) const MFA_REQUIRES(state_mutex_);
 
   // ---- Construction-time wiring: set before the dispatcher starts,
   // immutable afterwards (or internally synchronized). No GUARDED_BY —
@@ -365,10 +356,6 @@ class AllocServer {
   /// Per-FPGA ledger + per-pipeline placement records, lock-step with
   /// incumbent_ (updated inside resolve_workload, cleared with it).
   OccupancyTracker occupancy_ MFA_GUARDED_BY(state_mutex_);
-  /// Previous solve's per-pipeline CU totals and ÎI, the warm seed.
-  std::unordered_map<std::string, std::vector<double>> last_totals_
-      MFA_GUARDED_BY(state_mutex_);
-  double last_ii_ MFA_GUARDED_BY(state_mutex_) = 0.0;
   /// Newest log_capacity outcomes.
   std::deque<EventOutcome> log_ MFA_GUARDED_BY(state_mutex_);
   std::uint64_t sequence_ MFA_GUARDED_BY(state_mutex_) = 0;

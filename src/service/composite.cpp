@@ -29,12 +29,6 @@ CompositeBuilder::CompositeBuilder(core::Platform platform,
   problem_.bw_fraction = config.bw_fraction;
   problem_.alpha = config.alpha;
   problem_.beta = config.beta;
-  rebind_structure();
-}
-
-void CompositeBuilder::rebind_structure() {
-  structure_ = core::ProblemStructure::capture(problem_);
-  problem_.structure = structure_;
 }
 
 void CompositeBuilder::add_pipeline(const PipelineSpec& pipe) {
@@ -58,7 +52,6 @@ void CompositeBuilder::insert_pipeline(std::size_t index,
   }
   ranges_.insert(ranges_.begin() + static_cast<std::ptrdiff_t>(index),
                  Range{begin, count});
-  rebind_structure();
 }
 
 void CompositeBuilder::remove_pipeline(std::size_t index) {
@@ -72,7 +65,6 @@ void CompositeBuilder::remove_pipeline(std::size_t index) {
   for (std::size_t i = index; i < ranges_.size(); ++i) {
     ranges_[i].begin -= r.count;
   }
-  rebind_structure();
 }
 
 MFA_WARM_PATH void CompositeBuilder::reprioritize(std::size_t index,
@@ -85,7 +77,7 @@ MFA_WARM_PATH void CompositeBuilder::reprioritize(std::size_t index,
   // the previous scale — so the value matches a from-scratch compose
   // bit-for-bit after any number of weight changes. The builder owns
   // problem_ by value, so these are plain double stores: no snapshot
-  // can alias the live problem (see snapshot()).
+  // aliases the live problem (snapshot() copies it).
   for (std::size_t i = 0; i < r.count; ++i) {
     problem_.app.kernels[r.begin + i].wcet_ms =
         pipe.app.kernels[i].wcet_ms * pipe.weight;
@@ -96,23 +88,8 @@ MFA_WARM_PATH void CompositeBuilder::resize_platform(core::Platform platform) {
   problem_.platform = std::move(platform);
 }
 
-std::shared_ptr<const core::Problem> CompositeBuilder::snapshot() {
-  // Round-robin over the publish ring: in the steady state the server's
-  // incumbent pins the previous event's snapshot, so alternating slots
-  // means the slot picked here was released when the event before last
-  // retired — use_count() == 1 and a numerics-only refresh suffices.
-  // Any holder that outlives two events (or a structural edit) forces a
-  // fresh copy into the slot instead; the held snapshot is never
-  // touched either way.
-  std::shared_ptr<core::Problem>& slot = publish_[next_slot_];
-  next_slot_ = (next_slot_ + 1) % publish_.size();
-  if (slot == nullptr || slot.use_count() > 1 ||
-      slot->structure != structure_) {
-    slot = std::make_shared<core::Problem>(problem_);
-  } else {
-    slot->assign_numerics_from(problem_);
-  }
-  return slot;
+std::shared_ptr<const core::Problem> CompositeBuilder::snapshot() const {
+  return std::make_shared<const core::Problem>(problem_);
 }
 
 }  // namespace mfa::service

@@ -25,20 +25,11 @@
 //
 // The builder owns the live problem *by value* — the warm deltas above
 // write doubles (or move-assign the platform) into memory nobody else
-// can see, so they are allocation-free by construction; there is no
-// copy-on-write clone left on the warm path (the old ensure_unique()).
-// snapshot() publishes through a two-slot ring of shared immutable
-// copies: each published Problem carries the builder's current
-// core::ProblemStructure skeleton, and a slot is reused with a
-// numerics-only refresh (Problem::assign_numerics_from — no allocation
-// for an unchanged shape) when nothing outside the builder still holds
-// it and its skeleton is current; otherwise the slot is replaced by a
-// fresh copy, leaving the old snapshot untouched for its holders. Two
-// slots cover the steady state exactly: the server's incumbent pins
-// event N−1's snapshot while event N publishes into the other slot.
+// can see, so they are allocation-free by construction. snapshot()
+// hands out an immutable shared copy, so a held snapshot never changes
+// under later deltas.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -96,24 +87,16 @@ class CompositeBuilder {
     return problem_.platform;
   }
 
-  /// The live composite by const reference — for validation and
-  /// inspection that must not cycle (or pin) the publish ring. Valid
-  /// only until the next mutation; callers that need to keep the
-  /// problem use snapshot().
+  /// The live composite by const reference, for validation and
+  /// inspection without a copy. Valid only until the next mutation;
+  /// callers that need to keep the problem use snapshot().
   [[nodiscard]] const core::Problem& live() const { return problem_; }
 
-  /// Shared snapshot of the current composite. The returned problem is
-  /// immutable for as long as the caller holds it: the builder only
-  /// refreshes a publish slot it is the sole owner of, and replaces the
-  /// slot (never the object) when a previous snapshot is still alive.
-  /// Byte-identical to the live problem at the time of the call.
-  [[nodiscard]] std::shared_ptr<const core::Problem> snapshot();
+  /// Immutable shared copy of the current composite, byte-identical to
+  /// the live problem at the time of the call.
+  [[nodiscard]] std::shared_ptr<const core::Problem> snapshot() const;
 
  private:
-  /// Re-captures the structure skeleton after a structural edit and
-  /// rebinds it to the live problem.
-  void rebind_structure();
-
   /// Kernel range [begin, begin + count) of one live pipeline.
   struct Range {
     std::size_t begin = 0;
@@ -122,13 +105,6 @@ class CompositeBuilder {
 
   /// The live composite, owned by value: warm deltas mutate it freely.
   core::Problem problem_;
-  /// Current structure skeleton; problem_.structure aliases it. Used as
-  /// a pointer-equality witness that a publish slot needs only a
-  /// numeric refresh.
-  std::shared_ptr<const core::ProblemStructure> structure_;
-  /// Round-robin publish ring (see file comment).
-  std::array<std::shared_ptr<core::Problem>, 2> publish_;
-  std::size_t next_slot_ = 0;
   std::vector<Range> ranges_;  ///< parallel to the server's live list
 };
 

@@ -124,10 +124,9 @@ inline const char* to_string(Event::Type type) {
 
 /// The solve half of an event's outcome: what the re-solve produced.
 struct SolveCounters {
-  bool warm_started = false;  ///< re-solve was seeded from the incumbent
-  double ii = 0.0;            ///< incumbent II after the event (ms)
-  double phi = 0.0;           ///< incumbent spreading after the event
-  double goal = 0.0;          ///< incumbent α·II + β·φ after the event
+  double ii = 0.0;    ///< incumbent II after the event (ms)
+  double phi = 0.0;   ///< incumbent spreading after the event
+  double goal = 0.0;  ///< incumbent α·II + β·φ after the event
   /// Discretized CU totals of the composite allocation, in composite
   /// kernel order (empty when there is no incumbent).
   std::vector<int> totals;
@@ -145,8 +144,10 @@ struct SolveCounters {
 struct CacheCounters {
   /// Delta class the event applied to the composite problem.
   CompositeDelta delta = CompositeDelta::kNone;
-  /// Relaxation-cache hits during the event's solve (lanes 2..n of the
-  /// portfolio replaying lane 1's root).
+  /// Relaxation-cache hits during the event's solve: root and
+  /// branch-and-bound node relaxations found in the server's cache,
+  /// whether stored by an earlier lane of this solve or by an earlier
+  /// event.
   std::uint64_t relax_hits = 0;
 };
 

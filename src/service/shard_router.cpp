@@ -91,8 +91,6 @@ EventOutcome merge_outcomes(std::vector<EventOutcome> outcomes) {
     if (merged.solve_status.is_ok() && !o.solve_status.is_ok()) {
       merged.solve_status = o.solve_status;
     }
-    merged.solve.warm_started =
-        merged.solve.warm_started && o.solve.warm_started;
     merged.solve.nodes += o.solve.nodes;
     merged.cache.relax_hits += o.cache.relax_hits;
     merged.diff.computed = merged.diff.computed || o.diff.computed;

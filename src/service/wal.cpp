@@ -77,11 +77,29 @@ StatusOr<Wal> Wal::create(const std::string& dir,
   return wal;
 }
 
-StatusOr<Wal> Wal::open(const std::string& dir, Options options) {
+StatusOr<Wal> Wal::open(const std::string& dir, std::uint64_t valid_bytes,
+                        Options options) {
   const std::string path = dir + "/" + kLogName;
-  const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+  const int fd = ::open(path.c_str(), O_RDWR | O_APPEND);
   if (fd < 0) return errno_status("open " + path);
-  return Wal(dir, fd, options);
+  Wal wal(dir, fd, options);
+  if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0) {
+    return errno_status("truncate " + path);
+  }
+  // A final record cut just before its newline still parsed and was
+  // kept; end its line so the next record does not run into it.
+  char last = '\n';
+  if (valid_bytes > 0 &&
+      ::pread(fd, &last, 1, static_cast<off_t>(valid_bytes - 1)) != 1) {
+    return errno_status("read " + path);
+  }
+  if (last != '\n') {
+    if (Status s = write_all(fd, "\n", "write " + path); !s.is_ok()) {
+      return s;
+    }
+  }
+  if (options.fsync && ::fsync(fd) != 0) return errno_status("fsync " + path);
+  return wal;
 }
 
 StatusOr<WalRecovery> Wal::load(const std::string& dir) {
@@ -144,6 +162,7 @@ StatusOr<WalRecovery> Wal::load(const std::string& dir) {
       return Status{Code::kInvalid, "wal line " + std::to_string(line_no) +
                                         ": " + parse_error.message()};
     }
+    recovery.valid_bytes = next;
     line_start = next;
     ++line_no;
   }

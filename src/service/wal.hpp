@@ -27,19 +27,23 @@
 //                  (tmp + rename) every ServerOptions::snapshot_every
 //                  events so recovery replays a tail, not the world.
 //
-// The log is never truncated or compacted: recovery correctness only
-// needs snapshot + tail, but the full log is the service's event
-// history — the crash-recovery CI job byte-compares it against an
-// uninterrupted run's log.
+// The log is never compacted: recovery correctness only needs snapshot
+// + tail, but the full log is the service's event history — the
+// crash-recovery CI job byte-compares it against an uninterrupted run's
+// log. The only bytes ever cut are a torn final line (see below).
 //
 // Torn writes: a crash can cut the last group's write at any byte,
 // leaving the group's complete records before the cut and at most one
 // partial final line. load() accepts exactly one unparseable *trailing*
 // record and drops it (the event was never applied nor acknowledged —
 // append-before-apply means losing it is correct); an unparseable
-// record anywhere else is corruption and fails with kInvalid. Every
-// record carries schema_version and load() rejects unknown or missing
-// versions with a typed Status (see io/serialize.hpp).
+// record anywhere else is corruption and fails with kInvalid. load()
+// reports the length of the valid prefix, and open() truncates the log
+// to it before the first append, so the next record starts on a line
+// of its own instead of being glued onto the partial one (which would
+// make the *following* load() reject the log). Every record carries
+// schema_version and load() rejects unknown or missing versions with a
+// typed Status (see io/serialize.hpp).
 //
 // Known gap: a group whose write lands but whose fsync fails (or whose
 // write fails after some of its bytes landed) is reported failed, and
@@ -95,6 +99,9 @@ struct WalRecovery {
   std::vector<WalRecord> tail;
   /// One past the last logged sequence (0 for an empty log).
   std::uint64_t next_sequence = 0;
+  /// Length in bytes of wal.log's valid prefix: the header and every
+  /// record kept above. A torn final line lies past it.
+  std::uint64_t valid_bytes = 0;
 };
 
 /// Append handle on a WAL directory. Single writer (the dispatcher);
@@ -125,8 +132,12 @@ class Wal {
                               const core::Platform& initial_platform,
                               Options options = Options());
 
-  /// Opens an existing log for appending (after load()/replay).
-  static StatusOr<Wal> open(const std::string& dir,
+  /// Opens an existing log for appending after load() and replay.
+  /// First truncates wal.log to `valid_bytes` (WalRecovery::valid_bytes),
+  /// dropping a torn final line, and ends a kept final record that lost
+  /// only its newline; with options.fsync the repair is fsync'd before
+  /// open() returns.
+  static StatusOr<Wal> open(const std::string& dir, std::uint64_t valid_bytes,
                             Options options = Options());
 
   /// Reads header, snapshot and records for recovery; tolerates one

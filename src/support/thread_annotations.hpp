@@ -94,7 +94,8 @@
 /// deliberate cold branches, but src/ must stay suppression-free for
 /// this rule (CI runs mfa_lint --forbid-suppression warm-path-alloc):
 /// restructure so sizing happens at setup instead — see
-/// gp::BatchedModel::ensure_workspace for the pattern. The runtime
+/// service::CompositeBuilder::reprioritize, which only stores into
+/// kernel slots sized when the pipeline was added. The runtime
 /// half of the same contract is support/alloc_count.hpp's counting
 /// interposer, gated by bench/service_churn --check.
 #define MFA_WARM_PATH

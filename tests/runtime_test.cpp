@@ -6,8 +6,10 @@
 #include <cstdint>
 #include <future>
 #include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,8 @@
 #include "runtime/portfolio.hpp"
 #include "runtime/sweep.hpp"
 #include "runtime/thread_pool.hpp"
+#include "scenario/trace.hpp"
+#include "service/composite.hpp"
 #include "testutil.hpp"
 
 namespace mfa::runtime {
@@ -176,6 +180,87 @@ TEST(Portfolio, ParallelLanesMatchSequentialLanes) {
   EXPECT_EQ(seq.goal, par.goal);
   EXPECT_EQ(seq.ii, par.ii);
   EXPECT_EQ(seq.phi, par.phi);
+}
+
+/// Applies one generated trace event to a composite and its live list.
+/// The generator keeps the pipeline lifecycle valid (every remove and
+/// reprioritize names a live pipeline).
+void apply_event(const service::Event& event,
+                 std::vector<service::PipelineSpec>& live,
+                 service::CompositeBuilder& composite) {
+  const auto index = [&live](const std::string& id) {
+    std::size_t i = 0;
+    while (i < live.size() && live[i].id != id) ++i;
+    return i;
+  };
+  switch (event.type) {
+    case service::Event::Type::kAddPipeline:
+      live.push_back(event.pipeline);
+      composite.add_pipeline(live.back());
+      break;
+    case service::Event::Type::kRemovePipeline: {
+      const std::size_t i = index(event.id);
+      ASSERT_LT(i, live.size());
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      composite.remove_pipeline(i);
+      break;
+    }
+    case service::Event::Type::kReprioritize: {
+      const std::size_t i = index(event.id);
+      ASSERT_LT(i, live.size());
+      live[i].weight = event.weight;
+      composite.reprioritize(i, live[i]);
+      break;
+    }
+    case service::Event::Type::kResizePlatform:
+      composite.resize_platform(event.platform);
+      break;
+  }
+}
+
+TEST(Portfolio, WarmSeedMatchesColdOnEveryComposite) {
+  // SolveRequest::warm seeds the GP+A root bisection from a related
+  // solve. It must be a pure acceleration: every composite of a replayed
+  // service trace, solved with the previous warm solve's root
+  // relaxation as its seed, gets the cold solve's allocation, II, φ and
+  // goal.
+  scenario::TraceSpec spec;
+  spec.num_events = 120;
+  spec.num_fpgas = 3;
+  spec.max_live_pipelines = 4;
+  spec.max_kernels = 3;
+  const scenario::Trace trace = scenario::generate_trace(spec, 29);
+  PortfolioOptions options;
+  options.run_exact = false;
+  Portfolio portfolio(options, 1);
+
+  service::CompositeBuilder composite(trace.platform,
+                                      service::CompositeConfig{});
+  std::vector<service::PipelineSpec> live;
+  std::optional<core::RelaxedSolution> seed;
+  int seeded = 0;
+  for (std::size_t e = 0; e < trace.events.size(); ++e) {
+    SCOPED_TRACE("event " + std::to_string(e));
+    ASSERT_NO_FATAL_FAILURE(apply_event(trace.events[e], live, composite));
+    if (live.empty()) continue;
+    SolveRequest cold;
+    cold.problem = composite.snapshot();
+    SolveRequest warm = cold;
+    warm.warm = seed;
+    const SolveResult c = portfolio.solve(cold);
+    const SolveResult w = portfolio.solve(warm);
+    if (seed) ++seeded;
+    ASSERT_EQ(w.status.code(), c.status.code());
+    if (!c.is_ok()) continue;
+    ASSERT_TRUE(c.allocation.has_value());
+    ASSERT_TRUE(w.allocation.has_value());
+    EXPECT_EQ(w.allocation->to_string(), c.allocation->to_string());
+    EXPECT_EQ(w.ii, c.ii);
+    EXPECT_EQ(w.phi, c.phi);
+    EXPECT_EQ(w.goal, c.goal);
+    seed = w.relaxed;
+  }
+  EXPECT_GT(seeded, 0);
 }
 
 TEST(Portfolio, ZeroLanesIsInvalidNotInfeasible) {

@@ -259,7 +259,7 @@ TEST(Serialize, MalformedInputNeverAborts) {
 }
 
 TEST(Serialize, EventOutcomeGoldenBytes) {
-  // The schema-2 wire shape, pinned byte for byte: the flat keys up to
+  // The schema-3 wire shape, pinned byte for byte: the flat keys up to
   // relax_hits, then the migration diff, then the warm-path allocation
   // counter.
   service::EventOutcome o;
@@ -267,7 +267,6 @@ TEST(Serialize, EventOutcomeGoldenBytes) {
   o.type = service::Event::Type::kAddPipeline;
   o.id = "p1";
   o.active_pipelines = 2;
-  o.solve.warm_started = true;
   o.solve.ii = 1.5;
   o.solve.phi = 0.5;
   o.solve.goal = 2.0;
@@ -283,7 +282,7 @@ TEST(Serialize, EventOutcomeGoldenBytes) {
   o.warm_allocs = 6;
   EXPECT_EQ(to_json(o).dump(),
             "{\"seq\":7,\"type\":\"add\",\"id\":\"p1\",\"status\":\"ok\","
-            "\"solve_status\":\"ok\",\"active\":2,\"warm\":true,"
+            "\"solve_status\":\"ok\",\"active\":2,"
             "\"ii_ms\":1.5,\"phi\":0.5,\"goal\":2,\"totals\":[2,1],"
             "\"nodes\":12,\"delta\":\"structural\",\"relax_hits\":5,"
             "\"diff\":{\"computed\":true,\"cus_moved\":3,"

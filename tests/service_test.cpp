@@ -1,9 +1,8 @@
 // Allocation-service coverage: trace generator determinism and JSON
 // round-trips, replay-log determinism (the `serve --trace` contract),
-// warm == cold solution parity on every event, cache-eviction
-// transparency, event-queue MPMC behavior, WAL group-commit
-// transparency, and the event error paths (unknown ids, duplicates,
-// empty pools).
+// cache-eviction transparency, composite deltas and held snapshots,
+// event-queue MPMC behavior, WAL group-commit transparency, and the
+// event error paths (unknown ids, duplicates, empty pools).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,7 +64,6 @@ void expect_deterministic_eq(const std::vector<EventOutcome>& a,
     EXPECT_EQ(a[i].status.message(), b[i].status.message());
     EXPECT_EQ(a[i].solve_status.code(), b[i].solve_status.code());
     EXPECT_EQ(a[i].active_pipelines, b[i].active_pipelines);
-    EXPECT_EQ(a[i].solve.warm_started, b[i].solve.warm_started);
     EXPECT_EQ(a[i].solve.ii, b[i].solve.ii);  // bit-identical
     EXPECT_EQ(a[i].solve.phi, b[i].solve.phi);
     EXPECT_EQ(a[i].solve.goal, b[i].solve.goal);
@@ -272,29 +270,6 @@ TEST(AllocServer, OccupancyTracksTheIncumbent) {
   EXPECT_FALSE(server.occupancy().valid());
 }
 
-TEST(AllocServer, WarmMatchesColdOnEveryEvent) {
-  const Trace trace = scenario::generate_trace(small_spec(120), 29);
-  ServerOptions warm;
-  ServerOptions cold;
-  cold.warm_start = false;
-  const auto w = replay(trace, warm);
-  const auto c = replay(trace, cold);
-  ASSERT_EQ(w.size(), c.size());
-  bool any_warm = false;
-  for (std::size_t i = 0; i < w.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    any_warm = any_warm || w[i].solve.warm_started;
-    EXPECT_FALSE(c[i].solve.warm_started);
-    // The warm start is a pure acceleration: identical solutions.
-    EXPECT_EQ(w[i].solve_status.code(), c[i].solve_status.code());
-    EXPECT_EQ(w[i].solve.totals, c[i].solve.totals);
-    EXPECT_EQ(w[i].solve.ii, c[i].solve.ii);
-    EXPECT_EQ(w[i].solve.phi, c[i].solve.phi);
-    EXPECT_EQ(w[i].solve.goal, c[i].solve.goal);
-  }
-  EXPECT_TRUE(any_warm);
-}
-
 TEST(AllocServer, CacheEvictionIsTransparent) {
   const Trace trace = scenario::generate_trace(small_spec(100), 41);
   const ServerOptions unbounded;  // default: 2^16 entries, never hit here
@@ -405,15 +380,11 @@ TEST(AllocServer, IncrementalCompositeMatchesWholesaleRebuild) {
   expect_composite_matches();
 }
 
-TEST(CompositeBuilder, SnapshotsShareStructureAcrossNumericDeltas) {
-  // The contract behind the zero-allocation warm path: numeric deltas
-  // (reprioritize / resize) republish through the *same*
-  // core::ProblemStructure skeleton, so downstream consumers can use
-  // pointer equality of Problem::structure as a constant-time "no
-  // recompile needed" witness; structural edits mint a fresh skeleton.
-  // A pinned older snapshot must also keep its exact bytes while newer
-  // deltas publish — that immutability is what lets the server's
-  // incumbent outlive the event that replaced it.
+TEST(CompositeBuilder, HeldSnapshotKeepsItsBytesAcrossDeltas) {
+  // The server's incumbent holds the snapshot its event solved while
+  // later events patch the live composite: a held snapshot must keep
+  // its exact bytes across reprioritize, resize and add deltas, and
+  // every new snapshot must equal the live composite.
   CompositeBuilder builder(core::Platform{"pool", 2}, CompositeConfig{});
 
   PipelineSpec p0;
@@ -422,36 +393,36 @@ TEST(CompositeBuilder, SnapshotsShareStructureAcrossNumericDeltas) {
                     test::make_kernel("b", 12.0, 8.0, 15.0, 4.0)};
   builder.add_pipeline(p0);
 
-  const auto before = builder.snapshot();
-  ASSERT_NE(before, nullptr);
-  EXPECT_EQ(before->structure, builder.live().structure);
-  const std::string before_bytes = io::to_json(*before).dump(2);
+  const auto pinned = builder.snapshot();
+  ASSERT_NE(pinned, nullptr);
+  const std::string pinned_bytes = io::to_json(*pinned).dump(2);
+  EXPECT_EQ(pinned_bytes, io::to_json(builder.live()).dump(2));
+
+  const auto expect_fresh_snapshot = [&builder] {
+    const auto snap = builder.snapshot();
+    EXPECT_EQ(io::to_json(*snap).dump(2), io::to_json(builder.live()).dump(2));
+  };
 
   PipelineSpec hot = p0;
   hot.weight = 2.0;
   builder.reprioritize(0, hot);
-  const auto after = builder.snapshot();
-
-  EXPECT_EQ(before->structure, after->structure) << "coefficient patches "
-      "must not re-derive the structure skeleton";
-  EXPECT_EQ(io::to_json(*after).dump(2), io::to_json(builder.live()).dump(2));
-  EXPECT_EQ(io::to_json(*before).dump(2), before_bytes)
-      << "a held snapshot changed under its holder";
-  EXPECT_NE(io::to_json(*after).dump(2), before_bytes);
+  expect_fresh_snapshot();
+  EXPECT_EQ(io::to_json(*pinned).dump(2), pinned_bytes)
+      << "a reprioritize changed a held snapshot";
 
   builder.resize_platform(core::Platform{"pool3", 3});
-  const auto resized = builder.snapshot();
-  EXPECT_EQ(resized->structure, after->structure)
-      << "an RHS patch is numeric too";
+  expect_fresh_snapshot();
+  EXPECT_EQ(io::to_json(*pinned).dump(2), pinned_bytes)
+      << "a resize changed a held snapshot";
 
   PipelineSpec p1;
   p1.id = "p1";
   p1.app.kernels = {test::make_kernel("c", 6.0, 5.0, 10.0, 3.0)};
   builder.add_pipeline(p1);
-  const auto grown = builder.snapshot();
-  EXPECT_NE(grown->structure, resized->structure)
-      << "structural edits must mint a fresh skeleton";
-  EXPECT_EQ(io::to_json(*grown).dump(2), io::to_json(builder.live()).dump(2));
+  expect_fresh_snapshot();
+  EXPECT_EQ(io::to_json(*pinned).dump(2), pinned_bytes)
+      << "an add changed a held snapshot";
+  EXPECT_NE(io::to_json(builder.live()).dump(2), pinned_bytes);
 }
 
 TEST(CompositeBuilder, PatchedBuilderMatchesFreshBuilderByteForByte) {
