@@ -357,7 +357,13 @@ int cmd_serve(const ArgParser& args) {
   }
   options.max_disturbed = static_cast<int>(max_disturbed.value());
 
-  mfa::service::AllocServer server(trace.value().platform, options);
+  auto opened = mfa::service::AllocServer::open(trace.value().platform,
+                                               std::move(options));
+  if (!opened.is_ok()) {
+    std::fprintf(stderr, "error: %s\n", opened.status().to_string().c_str());
+    return 1;
+  }
+  mfa::service::AllocServer& server = *opened.value();
   // Replay as fast as the solver allows: submit in trace order, wait
   // per event (the queue is MPMC; a replay is a single producer).
   std::vector<mfa::service::EventOutcome> outcomes;

@@ -151,6 +151,18 @@ Status Platform::validate() const {
   return Status::ok();
 }
 
+Status validate_kernel(const Kernel& kern) {
+  if (!(kern.wcet_ms > 0.0) || !std::isfinite(kern.wcet_ms)) {
+    return {Code::kInvalid, "kernel '" + kern.name +
+                                "' must have a positive finite WCET"};
+  }
+  if (!kern.res.non_negative() || kern.bw < 0.0) {
+    return {Code::kInvalid,
+            "kernel '" + kern.name + "' has negative resource demand"};
+  }
+  return Status::ok();
+}
+
 Status Problem::validate() const {
   if (app.kernels.empty()) {
     return {Code::kInvalid, "application has no kernels"};
@@ -166,13 +178,8 @@ Status Problem::validate() const {
   }
   for (std::size_t k = 0; k < app.size(); ++k) {
     const Kernel& kern = app.kernels[k];
-    if (!(kern.wcet_ms > 0.0) || !std::isfinite(kern.wcet_ms)) {
-      return {Code::kInvalid, "kernel '" + kern.name +
-                                  "' must have a positive finite WCET"};
-    }
-    if (!kern.res.non_negative() || kern.bw < 0.0) {
-      return {Code::kInvalid,
-              "kernel '" + kern.name + "' has negative resource demand"};
+    if (Status kernel_valid = validate_kernel(kern); !kernel_valid.is_ok()) {
+      return kernel_valid;
     }
     if (max_cu_per_fpga(k) < 1) {
       return {Code::kInfeasible, "kernel '" + kern.name +

@@ -52,6 +52,10 @@ struct DeviceClass {
   double bw_capacity = 100.0;
 };
 
+/// kInvalid unless the kernel's WCET is positive and finite and its
+/// per-CU demands are non-negative (Problem::validate's kernel check).
+[[nodiscard]] Status validate_kernel(const Kernel& kern);
+
 /// F FPGAs, homogeneous (e.g. the AWS F1 instance of Fig. 1) or mixed.
 ///
 /// Homogeneous platforms use `capacity`/`bw_capacity` and leave

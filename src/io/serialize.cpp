@@ -13,28 +13,41 @@ using core::Problem;
 using core::Resource;
 using core::ResourceVec;
 
-/// Fetches a required finite number field.
-StatusOr<double> need_number(const Json& j, const char* key,
-                             const char* ctx) {
-  const Json* v = j.find(key);
-  if (v == nullptr || !v->is_number()) {
-    return Status{Code::kInvalid, std::string(ctx) + ": missing or "
-                                      "non-numeric field '" +
-                                      key + "'"};
+/// Reads the fields of one JSON object `j`. An absent optional field
+/// reads as its fallback. A field present with the wrong type, or an
+/// absent required one, reads as a fallback too, but sets `status` to
+/// kInvalid naming `ctx` and the first such key.
+struct Fields {
+  Fields(const Json& j_in, std::string ctx_in)
+      : j(j_in), ctx(std::move(ctx_in)) {}
+
+  const Json& j;
+  std::string ctx;
+  Status status;
+
+  double number(const char* key, double fallback) {
+    const Json* v = typed(key, &Json::is_number, "a number");
+    return v != nullptr ? v->as_number() : fallback;
   }
-  return v->as_number();
-}
-
-double optional_number(const Json& j, const char* key, double fallback) {
-  const Json* v = j.find(key);
-  return (v != nullptr && v->is_number()) ? v->as_number() : fallback;
-}
-
-std::string optional_string(const Json& j, const char* key,
-                            const std::string& fallback) {
-  const Json* v = j.find(key);
-  return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
-}
+  double required_number(const char* key) {
+    if (j.find(key) == nullptr) fail(std::string("missing '") + key + "'");
+    return number(key, 0.0);
+  }
+  std::string text(const char* key, const char* fallback) {
+    const Json* v = typed(key, &Json::is_string, "a string");
+    return v != nullptr ? v->as_string() : fallback;
+  }
+  const Json* typed(const char* key, bool (Json::*is)() const,
+                    const char* type) {
+    const Json* v = j.find(key);
+    if (v == nullptr || (v->*is)()) return v;
+    fail(std::string("'") + key + "' must be " + type);
+    return nullptr;
+  }
+  void fail(const std::string& why) {
+    if (status.is_ok()) status = {Code::kInvalid, ctx + ": " + why};
+  }
+};
 
 /// Checked double → integer conversion. A bare static_cast<int> of an
 /// attacker-controlled JSON number is UB once the value leaves int's
@@ -120,12 +133,18 @@ Json capacity_to_json(const ResourceVec& capacity) {
   return cap;
 }
 
-ResourceVec capacity_from_json(const Json& cap) {
+StatusOr<ResourceVec> capacity_from_json(const Json& cap,
+                                         const std::string& ctx) {
+  if (!cap.is_object()) {
+    return Status{Code::kInvalid, ctx + ": 'capacity' must be an object"};
+  }
+  Fields fields{cap, ctx + " capacity"};
   ResourceVec v;
-  v[Resource::kBram] = optional_number(cap, "bram", 100.0);
-  v[Resource::kDsp] = optional_number(cap, "dsp", 100.0);
-  v[Resource::kLut] = optional_number(cap, "lut", 100.0);
-  v[Resource::kFf] = optional_number(cap, "ff", 100.0);
+  v[Resource::kBram] = fields.number("bram", 100.0);
+  v[Resource::kDsp] = fields.number("dsp", 100.0);
+  v[Resource::kLut] = fields.number("lut", 100.0);
+  v[Resource::kFf] = fields.number("ff", 100.0);
+  if (!fields.status.is_ok()) return fields.status;
   return v;
 }
 
@@ -194,15 +213,16 @@ Json to_json(const core::Allocation& alloc) {
 StatusOr<Kernel> kernel_from_json(const Json& j) {
   if (!j.is_object()) return Status{Code::kInvalid, "kernel: not an object"};
   Kernel k;
-  k.name = optional_string(j, "name", "kernel");
-  StatusOr<double> wcet = need_number(j, "wcet_ms", k.name.c_str());
-  if (!wcet.is_ok()) return wcet.status();
-  k.wcet_ms = wcet.value();
-  k.res[Resource::kBram] = optional_number(j, "bram", 0.0);
-  k.res[Resource::kDsp] = optional_number(j, "dsp", 0.0);
-  k.res[Resource::kLut] = optional_number(j, "lut", 0.0);
-  k.res[Resource::kFf] = optional_number(j, "ff", 0.0);
-  k.bw = optional_number(j, "bw", 0.0);
+  Fields fields{j, "kernel"};
+  k.name = fields.text("name", "kernel");
+  fields.ctx = "kernel '" + k.name + "'";
+  k.wcet_ms = fields.required_number("wcet_ms");
+  k.res[Resource::kBram] = fields.number("bram", 0.0);
+  k.res[Resource::kDsp] = fields.number("dsp", 0.0);
+  k.res[Resource::kLut] = fields.number("lut", 0.0);
+  k.res[Resource::kFf] = fields.number("ff", 0.0);
+  k.bw = fields.number("bw", 0.0);
+  if (!fields.status.is_ok()) return fields.status;
   return k;
 }
 
@@ -211,7 +231,9 @@ StatusOr<Application> application_from_json(const Json& j) {
     return Status{Code::kInvalid, "application: not an object"};
   }
   Application app;
-  app.name = optional_string(j, "name", "application");
+  Fields fields{j, "application"};
+  app.name = fields.text("name", "application");
+  if (!fields.status.is_ok()) return fields.status;
   const Json* kernels = j.find("kernels");
   if (kernels == nullptr || !kernels->is_array() || kernels->size() == 0) {
     return Status{Code::kInvalid,
@@ -230,15 +252,15 @@ StatusOr<core::DeviceClass> device_class_from_json(const Json& j) {
     return Status{Code::kInvalid, "device class: not an object"};
   }
   core::DeviceClass dc;
-  dc.name = optional_string(j, "name", "class");
+  Fields fields{j, "device class"};
+  dc.name = fields.text("name", "class");
+  dc.bw_capacity = fields.number("bw_capacity", 100.0);
+  if (!fields.status.is_ok()) return fields.status;
   if (const Json* cap = j.find("capacity"); cap != nullptr) {
-    if (!cap->is_object()) {
-      return Status{Code::kInvalid,
-                    "device class: 'capacity' must be an object"};
-    }
-    dc.capacity = capacity_from_json(*cap);
+    StatusOr<ResourceVec> capacity = capacity_from_json(*cap, "device class");
+    if (!capacity.is_ok()) return capacity.status();
+    dc.capacity = capacity.value();
   }
-  dc.bw_capacity = optional_number(j, "bw_capacity", 100.0);
   return dc;
 }
 
@@ -247,17 +269,18 @@ StatusOr<Platform> platform_from_json(const Json& j) {
     return Status{Code::kInvalid, "platform: not an object"};
   }
   Platform p;
-  p.name = optional_string(j, "name", "platform");
+  Fields fields{j, "platform"};
+  p.name = fields.text("name", "platform");
+  p.bw_capacity = fields.number("bw_capacity", 100.0);
+  if (!fields.status.is_ok()) return fields.status;
   StatusOr<long long> fpgas = need_int(j, "fpgas", "platform", 1, 1 << 20);
   if (!fpgas.is_ok()) return fpgas.status();
   p.num_fpgas = static_cast<int>(fpgas.value());
   if (const Json* cap = j.find("capacity"); cap != nullptr) {
-    if (!cap->is_object()) {
-      return Status{Code::kInvalid, "platform: 'capacity' must be an object"};
-    }
-    p.capacity = capacity_from_json(*cap);
+    StatusOr<ResourceVec> capacity = capacity_from_json(*cap, "platform");
+    if (!capacity.is_ok()) return capacity.status();
+    p.capacity = capacity.value();
   }
-  p.bw_capacity = optional_number(j, "bw_capacity", 100.0);
 
   // Heterogeneous extension: a device-class list plus a per-FPGA class
   // assignment. Both must be present together and consistent.
@@ -315,10 +338,12 @@ StatusOr<Problem> problem_from_json(const Json& j) {
   Problem p;
   p.app = std::move(application.value());
   p.platform = std::move(platform.value());
-  p.resource_fraction = optional_number(j, "resource_fraction", 1.0);
-  p.bw_fraction = optional_number(j, "bw_fraction", 1.0);
-  p.alpha = optional_number(j, "alpha", 1.0);
-  p.beta = optional_number(j, "beta", 0.0);
+  Fields fields{j, "problem"};
+  p.resource_fraction = fields.number("resource_fraction", 1.0);
+  p.bw_fraction = fields.number("bw_fraction", 1.0);
+  p.alpha = fields.number("alpha", 1.0);
+  p.beta = fields.number("beta", 0.0);
+  if (!fields.status.is_ok()) return fields.status;
   return p;
 }
 
@@ -366,16 +391,20 @@ Json to_json(const scenario::Trace& trace) {
 StatusOr<service::Event> event_from_json(const Json& j) {
   using Type = service::Event::Type;
   if (!j.is_object()) return Status{Code::kInvalid, "event: not an object"};
-  const std::string type = optional_string(j, "type", "");
+  Fields fields{j, "event"};
+  const std::string type = fields.text("type", "");
   service::Event e;
-  e.time_ms = optional_number(j, "time_ms", 0.0);
+  e.time_ms = fields.number("time_ms", 0.0);
+  if (!fields.status.is_ok()) return fields.status;
+  fields.ctx = type + " event";
   if (type == "add") {
     e.type = Type::kAddPipeline;
-    e.pipeline.id = optional_string(j, "id", "");
+    e.pipeline.id = fields.text("id", "");
+    e.pipeline.weight = fields.number("weight", 1.0);
+    if (!fields.status.is_ok()) return fields.status;
     if (e.pipeline.id.empty()) {
       return Status{Code::kInvalid, "add event: missing 'id'"};
     }
-    e.pipeline.weight = optional_number(j, "weight", 1.0);
     const Json* app = j.find("application");
     if (app == nullptr) {
       return Status{Code::kInvalid, "add event: missing 'application'"};
@@ -387,14 +416,13 @@ StatusOr<service::Event> event_from_json(const Json& j) {
   }
   if (type == "remove" || type == "reprioritize") {
     e.type = type == "remove" ? Type::kRemovePipeline : Type::kReprioritize;
-    e.id = optional_string(j, "id", "");
+    e.id = fields.text("id", "");
+    if (e.type == Type::kReprioritize) {
+      e.weight = fields.required_number("weight");
+    }
+    if (!fields.status.is_ok()) return fields.status;
     if (e.id.empty()) {
       return Status{Code::kInvalid, type + " event: missing 'id'"};
-    }
-    if (e.type == Type::kReprioritize) {
-      StatusOr<double> weight = need_number(j, "weight", "reprioritize");
-      if (!weight.is_ok()) return weight.status();
-      e.weight = weight.value();
     }
     return e;
   }
@@ -461,11 +489,13 @@ StatusOr<service::PipelineSpec> pipeline_spec_from_json(const Json& j) {
     return Status{Code::kInvalid, "pipeline: not an object"};
   }
   service::PipelineSpec pipe;
-  pipe.id = optional_string(j, "id", "");
+  Fields fields{j, "pipeline"};
+  pipe.id = fields.text("id", "");
+  pipe.weight = fields.number("weight", 1.0);
+  if (!fields.status.is_ok()) return fields.status;
   if (pipe.id.empty()) {
     return Status{Code::kInvalid, "pipeline: missing 'id'"};
   }
-  pipe.weight = optional_number(j, "weight", 1.0);
   const Json* app = j.find("application");
   if (app == nullptr) {
     return Status{Code::kInvalid, "pipeline: missing 'application'"};
@@ -570,7 +600,7 @@ StatusOr<core::Platform> wal_header_from_json(const Json& j) {
       !v.is_ok()) {
     return v;
   }
-  if (optional_string(j, "format", "") != "mfa-wal") {
+  if (Fields{j, "wal header"}.text("format", "") != "mfa-wal") {
     return Status{Code::kInvalid, "wal header: not an mfa-wal log"};
   }
   const Json* plat = j.find("platform");
@@ -679,7 +709,9 @@ StatusOr<service::WalSnapshot> wal_snapshot_from_json(const Json& j) {
                                         " is not an object"};
     }
     service::PipelinePlacement record;
-    record.id = optional_string(pj, "id", "");
+    Fields fields{pj, "wal snapshot: " + where};
+    record.id = fields.text("id", "");
+    if (!fields.status.is_ok()) return fields.status;
     if (record.id.empty()) {
       return Status{Code::kInvalid, "wal snapshot: " + where + " missing 'id'"};
     }

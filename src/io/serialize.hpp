@@ -26,10 +26,11 @@
 //                                "ff": 50}}],
 //                "class_of": [0, 1, 1]}
 //
-// Missing optional fields take the struct defaults; malformed input is
-// reported as Code::kInvalid with a field path — parsing never aborts,
-// whatever the bytes (tests/serialize_test.cpp carries a malformed-
-// payload corpus enforcing exactly that).
+// Absent optional fields take the struct defaults; one present with the
+// wrong type ("weight": "heavy"), like any malformed input, is reported
+// as Code::kInvalid naming the object and the field — parsing never
+// aborts, whatever the bytes (tests/serialize_test.cpp carries a
+// malformed-payload corpus enforcing exactly that).
 //
 // Versioning: every payload this header *writes* carries a top-level
 // "schema_version" (currently 3). Readers accept every version from 1

@@ -29,10 +29,7 @@ AllocServer::AllocServer(core::Platform platform, ServerOptions options,
                                     options_.cache_entries}),
       greedy_cache_(
           core::CacheConfig{options_.cache_shards, options_.cache_entries}),
-      composite_(std::move(platform),
-                 CompositeConfig{options_.resource_fraction,
-                                 options_.bw_fraction, options_.alpha,
-                                 options_.beta}) {
+      composite_(std::move(platform), CompositeConfig{}) {
   if (options_.solver_threads != 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(options_.solver_threads);
   }
@@ -53,10 +50,12 @@ AllocServer::AllocServer(core::Platform platform, ServerOptions options,
 }
 
 AllocServer::AllocServer(core::Platform platform, ServerOptions options)
-    : AllocServer(std::move(platform), std::move(options), DeferStart{}) {
+    : AllocServer(platform, std::move(options), DeferStart{}) {
   MFA_ASSERT_MSG(options_.wal_dir.empty(),
                  "WAL-enabled servers must be built via AllocServer::open() "
                  "or recover(), which can report I/O errors");
+  MFA_ASSERT_MSG(platform.validate().is_ok(),
+                 "invalid platform: AllocServer::open() reports it");
   start();
 }
 
@@ -71,6 +70,7 @@ void AllocServer::start() {
 
 StatusOr<std::unique_ptr<AllocServer>> AllocServer::open(
     core::Platform platform, ServerOptions options) {
+  if (Status valid = platform.validate(); !valid.is_ok()) return valid;
   std::unique_ptr<AllocServer> server(
       new AllocServer(platform, std::move(options), DeferStart{}));
   if (!server->options_.wal_dir.empty()) {
@@ -92,6 +92,15 @@ StatusOr<std::unique_ptr<AllocServer>> AllocServer::recover(
   StatusOr<WalRecovery> loaded = Wal::load(options.wal_dir);
   if (!loaded.is_ok()) return loaded.status();
   WalRecovery& recovery = loaded.value();
+  if (Status valid = recovery.initial_platform.validate(); !valid.is_ok()) {
+    return Status{Code::kInvalid, "wal header: " + valid.message()};
+  }
+  if (recovery.snapshot) {
+    if (Status valid = recovery.snapshot->platform.validate();
+        !valid.is_ok()) {
+      return Status{Code::kInvalid, "wal snapshot: " + valid.message()};
+    }
+  }
   std::unique_ptr<AllocServer> server(new AllocServer(
       recovery.initial_platform, std::move(options), DeferStart{}));
   if (Status s = server->restore(recovery); !s.is_ok()) return s;
@@ -396,16 +405,6 @@ void AllocServer::apply_stability(runtime::SolveResult& result,
   outcome.diff.budget_exceeded = true;
 }
 
-MFA_WARM_PATH void AllocServer::apply_reprioritize(std::size_t index,
-                                                   double weight) {
-  pipelines_[index].weight = weight;
-  composite_.reprioritize(index, pipelines_[index]);
-}
-
-MFA_WARM_PATH void AllocServer::apply_resize(core::Platform platform) {
-  composite_.resize_platform(std::move(platform));
-}
-
 EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
   const auto t0 = Clock::now();
   // The dispatcher is the only mutator, but observers (active_pipelines,
@@ -426,23 +425,12 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
     ++stats_.wal_errors;
   }
 
-  // ---- Apply the workload mutation as a composite *delta*.
+  // ---- Check the event's own payload, then apply it as a composite
+  // delta. A failed check changes nothing.
   auto find_pipeline = [this](const std::string& id) {
     return std::find_if(pipelines_.begin(), pipelines_.end(),
                         [&id](const PipelineSpec& p) { return p.id == id; });
   };
-  // Inverse-delta state for rollback: a mutation whose composite fails
-  // *structural* validation is reverted by applying the exact inverse
-  // delta (remove the added range, reinsert the removed one, restore
-  // the old weight or platform), so one malformed event (a resize to a
-  // platform with a broken class assignment, an add with a
-  // negative-resource kernel) can never poison the server — and the
-  // happy path never pays for a wholesale state snapshot.
-  std::size_t touched = 0;             // pipeline index the delta hit
-  std::optional<PipelineSpec> removed; // kRemovePipeline inverse payload
-  double old_weight = 0.0;             // kReprioritize inverse payload
-  core::Platform old_platform;         // kResizePlatform inverse payload
-
   bool workload_changed = false;
   if (apply) {
     switch (event.type) {
@@ -460,8 +448,11 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
           outcome.status =
               Status{Code::kInvalid,
                      "duplicate pipeline id: '" + event.pipeline.id + "'"};
+        } else if (Status valid = CompositeBuilder::validate_pipeline(
+                       event.pipeline, event.pipeline.weight);
+                   !valid.is_ok()) {
+          outcome.status = std::move(valid);
         } else {
-          touched = pipelines_.size();
           pipelines_.push_back(std::move(event.pipeline));
           composite_.add_pipeline(pipelines_.back());
           outcome.cache.delta = CompositeDelta::kStructural;
@@ -476,10 +467,9 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
           outcome.status = Status{
               Code::kInvalid, "unknown pipeline id: '" + event.id + "'"};
         } else {
-          touched = static_cast<std::size_t>(it - pipelines_.begin());
-          removed = std::move(*it);
+          const auto index = static_cast<std::size_t>(it - pipelines_.begin());
           pipelines_.erase(it);
-          composite_.remove_pipeline(touched);
+          composite_.remove_pipeline(index);
           outcome.cache.delta = CompositeDelta::kStructural;
           workload_changed = true;
         }
@@ -493,15 +483,19 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
               Code::kInvalid, "unknown pipeline id: '" + event.id + "'"};
         } else if (event.weight <= 0.0) {
           outcome.status = Status{Code::kInvalid, "non-positive weight"};
+        } else if (Status valid =
+                       CompositeBuilder::validate_pipeline(*it, event.weight);
+                   !valid.is_ok()) {
+          outcome.status = std::move(valid);
         } else {
-          touched = static_cast<std::size_t>(it - pipelines_.begin());
-          old_weight = it->weight;
+          it->weight = event.weight;
+          const auto index = static_cast<std::size_t>(it - pipelines_.begin());
           {
             // Runtime half of the zero-allocation gate: count every
             // heap allocation the warm delta performs (0 unless the
             // interposer TU is linked; see support/alloc_count.hpp).
             WarmAllocScope allocs;
-            apply_reprioritize(touched, event.weight);
+            composite_.reprioritize(index, *it);
             outcome.warm_allocs = allocs.allocations();
           }
           outcome.cache.delta = CompositeDelta::kCoefficients;
@@ -510,16 +504,12 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
         break;
       }
       case Event::Type::kResizePlatform: {
-        // Full structural validation up front: the composite-level
-        // validate/rollback below never runs for an *empty* pool, so a
-        // malformed platform accepted here would poison every later add.
         if (Status valid = event.platform.validate(); !valid.is_ok()) {
           outcome.status = std::move(valid);
         } else {
-          old_platform = composite_.platform();
           {
             WarmAllocScope allocs;
-            apply_resize(std::move(event.platform));
+            composite_.resize_platform(std::move(event.platform));
             outcome.warm_allocs = allocs.allocations();
           }
           outcome.cache.delta = CompositeDelta::kRhs;
@@ -537,39 +527,7 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
       incumbent_current_ = true;
       occupancy_.clear();
     } else {
-      // Validation reads the live composite in place; only a composite
-      // that passes is copied out (snapshot()) for the solve.
-      if (Status valid = composite_.live().validate();
-          valid.code() == Code::kInvalid) {
-        // Structurally malformed composite: apply the inverse delta and
-        // fail the *event*, keeping the previous (valid) workload and
-        // incumbent. kInfeasible is deliberately not rolled back — a
-        // pool that genuinely shrank below its tenants' demand is a
-        // real workload state; solves report it until churn resolves
-        // it.
-        switch (event.type) {
-          case Event::Type::kAddPipeline:
-            composite_.remove_pipeline(touched);
-            pipelines_.pop_back();
-            break;
-          case Event::Type::kRemovePipeline:
-            composite_.insert_pipeline(touched, *removed);
-            pipelines_.insert(
-                pipelines_.begin() + static_cast<std::ptrdiff_t>(touched),
-                std::move(*removed));
-            break;
-          case Event::Type::kReprioritize:
-            apply_reprioritize(touched, old_weight);
-            break;
-          case Event::Type::kResizePlatform:
-            apply_resize(std::move(old_platform));
-            break;
-        }
-        outcome.cache.delta = CompositeDelta::kNone;
-        outcome.status = std::move(valid);
-      } else {
-        resolve_workload(outcome);
-      }
+      resolve_workload(outcome);
     }
   }
 

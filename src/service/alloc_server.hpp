@@ -22,6 +22,12 @@
 //  * Algorithm 1 placements are memoized in a server-wide GreedyCache,
 //    bounded like the RelaxationCache.
 //
+// Each event's payload is checked before its delta (kernels through
+// core::validate_kernel at their new weight, a resize's platform
+// through Platform::validate), and open()/recover() refuse a bad pool:
+// a malformed event fails kInvalid and changes nothing, so no delta is
+// ever undone.
+//
 // Each event's solve itself starts from scratch, as the paper's GP+A
 // does. Both caches are pure accelerations — a hit returns exactly what
 // solving would — and the per-event portfolio budget
@@ -115,13 +121,6 @@ struct ServerOptions {
   /// of φ (0 keeps the pure-φ repack objective).
   double move_cost = 0.0;
 
-  /// Composite-problem knobs (the pool-wide objective and the swept
-  /// resource fraction; individual pipelines only carry weights).
-  double resource_fraction = 1.0;
-  double bw_fraction = 1.0;
-  double alpha = 1.0;
-  double beta = 0.0;
-
   // ---- Durability (see file comment). Servers with a wal_dir must be
   // constructed through open()/recover(), which can report I/O errors;
   // the plain constructor asserts the field is empty. -------------------
@@ -187,12 +186,13 @@ struct ServiceStats {
 
 class AllocServer {
  public:
+  /// Asserts a valid `platform` and an empty wal_dir (see open()).
   explicit AllocServer(core::Platform platform, ServerOptions options = {});
 
   /// Constructs a server, creating a *fresh* WAL when
   /// options.wal_dir is set (any previous log there is truncated —
   /// use recover() to resume one). With an empty wal_dir this is the
-  /// plain constructor behind a StatusOr.
+  /// plain constructor behind a StatusOr; a bad platform is kInvalid.
   static StatusOr<std::unique_ptr<AllocServer>> open(core::Platform platform,
                                                      ServerOptions options);
 
@@ -200,9 +200,9 @@ class AllocServer {
   /// any), re-solves the spliced workload once, replays the log tail
   /// through the normal dispatcher path, then cuts a torn final line
   /// off the log and resumes appending to it. The caller must pass the
-  /// same solver/composite options as the original run for the
-  /// byte-identity guarantee to hold (the pool's *shape* comes from the
-  /// WAL, not from the options).
+  /// same solver options as the original run for the byte-identity
+  /// guarantee to hold (the pool's *shape* comes from the WAL, not from
+  /// the options). kInvalid for a bad platform in the log or snapshot.
   static StatusOr<std::unique_ptr<AllocServer>> recover(ServerOptions options);
 
   /// Stops accepting events, drains the queue, joins the dispatcher.
@@ -267,10 +267,10 @@ class AllocServer {
     double seconds = 0.0;
   };
 
-  /// Applies one already-logged event end to end (composite delta,
-  /// re-solve, snapshot) and retains its outcome, under one hold of
-  /// state_mutex_. A failed `commit` fails the event without applying
-  /// it.
+  /// Applies one already-logged event end to end (check, composite
+  /// delta, re-solve, snapshot) and retains its outcome, under one hold
+  /// of state_mutex_. A failed `commit` fails the event without
+  /// applying it.
   EventOutcome process(Event event, const GroupCommit& commit)
       MFA_EXCLUDES(state_mutex_);
 
@@ -286,16 +286,6 @@ class AllocServer {
   /// the accepted allocation into `result` and stamps outcome.diff.
   /// Requires state_mutex_ held.
   void apply_stability(runtime::SolveResult& result, EventOutcome& outcome)
-      MFA_REQUIRES(state_mutex_);
-
-  /// The two numeric deltas (weight rewrite, platform swap), shared by
-  /// the forward path and the structural-validation rollback. These are
-  /// the dispatcher's end of the warm event path — coefficient/RHS
-  /// rewrites that must stay allocation-free through the composite (the
-  /// static face of `service_churn --check`). Require state_mutex_ held.
-  MFA_WARM_PATH void apply_reprioritize(std::size_t index, double weight)
-      MFA_REQUIRES(state_mutex_);
-  MFA_WARM_PATH void apply_resize(core::Platform platform)
       MFA_REQUIRES(state_mutex_);
 
   /// Rebuilds dispatcher state from a loaded WAL (called before

@@ -7,15 +7,16 @@
 namespace mfa::service {
 namespace {
 
-/// One composite kernel of `pipe`: name-spaced and weight-scaled exactly
-/// like the wholesale compose always did, so the incremental composite
-/// is bit-identical to a from-scratch rebuild.
-core::Kernel scaled_kernel(const PipelineSpec& pipe, const core::Kernel& k) {
+/// One composite kernel of `pipe` at priority `weight`: name-spaced and
+/// weight-scaled exactly like the wholesale compose always did, so the
+/// incremental composite is bit-identical to a from-scratch rebuild.
+core::Kernel scaled_kernel(const PipelineSpec& pipe, const core::Kernel& k,
+                           double weight) {
   core::Kernel scaled = k;
   scaled.name = pipe.id + "/" + k.name;
   // Priority enters through the effective WCET: minimizing
   // max_k weight·WCET_k/N_k pulls CUs toward heavy pipelines.
-  scaled.wcet_ms = k.wcet_ms * pipe.weight;
+  scaled.wcet_ms = k.wcet_ms * weight;
   return scaled;
 }
 
@@ -31,27 +32,23 @@ CompositeBuilder::CompositeBuilder(core::Platform platform,
   problem_.beta = config.beta;
 }
 
-void CompositeBuilder::add_pipeline(const PipelineSpec& pipe) {
-  insert_pipeline(ranges_.size(), pipe);
+Status CompositeBuilder::validate_pipeline(const PipelineSpec& pipe,
+                                           double weight) {
+  for (const core::Kernel& k : pipe.app.kernels) {
+    if (Status valid = core::validate_kernel(scaled_kernel(pipe, k, weight));
+        !valid.is_ok()) {
+      return valid;
+    }
+  }
+  return Status::ok();
 }
 
-void CompositeBuilder::insert_pipeline(std::size_t index,
-                                       const PipelineSpec& pipe) {
-  MFA_ASSERT(index <= ranges_.size());
-  const std::size_t begin =
-      index == ranges_.size() ? problem_.app.kernels.size()
-                              : ranges_[index].begin;
-  const std::size_t count = pipe.app.kernels.size();
-  auto at = problem_.app.kernels.begin() +
-            static_cast<std::ptrdiff_t>(begin);
+void CompositeBuilder::add_pipeline(const PipelineSpec& pipe) {
+  const std::size_t begin = problem_.app.kernels.size();
   for (const core::Kernel& k : pipe.app.kernels) {
-    at = problem_.app.kernels.insert(at, scaled_kernel(pipe, k)) + 1;
+    problem_.app.kernels.push_back(scaled_kernel(pipe, k, pipe.weight));
   }
-  for (std::size_t i = index; i < ranges_.size(); ++i) {
-    ranges_[i].begin += count;
-  }
-  ranges_.insert(ranges_.begin() + static_cast<std::ptrdiff_t>(index),
-                 Range{begin, count});
+  ranges_.push_back(Range{begin, pipe.app.kernels.size()});
 }
 
 void CompositeBuilder::remove_pipeline(std::size_t index) {

@@ -12,16 +12,18 @@
 //                    scaled WCETs in place (structure untouched)
 //   ResizePlatform → constraint-RHS patch: swap the platform object
 //                    (kernel set untouched)
-//   Add/Remove     → structural edit: splice the pipeline's kernel range
-//                    in or out
+//   Add/Remove     → structural edit: append the pipeline's kernel
+//                    range, or splice it out
 //
-// Every delta is reversible (the server rolls a mutation back when the
-// resulting composite fails structural validation), and the maintained
-// problem is bit-identical to what the wholesale rebuild would produce —
-// kernel order is concatenation order of the live pipelines, scaled
-// WCETs are computed from the same base numbers with the same
-// expression. That identity is what keeps relaxation-cache keys stable
-// across events, so a replayed composite hits the cache.
+// The maintained problem is bit-identical to what the wholesale rebuild
+// would produce — kernel order is concatenation order of the live
+// pipelines, scaled WCETs are computed from the same base numbers with
+// the same expression. That identity is what keeps relaxation-cache
+// keys stable across events, so a replayed composite hits the cache.
+//
+// The server checks each event before its delta (validate_pipeline,
+// Platform::validate), so a delta is never undone: every composite is
+// valid by construction, though it may be infeasible.
 //
 // The builder owns the live problem *by value* — the warm deltas above
 // write doubles (or move-assign the platform) into memory nobody else
@@ -36,6 +38,7 @@
 
 #include "core/problem.hpp"
 #include "service/event.hpp"
+#include "support/status.hpp"
 #include "support/thread_annotations.hpp"
 
 namespace mfa::service {
@@ -54,16 +57,18 @@ class CompositeBuilder {
  public:
   CompositeBuilder(core::Platform platform, const CompositeConfig& config);
 
+  /// core::validate_kernel over the scaled copy of every kernel `pipe`
+  /// would contribute at priority `weight`, so an error names it
+  /// "<id>/<kernel>" as the composite would.
+  [[nodiscard]] static Status validate_pipeline(const PipelineSpec& pipe,
+                                                double weight);
+
   // ---- Delta operations. Pipeline indices address the server's live
   // list; kernel order in the composite is always the concatenation
   // order of that list. ------------------------------------------------
 
   /// Appends `pipe`'s kernels (scaled by its weight) at the end.
   void add_pipeline(const PipelineSpec& pipe);
-
-  /// Reinserts `pipe` at position `index` — the inverse of
-  /// remove_pipeline for rollback.
-  void insert_pipeline(std::size_t index, const PipelineSpec& pipe);
 
   /// Splices pipeline `index`'s kernel range out.
   void remove_pipeline(std::size_t index);
@@ -86,11 +91,6 @@ class CompositeBuilder {
   [[nodiscard]] const core::Platform& platform() const {
     return problem_.platform;
   }
-
-  /// The live composite by const reference, for validation and
-  /// inspection without a copy. Valid only until the next mutation;
-  /// callers that need to keep the problem use snapshot().
-  [[nodiscard]] const core::Problem& live() const { return problem_; }
 
   /// Immutable shared copy of the current composite, byte-identical to
   /// the live problem at the time of the call.

@@ -120,6 +120,7 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::open(
   if (options.shards == 0) {
     return Status{Code::kInvalid, "router: shards must be >= 1"};
   }
+  if (Status valid = platform.validate(); !valid.is_ok()) return valid;
   if (!options.wal_root.empty() &&
       ::mkdir(options.wal_root.c_str(), 0755) != 0 && errno != EEXIST) {
     return Status{Code::kInvalid, "mkdir " + options.wal_root + ": " +

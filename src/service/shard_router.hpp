@@ -80,7 +80,8 @@ std::uint64_t stable_hash(std::string_view bytes);
 class ShardRouter {
  public:
   /// Starts `options.shards` fresh shards, each owning a copy of
-  /// `platform` (creating per-shard WALs under wal_root when set).
+  /// `platform` (creating per-shard WALs under wal_root when set). A
+  /// bad platform is kInvalid before any directory is made.
   static StatusOr<std::unique_ptr<ShardRouter>> open(
       const core::Platform& platform, RouterOptions options);
 

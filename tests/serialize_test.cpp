@@ -239,6 +239,14 @@ TEST(Serialize, MalformedInputNeverAborts) {
       "{\"events\":\"no\"}",
       "{\"platform\":{},\"events\":[{\"type\":\"warp\"}]}",
       "{\"schema_version\":\"one\"}",
+      // Optional fields present with the wrong type are malformed, not
+      // absent: no default may stand in for them.
+      "{\"type\":\"add\",\"id\":\"p\",\"weight\":\"heavy\","
+      "\"application\":{\"kernels\":[{\"wcet_ms\":1}]}}",
+      "{\"type\":\"add\",\"id\":\"p\",\"application\":{\"kernels\":"
+      "[{\"wcet_ms\":1,\"bram\":\"lots\"}]}}",
+      "{\"type\":\"resize\",\"platform\":{\"fpgas\":2,"
+      "\"capacity\":{\"bram\":\"x\"}}}",
       std::string(256, '['),
       std::string(256, '{'),
       "{\"a\":\"\\u12\"}",
@@ -256,6 +264,42 @@ TEST(Serialize, MalformedInputNeverAborts) {
       EXPECT_FALSE(wal_record_from_json(doc.value()).is_ok());
     }
   }
+}
+
+TEST(Serialize, MistypedOptionalFieldNamesItsPath) {
+  // A present-but-mistyped optional field is kInvalid naming the object
+  // and the key; the same field absent takes its default.
+  const auto event = [](const std::string& text) {
+    StatusOr<Json> doc = Json::parse(text);
+    EXPECT_TRUE(doc.is_ok());
+    return event_from_json(doc.value());
+  };
+  const auto expect_invalid = [&event](const std::string& text,
+                                       const std::string& message) {
+    StatusOr<service::Event> e = event(text);
+    ASSERT_FALSE(e.is_ok());
+    EXPECT_EQ(e.status().code(), Code::kInvalid);
+    EXPECT_EQ(e.status().message(), message);
+  };
+  const std::string app = R"("application":{"kernels":[{"wcet_ms":1}]})";
+  expect_invalid(R"({"type":"add","id":"p","weight":"heavy",)" + app + "}",
+                 "add event: 'weight' must be a number");
+  expect_invalid(
+      R"({"type":"add","id":"p","application":{"kernels":)"
+      R"([{"name":"k","wcet_ms":1,"bram":"lots"}]}})",
+      "kernel 'k': 'bram' must be a number");
+  expect_invalid(
+      R"({"type":"resize","platform":{"fpgas":2,"capacity":{"bram":"x"}}})",
+      "platform capacity: 'bram' must be a number");
+  expect_invalid(R"({"type":"remove","id":7})",
+                 "remove event: 'id' must be a string");
+
+  StatusOr<service::Event> defaulted =
+      event(R"({"type":"add","id":"p",)" + app + "}");
+  ASSERT_TRUE(defaulted.is_ok()) << defaulted.status().to_string();
+  EXPECT_EQ(defaulted.value().pipeline.weight, 1.0);
+  EXPECT_EQ(defaulted.value().pipeline.app.kernels[0].res[Resource::kBram],
+            0.0);
 }
 
 TEST(Serialize, EventOutcomeGoldenBytes) {

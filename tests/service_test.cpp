@@ -2,10 +2,12 @@
 // round-trips, replay-log determinism (the `serve --trace` contract),
 // cache-eviction transparency, composite deltas and held snapshots,
 // event-queue MPMC behavior, WAL group-commit transparency, and the
-// event error paths (unknown ids, duplicates, empty pools).
+// event error paths (unknown ids, duplicates, empty pools, malformed
+// payloads, which must leave no trace).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -300,15 +302,15 @@ TEST(AllocServer, CacheEvictionIsTransparent) {
 /// The PR-4 wholesale composite rebuild, replicated as a test oracle:
 /// the incremental CompositeBuilder must stay bit-identical to it.
 core::Problem wholesale_compose(const core::Platform& platform,
-                                const std::vector<PipelineSpec>& pipes,
-                                const ServerOptions& options) {
+                                const std::vector<PipelineSpec>& pipes) {
+  const CompositeConfig config;  // the server's composite knobs
   core::Problem p;
   p.app.name = "composite";
   p.platform = platform;
-  p.resource_fraction = options.resource_fraction;
-  p.bw_fraction = options.bw_fraction;
-  p.alpha = options.alpha;
-  p.beta = options.beta;
+  p.resource_fraction = config.resource_fraction;
+  p.bw_fraction = config.bw_fraction;
+  p.alpha = config.alpha;
+  p.beta = config.beta;
   for (const PipelineSpec& pipe : pipes) {
     for (const core::Kernel& k : pipe.app.kernels) {
       core::Kernel scaled = k;
@@ -327,8 +329,7 @@ TEST(AllocServer, IncrementalCompositeMatchesWholesaleRebuild) {
   // composite the solve actually ran on (incumbent()->problem) against
   // a from-scratch rebuild, byte-for-byte via the JSON dump.
   core::Platform platform{"pool", 2};
-  const ServerOptions options;
-  AllocServer server(platform, options);
+  AllocServer server(platform, ServerOptions{});
 
   PipelineSpec p0;
   p0.id = "p0";
@@ -343,7 +344,7 @@ TEST(AllocServer, IncrementalCompositeMatchesWholesaleRebuild) {
   auto expect_composite_matches = [&] {
     ASSERT_TRUE(server.incumbent().has_value());
     const auto expected =
-        io::to_json(wholesale_compose(platform, live, options)).dump(2);
+        io::to_json(wholesale_compose(platform, live)).dump(2);
     const auto actual = io::to_json(*server.incumbent()->problem).dump(2);
     EXPECT_EQ(actual, expected);
   };
@@ -384,7 +385,7 @@ TEST(CompositeBuilder, HeldSnapshotKeepsItsBytesAcrossDeltas) {
   // The server's incumbent holds the snapshot its event solved while
   // later events patch the live composite: a held snapshot must keep
   // its exact bytes across reprioritize, resize and add deltas, and
-  // every new snapshot must equal the live composite.
+  // every new snapshot must show the delta before it.
   CompositeBuilder builder(core::Platform{"pool", 2}, CompositeConfig{});
 
   PipelineSpec p0;
@@ -396,11 +397,12 @@ TEST(CompositeBuilder, HeldSnapshotKeepsItsBytesAcrossDeltas) {
   const auto pinned = builder.snapshot();
   ASSERT_NE(pinned, nullptr);
   const std::string pinned_bytes = io::to_json(*pinned).dump(2);
-  EXPECT_EQ(pinned_bytes, io::to_json(builder.live()).dump(2));
 
-  const auto expect_fresh_snapshot = [&builder] {
-    const auto snap = builder.snapshot();
-    EXPECT_EQ(io::to_json(*snap).dump(2), io::to_json(builder.live()).dump(2));
+  std::string latest = pinned_bytes;
+  const auto expect_fresh_snapshot = [&builder, &latest] {
+    const std::string fresh = io::to_json(*builder.snapshot()).dump(2);
+    EXPECT_NE(fresh, latest) << "a fresh snapshot misses the delta";
+    latest = fresh;
   };
 
   PipelineSpec hot = p0;
@@ -422,14 +424,13 @@ TEST(CompositeBuilder, HeldSnapshotKeepsItsBytesAcrossDeltas) {
   expect_fresh_snapshot();
   EXPECT_EQ(io::to_json(*pinned).dump(2), pinned_bytes)
       << "an add changed a held snapshot";
-  EXPECT_NE(io::to_json(builder.live()).dump(2), pinned_bytes);
 }
 
 TEST(CompositeBuilder, PatchedBuilderMatchesFreshBuilderByteForByte) {
   // A builder that lived through reprioritize + resize deltas (and
-  // their rollback inverses) must publish the same bytes as one
-  // constructed directly in the final state — the identity that keeps
-  // relaxation-cache keys honest.
+  // deltas back to the old weight and platform) must publish the same
+  // bytes as one constructed directly in the final state — the identity
+  // that keeps relaxation-cache keys honest.
   PipelineSpec p0;
   p0.id = "p0";
   p0.app.kernels = {test::make_kernel("a", 8.0, 10.0, 20.0, 5.0),
@@ -442,17 +443,17 @@ TEST(CompositeBuilder, PatchedBuilderMatchesFreshBuilderByteForByte) {
   CompositeBuilder veteran(core::Platform{"pool", 2}, CompositeConfig{});
   veteran.add_pipeline(p0);
   veteran.add_pipeline(p1);
-  const std::string original = io::to_json(veteran.live()).dump(2);
+  const std::string original = io::to_json(*veteran.snapshot()).dump(2);
 
   PipelineSpec hot = p0;
   hot.weight = 3.0;
   veteran.reprioritize(0, hot);
   veteran.resize_platform(core::Platform{"pool4", 4});
-  // Rollback inverses: restoring the old weight and platform must be
-  // byte-exact, not merely approximately equal.
+  // Restoring the old weight and platform must be byte-exact, not
+  // merely approximately equal.
   veteran.reprioritize(0, p0);
   veteran.resize_platform(core::Platform{"pool", 2});
-  EXPECT_EQ(io::to_json(veteran.live()).dump(2), original);
+  EXPECT_EQ(io::to_json(*veteran.snapshot()).dump(2), original);
 
   veteran.reprioritize(0, hot);
   veteran.resize_platform(core::Platform{"pool4", 4});
@@ -460,8 +461,6 @@ TEST(CompositeBuilder, PatchedBuilderMatchesFreshBuilderByteForByte) {
   CompositeBuilder fresh(core::Platform{"pool4", 4}, CompositeConfig{});
   fresh.add_pipeline(hot);
   fresh.add_pipeline(p1);
-  EXPECT_EQ(io::to_json(veteran.live()).dump(2),
-            io::to_json(fresh.live()).dump(2));
   EXPECT_EQ(io::to_json(*veteran.snapshot()).dump(2),
             io::to_json(*fresh.snapshot()).dump(2));
 }
@@ -554,17 +553,23 @@ TEST(AllocServer, RemoveUnknownIdFailsCleanly) {
   EXPECT_EQ(outcome.active_pipelines, 1u);
 }
 
-TEST(AllocServer, MalformedEventRollsBackAndNeverPoisonsTheServer) {
+/// A platform whose class assignment leaves an FPGA without a class:
+/// it passes the shallow num_fpgas >= 1 check but not Platform::validate.
+core::Platform broken_platform() {
+  core::Platform broken{"broken", 2};
+  broken.classes.push_back(core::DeviceClass{
+      "c0", core::ResourceVec::uniform(100.0), 100.0});
+  broken.class_of = {0};  // one entry for two FPGAs
+  return broken;
+}
+
+TEST(AllocServer, MalformedEventFailsAndNeverPoisonsTheServer) {
   core::Platform platform{"pool", 2};
   AllocServer server(platform, ServerOptions{});
 
-  // A malformed resize on an *empty* pool (no composite to validate)
-  // must be rejected outright, not silently installed.
-  core::Platform empty_pool_broken{"broken", 2};
-  empty_pool_broken.classes.push_back(core::DeviceClass{
-      "c0", core::ResourceVec::uniform(100.0), 100.0});
-  empty_pool_broken.class_of = {0};  // one entry for two FPGAs
-  EventOutcome rejected = server.apply(Event::resize(empty_pool_broken));
+  // A malformed resize on an *empty* pool must be rejected outright,
+  // not silently installed.
+  EventOutcome rejected = server.apply(Event::resize(broken_platform()));
   EXPECT_EQ(rejected.status.code(), Code::kInvalid);
 
   PipelineSpec pipe;
@@ -575,28 +580,34 @@ TEST(AllocServer, MalformedEventRollsBackAndNeverPoisonsTheServer) {
   ASSERT_TRUE(ok.solve_status.is_ok());
   const double goal_before = ok.solve.goal;
 
-  // A resize that passes the shallow check (num_fpgas >= 1) but fails
-  // structural validation: classes without a matching class_of. The
-  // event must fail — and must NOT leave the broken platform behind.
-  core::Platform broken{"broken", 2};
-  broken.classes.push_back(core::DeviceClass{
-      "c0", core::ResourceVec::uniform(100.0), 100.0});
-  broken.class_of = {0};  // one entry for two FPGAs
-  EventOutcome bad = server.apply(Event::resize(broken));
+  // The same resize on a live pool fails the same way and must NOT
+  // leave the broken platform behind.
+  EventOutcome bad = server.apply(Event::resize(broken_platform()));
   EXPECT_EQ(bad.status.code(), Code::kInvalid);
   EXPECT_EQ(bad.solve.goal, goal_before);  // incumbent untouched
 
-  // An add whose kernel carries negative resource demand fails the
-  // same way, without growing the live set.
+  // An add whose kernel carries negative resource demand fails without
+  // growing the live set.
   PipelineSpec negative;
   negative.id = "neg";
   negative.app.kernels = {test::make_kernel("n", 5.0, -1.0, 10.0, 2.0)};
   bad = server.apply(Event::add(negative));
   EXPECT_EQ(bad.status.code(), Code::kInvalid);
+  EXPECT_EQ(bad.status.message(),
+            "kernel 'neg/n' has negative resource demand");
   EXPECT_EQ(bad.active_pipelines, 1u);
 
+  // A weight that overflows the scaled WCET fails the reprioritize,
+  // and neither the weight nor the goal moves.
+  bad = server.apply(Event::reprioritize("p0", 1e308));
+  EXPECT_EQ(bad.status.code(), Code::kInvalid);
+  EXPECT_EQ(bad.status.message(),
+            "kernel 'p0/a' must have a positive finite WCET");
+  EXPECT_EQ(bad.cache.delta, CompositeDelta::kNone);
+  EXPECT_EQ(bad.solve.goal, goal_before);
+
   // The server still serves: a well-formed event after the malformed
-  // ones solves on the *original* platform.
+  // ones solves on the *original* platform, with p0 at its old weight.
   PipelineSpec pipe2;
   pipe2.id = "p1";
   pipe2.app.kernels = {test::make_kernel("b", 6.0, 8.0, 12.0, 3.0)};
@@ -604,6 +615,128 @@ TEST(AllocServer, MalformedEventRollsBackAndNeverPoisonsTheServer) {
   EXPECT_TRUE(after.status.is_ok());
   EXPECT_TRUE(after.solve_status.is_ok());
   EXPECT_EQ(after.active_pipelines, 2u);
+  const std::optional<runtime::SolveResult> incumbent = server.incumbent();
+  ASSERT_TRUE(incumbent.has_value());
+  EXPECT_EQ(incumbent->problem->platform.name, "pool");
+  EXPECT_EQ(incumbent->problem->app.kernels[0].wcet_ms, 8.0);
+
+  // A tenant that cannot place a CU is a legal workload state (the
+  // solve reports it infeasible), and it must not hide a malformed add
+  // behind it: checking the whole composite would stop at the first
+  // kernel's kInfeasible and admit the negative demand, after which
+  // every remove and resize would find the composite invalid and fail.
+  AllocServer pool(core::Platform{"pool", 2}, ServerOptions{});
+  PipelineSpec huge;
+  huge.id = "huge";
+  huge.app.kernels = {test::make_kernel("h", 10.0, 150.0, 10.0, 5.0)};
+  EventOutcome outcome = pool.apply(Event::add(huge));
+  EXPECT_TRUE(outcome.status.is_ok());
+  EXPECT_EQ(outcome.solve_status.code(), Code::kInfeasible);
+
+  outcome = pool.apply(Event::add(negative));
+  EXPECT_EQ(outcome.status.code(), Code::kInvalid);
+  EXPECT_EQ(outcome.active_pipelines, 1u);
+
+  outcome = pool.apply(Event::remove("huge"));
+  EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_string();
+  EXPECT_EQ(outcome.active_pipelines, 0u);
+
+  core::Platform roomy{"roomy", 2};
+  roomy.capacity = core::ResourceVec::uniform(200.0);
+  outcome = pool.apply(Event::resize(roomy));
+  EXPECT_TRUE(outcome.status.is_ok()) << outcome.status.to_string();
+  outcome = pool.apply(Event::add(huge));
+  EXPECT_TRUE(outcome.status.is_ok());
+  EXPECT_TRUE(outcome.solve_status.is_ok())
+      << outcome.solve_status.to_string();
+
+  // A platform enters the server valid: open() reports a bad one.
+  core::Platform negative_pool{"negative", 2};
+  negative_pool.capacity[core::Resource::kBram] = -1.0;
+  auto opened = AllocServer::open(negative_pool, ServerOptions{});
+  ASSERT_FALSE(opened.is_ok());
+  EXPECT_EQ(opened.status().code(), Code::kInvalid);
+  EXPECT_EQ(opened.status().message(),
+            "platform capacities must be non-negative");
+}
+
+/// An outcome's replay-log line (io::to_json: every deterministic
+/// field) without its sequence number.
+std::string log_line_without_seq(EventOutcome outcome) {
+  outcome.sequence = 0;
+  return io::to_json(outcome).dump();
+}
+
+TEST(AllocServer, RejectedEventsLeaveNoTrace) {
+  // Property: a malformed event fails with kInvalid and changes
+  // nothing. Each trace gets a valid tenant that cannot place a CU
+  // (live for a stretch, so the composite is infeasible there), and
+  // the hostile copy interleaves malformed events throughout; every
+  // other outcome must equal the clean trace's, seq aside.
+  PipelineSpec unplaceable;
+  unplaceable.id = "unplaceable";
+  unplaceable.app.kernels = {test::make_kernel("u", 10.0, 150.0, 10.0, 5.0)};
+  PipelineSpec negative;
+  negative.id = "negative";
+  negative.app.kernels = {test::make_kernel("n", 5.0, 10.0, -1.0, 2.0)};
+
+  for (const std::uint64_t seed : {5u, 23u, 71u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Trace base = scenario::generate_trace(small_spec(60), seed);
+    std::vector<Event> clean;
+    std::vector<Event> hostile;
+    std::vector<bool> malformed;  // parallel to hostile
+    std::vector<PipelineSpec> live;
+    const auto push = [&](const Event& event) {
+      clean.push_back(event);
+      hostile.push_back(event);
+      malformed.push_back(false);
+      if (event.type == Event::Type::kAddPipeline) {
+        live.push_back(event.pipeline);
+      } else if (event.type == Event::Type::kRemovePipeline) {
+        const auto gone = [&event](const PipelineSpec& p) {
+          return p.id == event.id;
+        };
+        live.erase(std::find_if(live.begin(), live.end(), gone));
+      }
+    };
+    const auto inject = [&](std::size_t kind) {
+      Event event = Event::add(negative);
+      if (kind == 1 && !live.empty()) {
+        event = Event::reprioritize(live.back().id, std::nan(""));
+      } else if (kind == 2 && !live.empty()) {
+        event = Event::reprioritize(live.front().id, 1e308);
+      } else if (kind == 3) {
+        event = Event::resize(broken_platform());
+      } else if (kind == 4 && !live.empty()) {
+        event = Event::add(live.front());  // duplicate id
+      }
+      hostile.push_back(std::move(event));
+      malformed.push_back(true);
+    };
+    for (std::size_t i = 0; i < base.events.size(); ++i) {
+      if (i == 10) push(Event::add(unplaceable));
+      if (i == 40) push(Event::remove(unplaceable.id));
+      push(base.events[i]);
+      inject(i % 5);
+    }
+
+    AllocServer clean_server(base.platform, ServerOptions{});
+    AllocServer hostile_server(base.platform, ServerOptions{});
+    std::size_t next_clean = 0;
+    for (std::size_t i = 0; i < hostile.size(); ++i) {
+      SCOPED_TRACE("hostile event " + std::to_string(i));
+      const EventOutcome got = hostile_server.apply(hostile[i]);
+      if (malformed[i]) {
+        EXPECT_EQ(got.status.code(), Code::kInvalid) << got.status.to_string();
+        EXPECT_EQ(got.cache.delta, CompositeDelta::kNone);
+        continue;
+      }
+      const EventOutcome want = clean_server.apply(clean[next_clean++]);
+      EXPECT_EQ(log_line_without_seq(got), log_line_without_seq(want));
+    }
+    EXPECT_EQ(next_clean, clean.size());
+  }
 }
 
 TEST(AllocServer, LogRetentionIsBounded) {

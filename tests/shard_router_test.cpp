@@ -1,8 +1,8 @@
 // ShardRouter coverage: the pinned hash and partition (stability is a
 // wire/WAL contract), balanced and deterministic routing, per-shard
 // equivalence with standalone servers, resize broadcast, merged WAL
-// counters, and WAL recovery of a sharded deployment, including the
-// layout record that guards it.
+// counters, WAL recovery of a sharded deployment, including the layout
+// record that guards it, and the typed refusal of a bad pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -320,6 +320,21 @@ TEST(ShardRouter, OpenRejectsZeroShards) {
   RouterOptions options;
   options.shards = 0;
   EXPECT_FALSE(ShardRouter::open(trace.platform, options).is_ok());
+}
+
+TEST(ShardRouter, OpenRejectsAnInvalidPlatform) {
+  // A bad pool fails the open, typed, before any directory is made.
+  const TempDir dir("router_invalid_platform");
+  core::Platform platform{"negative", 2};
+  platform.capacity[core::Resource::kBram] = -1.0;
+  RouterOptions options;
+  options.wal_root = dir.path;
+  auto router = ShardRouter::open(platform, options);
+  ASSERT_FALSE(router.is_ok());
+  EXPECT_EQ(router.status().code(), Code::kInvalid);
+  EXPECT_EQ(router.status().message(),
+            "platform capacities must be non-negative");
+  EXPECT_FALSE(fs::exists(dir.path));
 }
 
 }  // namespace

@@ -582,6 +582,32 @@ TEST(Wal, RecoversAcrossAnUnsolvableSnapshotPoint) {
   EXPECT_EQ(incumbent_json(*recovered.value()), incumbent_json(uninterrupted));
 }
 
+TEST(Wal, RecoverRejectsAnInvalidPlatform) {
+  // Recovery admits the logged pool the way open() does: a bad platform
+  // in the log header or the snapshot is a typed kInvalid, not a
+  // server that rejects every later event.
+  const TempDir dir("invalid_recovery");
+  ServerOptions options;
+  options.wal_dir = dir.path;
+  core::Platform negative_pool{"negative", 2};
+  negative_pool.capacity[core::Resource::kDsp] = -5.0;
+
+  const auto expect_invalid = [&options](const std::string& message) {
+    auto recovered = AllocServer::recover(options);
+    ASSERT_FALSE(recovered.is_ok());
+    EXPECT_EQ(recovered.status().code(), Code::kInvalid);
+    EXPECT_EQ(recovered.status().message(), message);
+  };
+  ASSERT_TRUE(Wal::create(dir.path, negative_pool).is_ok());
+  expect_invalid("wal header: platform capacities must be non-negative");
+
+  StatusOr<Wal> wal = Wal::create(dir.path, core::Platform{"pool", 2});
+  ASSERT_TRUE(wal.is_ok());
+  const WalSnapshot snapshot{0, negative_pool, {}, {}};
+  ASSERT_TRUE(wal.value().write_snapshot(snapshot).is_ok());
+  expect_invalid("wal snapshot: platform capacities must be non-negative");
+}
+
 TEST(Wal, RecoverWithoutWalDirFails) {
   ServerOptions options;
   auto recovered = AllocServer::recover(options);
