@@ -3,12 +3,10 @@
 //
 // Replays one seeded arrival trace (scenario/trace.hpp) through an
 // AllocServer on the default configuration (ServerOptions{}): every
-// event's composite is re-solved from scratch by the portfolio's GP+A
-// lanes, through the server's sharded capacity-bounded caches.
+// event's composite is re-solved from scratch by one GP+A lane.
 //
 // Reported per replay: wall-clock replay time, mean/p50/p95/p99/max
-// per-event latency, B&B nodes, relaxation-cache hits and the warm-path
-// allocation count.
+// per-event latency, B&B nodes and the warm-path allocation count.
 //
 // A second replay runs the same configuration with a write-ahead log
 // (fsync on) to price durability: the WAL column reports the same
@@ -59,7 +57,6 @@ struct ReplayStats {
   /// replay's reprioritize/resize events (0 unless the counting
   /// interposer is linked; --check gates it at zero when it is).
   std::uint64_t warm_allocs = 0;
-  mfa::core::RelaxationCache::Stats relax;
   /// Concatenated deterministic outcome JSON, one line per event — the
   /// WAL determinism gate byte-compares these across replays.
   std::string log_digest;
@@ -112,7 +109,6 @@ ReplayStats replay(const mfa::scenario::Trace& trace,
   stats.max_event_ms =
       event_ms.empty() ? 0.0
                        : *std::max_element(event_ms.begin(), event_ms.end());
-  stats.relax = server.cache_stats();
   return stats;
 }
 
@@ -137,8 +133,6 @@ void emit_json(int events, const ReplayStats& plain, const ReplayStats& wal) {
   doc.set("p99_event_ms", mfa::io::Json::number(plain.p99_event_ms));
   doc.set("max_event_ms", mfa::io::Json::number(plain.max_event_ms));
   doc.set("nodes", mfa::io::Json::number(static_cast<double>(plain.nodes)));
-  doc.set("relax_hits",
-          mfa::io::Json::number(static_cast<double>(plain.relax.hits)));
   // Durability pricing: same configuration, WAL on (fsync).
   doc.set("wal_seconds", mfa::io::Json::number(wal.seconds));
   doc.set("wal_mean_event_ms", mfa::io::Json::number(wal.mean_event_ms));
@@ -176,8 +170,6 @@ void print_table(const ReplayStats& plain, const ReplayStats& wal) {
   row_f("max event latency (ms)", plain.max_event_ms, wal.max_event_ms);
   row_i("warm-path allocations", static_cast<std::int64_t>(plain.warm_allocs),
         static_cast<std::int64_t>(wal.warm_allocs));
-  row_i("relaxation cache hits", static_cast<std::int64_t>(plain.relax.hits),
-        static_cast<std::int64_t>(wal.relax.hits));
 }
 
 }  // namespace

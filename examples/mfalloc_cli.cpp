@@ -15,9 +15,9 @@
 //
 // `serve` prints per-event latency/goal JSON to stdout; `--log`
 // additionally writes the *deterministic* event log (no wall-clock
-// fields), byte-identical across runs for a fixed trace and thread
-// count. `post` speaks the versioned wire API (net/api.hpp): events go
-// up in batches as {"schema_version":3,"events":[...]}, outcomes come
+// fields), byte-identical across runs for a fixed trace. `post` speaks
+// the versioned wire API (net/api.hpp): events go up in batches as
+// {"schema_version":4,"events":[...]}, outcomes come
 // back per event; `--resume` asks GET /v1/stats how far the daemon got
 // (e.g. after a crash + `mfallocd --recover`) and continues from there.
 //
@@ -345,9 +345,6 @@ int cmd_serve(const ArgParser& args) {
 
   mfa::service::ServerOptions options;
   options.portfolio.run_exact = args.flag_set("exact");
-  const auto jobs = args.int_or("jobs", options.solver_threads, 0, 4096);
-  if (!jobs.is_ok()) return flag_error(args, jobs.status());
-  options.solver_threads = static_cast<int>(jobs.value());
   const auto max_moves = args.int_or("max-moves", -1, -1, 1 << 30);
   if (!max_moves.is_ok()) return flag_error(args, max_moves.status());
   options.max_moves = static_cast<int>(max_moves.value());
@@ -392,13 +389,6 @@ int cmd_serve(const ArgParser& args) {
                                     ? 0.0
                                     : 1e3 * total_s / outcomes.size()));
   doc.set("max_latency_ms", mfa::io::Json::number(1e3 * max_s));
-  const auto cache = server.cache_stats();
-  doc.set("cache_hits",
-          mfa::io::Json::number(static_cast<double>(cache.hits)));
-  doc.set("cache_entries",
-          mfa::io::Json::number(static_cast<double>(cache.entries)));
-  doc.set("cache_evictions",
-          mfa::io::Json::number(static_cast<double>(cache.evictions)));
   doc.set("per_event", std::move(per_event));
   std::printf("%s\n", doc.dump(2).c_str());
 

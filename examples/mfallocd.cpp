@@ -65,13 +65,11 @@ int main(int argc, char** argv) {
   options.wal_root = args.value_or("data", "");
   const auto shards = args.int_or("shards", 2, 1, 256);
   const auto snapshot_every = args.int_or("snapshot-every", 256, 0, 1 << 30);
-  const auto jobs = args.int_or("jobs", 1, 0, 4096);
   const auto port = args.int_or("port", 8080, 0, 65535);
   const auto max_moves = args.int_or("max-moves", -1, -1, 1 << 30);
   const auto max_disturbed = args.int_or("max-disturbed", -1, -1, 1 << 30);
   for (const auto* v :
-       {&shards, &snapshot_every, &jobs, &port, &max_moves,
-        &max_disturbed}) {
+       {&shards, &snapshot_every, &port, &max_moves, &max_disturbed}) {
     if (!v->is_ok()) {
       std::fprintf(stderr, "error: %s\n", v->status().message().c_str());
       return 2;
@@ -81,7 +79,6 @@ int main(int argc, char** argv) {
   options.server.snapshot_every =
       static_cast<std::size_t>(snapshot_every.value());
   options.server.wal_fsync = !args.flag_set("no-fsync");
-  options.server.solver_threads = static_cast<int>(jobs.value());
   options.server.max_moves = static_cast<int>(max_moves.value());
   options.server.max_disturbed = static_cast<int>(max_disturbed.value());
 

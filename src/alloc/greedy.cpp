@@ -355,8 +355,7 @@ StatusOr<GreedyResult> GreedyAllocator::allocate(
 
   // Memoized replay: identical (problem, totals, options) runs repeat
   // constantly — every portfolio lane places the same discretized
-  // totals, and service churn revisits workloads — so a hit skips the
-  // whole escalation loop. The memo stores no Problem reference; the
+  // totals — so a hit skips the whole escalation loop. The memo stores no Problem reference; the
   // allocation is rebuilt against *this* problem.
   core::Fingerprint memo_key;
   if (options_.cache != nullptr) {

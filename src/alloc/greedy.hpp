@@ -51,7 +51,7 @@ namespace mfa::alloc {
 /// plus the scalar diagnostics, with no reference back to the Problem —
 /// a hit rebuilds the Allocation against the *caller's* Problem object,
 /// so entries can be shared across equal problem instances (portfolio
-/// lanes, repeated service events) regardless of object identity.
+/// lanes, repeated batch requests) regardless of object identity.
 struct GreedyMemo {
   std::vector<int> cu;  ///< n_{k,f}, row-major [kernel][fpga]
   double used_fraction = 0.0;

@@ -61,7 +61,6 @@ void declare_gentrace(ArgParser& p) {
 void declare_serve(ArgParser& p) {
   p.option("trace", "trace.json", "arrival trace to replay",
            /*required=*/true)
-      .option("jobs", "N", "solver threads (1 = deterministic lanes)")
       .option("log", "out.json", "also write the deterministic event log")
       .flag("exact", "add the budgeted exact lane per event")
       .option("max-moves", "K",
@@ -147,7 +146,6 @@ ArgParser mfallocd_parser(const std::string& program) {
               "AllocServer shards (default 2; part of the WAL layout)")
       .option("snapshot-every", "N",
               "snapshot each shard's workload every N events (default 256)")
-      .option("jobs", "N", "solver threads per shard (default 1)")
       .option("max-moves", "K",
               "stability budget: max CUs torn from surviving pipelines "
               "per event (default unlimited)")

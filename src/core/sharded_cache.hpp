@@ -14,11 +14,11 @@
 // Entries are shared_ptr-owned, so a hit stays valid after eviction,
 // clear() or cache death.
 //
-// Sharding and eviction (for long-lived owners, e.g. the allocation
-// service): the key space can be split across several independently
-// locked shards — selected by the fingerprint's high bits, so hot
-// concurrent traffic does not serialize on one mutex — and each shard
-// can be capacity-bounded with FIFO eviction. Eviction is *transparent*
+// Sharding and eviction (for long-lived owners): the key space can be
+// split across several independently locked shards — selected by the
+// fingerprint's high bits, so hot concurrent traffic does not
+// serialize on one mutex — and each shard can be capacity-bounded with
+// FIFO eviction. Eviction is *transparent*
 // under the determinism contract: an evicted key simply recomputes to
 // the identical bytes on its next miss. The default configuration (one
 // shard, unbounded) has no eviction at all.

@@ -521,10 +521,7 @@ Json to_json(const service::EventOutcome& o) {
   for (int t : o.solve.totals) totals.push_back(Json::number(t));
   j.set("totals", std::move(totals));
   j.set("nodes", Json::number(static_cast<double>(o.solve.nodes)));
-  // Cache observability (deterministic with the default sequential
-  // lanes; see CacheCounters).
   j.set("delta", Json::string(service::to_string(o.cache.delta)));
-  j.set("relax_hits", Json::number(static_cast<double>(o.cache.relax_hits)));
   j.set("diff", to_json(o.diff));
   // Warm-path allocation count (0 unless the build links the counting
   // interposer).

@@ -37,7 +37,6 @@ Json stats_to_json(const service::ServiceStats& s) {
   j.set("active_pipelines",
         Json::number(static_cast<double>(s.active_pipelines)));
   j.set("solve_nodes", Json::number(static_cast<double>(s.solve_nodes)));
-  j.set("relax_hits", Json::number(static_cast<double>(s.relax_hits)));
   j.set("cus_moved", Json::number(static_cast<double>(s.cus_moved)));
   j.set("pipelines_disturbed",
         Json::number(static_cast<double>(s.pipelines_disturbed)));

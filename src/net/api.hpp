@@ -1,13 +1,13 @@
 // Versioned wire API of the allocation daemon (mfallocd).
 //
-//   POST /v1/events      {"schema_version":3,"events":[<event>...]}
+//   POST /v1/events      {"schema_version":4,"events":[<event>...]}
 //                        Events use exactly the io/serialize trace
 //                        schema (add/remove/reprioritize/resize). The
 //                        whole body is validated before anything is
 //                        submitted; a malformed body is a 400 and no
-//                        event runs (schema_version 1 and 2 bodies are
+//                        event runs (schema_version 1 to 3 bodies are
 //                        still accepted). A valid body returns 200 with
-//                        {"schema_version":3,"outcomes":[...]} — one
+//                        {"schema_version":4,"outcomes":[...]} — one
 //                        outcome per event, in order, each the
 //                        deterministic EventOutcome slice plus
 //                        "latency_ms"; *application* failures (unknown

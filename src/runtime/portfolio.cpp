@@ -123,9 +123,6 @@ Portfolio::Portfolio(PortfolioOptions options, int num_threads)
   pool_ = std::make_unique<ThreadPool>(num_threads);
 }
 
-Portfolio::Portfolio(PortfolioOptions options, ThreadPool* shared_pool)
-    : options_(std::move(options)), shared_pool_(shared_pool) {}
-
 Portfolio::~Portfolio() = default;
 
 SolveResult Portfolio::solve(const core::Problem& problem) const {
@@ -161,9 +158,8 @@ SolveResult Portfolio::solve(const SolveRequest& request) const {
   solver::Budget shared(options.max_nodes, options.max_seconds);
 
   std::vector<LaneRun> runs(lanes.size());
-  ThreadPool* workers = pool();
-  if (workers != nullptr && lanes.size() > 1) {
-    workers->parallel_for(lanes.size(), [&](std::size_t i) {
+  if (pool_ != nullptr && lanes.size() > 1) {
+    pool_->parallel_for(lanes.size(), [&](std::size_t i) {
       runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);
     });
   } else {

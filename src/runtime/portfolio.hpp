@@ -28,12 +28,6 @@ class Portfolio {
   /// private pool to min(#lanes, hardware threads), n > 1 uses n workers.
   explicit Portfolio(PortfolioOptions options = {}, int num_threads = 0);
 
-  /// Races lanes on an existing pool instead of a private one (the
-  /// allocation service keeps one pool for its whole lifetime rather
-  /// than re-spawning workers per event). Not owned; must outlive this
-  /// portfolio. nullptr falls back to sequential lanes.
-  Portfolio(PortfolioOptions options, ThreadPool* shared_pool);
-
   ~Portfolio();
 
   Portfolio(const Portfolio&) = delete;
@@ -51,14 +45,8 @@ class Portfolio {
   [[nodiscard]] SolveResult solve(const SolveRequest& request) const;
 
  private:
-  /// The pool lanes race on: owned or borrowed, null → sequential lanes.
-  [[nodiscard]] ThreadPool* pool() const {
-    return pool_ != nullptr ? pool_.get() : shared_pool_;
-  }
-
   PortfolioOptions options_;
-  std::unique_ptr<ThreadPool> pool_;     ///< private pool, when owned
-  ThreadPool* shared_pool_ = nullptr;    ///< borrowed pool, when shared
+  std::unique_ptr<ThreadPool> pool_;  ///< null → sequential lanes
 };
 
 }  // namespace mfa::runtime

@@ -25,29 +25,8 @@ constexpr std::int64_t kStabilityNodes = 200'000;
 AllocServer::AllocServer(core::Platform platform, ServerOptions options,
                          DeferStart)
     : options_(std::move(options)),
-      cache_(core::RelaxCacheConfig{options_.cache_shards,
-                                    options_.cache_entries}),
-      greedy_cache_(
-          core::CacheConfig{options_.cache_shards, options_.cache_entries}),
-      composite_(std::move(platform), CompositeConfig{}) {
-  if (options_.solver_threads != 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(options_.solver_threads);
-  }
-  // One wiring point for the portfolio: ctx_ is a stable member, so the
-  // portfolio's copied options can point at it for the server's
-  // lifetime. The pool is passed to the Portfolio directly (it owns the
-  // lane fan-out).
-  ctx_.relax_cache = &cache_;
-  options_.portfolio.context = &ctx_;
-  // Greedy placements are memoized server-wide: every GP+A lane of every
-  // event consults one cache (the portfolio copies these options, so the
-  // pointer must be set before the Portfolio is constructed).
-  if (options_.portfolio.gpa.greedy.cache == nullptr) {
-    options_.portfolio.gpa.greedy.cache = &greedy_cache_;
-  }
-  portfolio_ = std::make_unique<runtime::Portfolio>(options_.portfolio,
-                                                    pool_.get());
-}
+      portfolio_(options_.portfolio, /*num_threads=*/1),
+      composite_(std::move(platform), CompositeConfig{}) {}
 
 AllocServer::AllocServer(core::Platform platform, ServerOptions options)
     : AllocServer(platform, std::move(options), DeferStart{}) {
@@ -126,9 +105,8 @@ Status AllocServer::restore(const WalRecovery& recovery) {
   if (recovery.snapshot) {
     // Splice the snapshotted workload in wholesale, then re-derive the
     // incumbent with one solve: the incumbent is a pure function of
-    // (platform, live pipelines, options) and the caches are
-    // byte-transparent, so this lands on exactly the allocation the
-    // uninterrupted run held at the snapshot point.
+    // (platform, live pipelines, options), so this lands on exactly the
+    // allocation the uninterrupted run held at the snapshot point.
     LockGuard lock(state_mutex_);
     composite_.resize_platform(recovery.snapshot->platform);
     for (const PipelineSpec& pipe : recovery.snapshot->pipelines) {
@@ -285,17 +263,11 @@ void AllocServer::retain_outcome(const EventOutcome& outcome) {
 }
 
 void AllocServer::resolve_workload(EventOutcome& outcome) {
-  // Sample this server's own relaxation cache around the solve so the
-  // outcome records what this event actually paid for (with sequential
-  // lanes — the default — the delta is deterministic; see
-  // CacheCounters).
-  const auto relax0 = cache_.stats();
   runtime::SolveRequest request;
   request.problem = composite_.snapshot();
-  runtime::SolveResult result = portfolio_->solve(request);
+  runtime::SolveResult result = portfolio_.solve(request);
   outcome.solve_status = result.status;
   outcome.solve.nodes = result.nodes;
-  outcome.cache.relax_hits = cache_.stats().hits - relax0.hits;
   if (result.is_ok() && result.allocation) {
     // Diff the unconstrained optimum against the occupancy records
     // (recorded whether or not stability is configured — "stability
@@ -580,7 +552,6 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
   // router-level reader (the wire API) de-duplicate them.
   if (outcome.type == Event::Type::kResizePlatform) ++stats_.resizes;
   stats_.solve_nodes += outcome.solve.nodes;
-  stats_.relax_hits += outcome.cache.relax_hits;
   stats_.cus_moved += static_cast<std::uint64_t>(
       std::max(0, outcome.diff.cus_moved));
   stats_.pipelines_disturbed += static_cast<std::uint64_t>(

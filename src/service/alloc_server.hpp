@@ -1,26 +1,19 @@
 // Long-lived allocation service over the shared multi-FPGA pool.
 //
 // AllocServer turns the static per-instance solvers into an online
-// system: it owns the pool (a core::Platform), the set of live
-// pipelines, a sharded capacity-bounded RelaxationCache, and a solver
-// ThreadPool, and consumes a stream of events — AddPipeline,
+// system: it owns the pool (a core::Platform) and the set of live
+// pipelines, and consumes a stream of events — AddPipeline,
 // RemovePipeline, Reprioritize, ResizePlatform — through an MPMC queue.
 //
-// Each event mutates the workload and triggers an *incremental*
-// re-solve of the composite problem (all live pipelines concatenated
-// into one super-pipeline on the shared platform, each pipeline's WCETs
-// scaled by its priority weight). Incrementality is layered:
-//
-//  * the composite itself is maintained by a CompositeBuilder
-//    (service/composite.hpp) that applies event deltas — Reprioritize
-//    rewrites a few WCET coefficients in place, ResizePlatform swaps the
-//    platform, only Add/Remove splice the kernel set — instead of
-//    rebuilding the super-pipeline from scratch per event;
-//  * root and branch-and-bound node relaxations are memoized in the
-//    server's RelaxationCache, so a composite seen before re-solves
-//    from lookups;
-//  * Algorithm 1 placements are memoized in a server-wide GreedyCache,
-//    bounded like the RelaxationCache.
+// Each event mutates the workload and triggers a re-solve of the
+// composite problem (all live pipelines concatenated into one
+// super-pipeline on the shared platform, each pipeline's WCETs scaled
+// by its priority weight). The composite itself is maintained by a
+// CompositeBuilder (service/composite.hpp) that applies event deltas —
+// Reprioritize rewrites a few WCET coefficients in place,
+// ResizePlatform swaps the platform, only Add/Remove splice the kernel
+// set — instead of rebuilding the super-pipeline from scratch per
+// event.
 //
 // Each event's payload is checked before its delta (kernels through
 // core::validate_kernel at their new weight, a resize's platform
@@ -28,18 +21,21 @@
 // a malformed event fails kInvalid and changes nothing, so no delta is
 // ever undone.
 //
-// Each event's solve itself starts from scratch, as the paper's GP+A
-// does. Both caches are pure accelerations — a hit returns exactly what
-// solving would — and the per-event portfolio budget
+// Each event's solve starts from scratch, as the paper's GP+A does, and
+// runs GP+A once: the composite's resource fraction is 1.0, so a lane
+// at deviation T > 0 (whose Algorithm 1 cap is min(1.0 + T, 1.0)) would
+// repeat lane 0's search and lose the tie to it. Nothing is memoized
+// across events or lanes. The per-event portfolio budget
 // (ServerOptions::portfolio.max_nodes/max_seconds, enforced through the
 // portfolio's shared Budget when exact lanes are enabled) bounds each
 // event's latency.
 //
 // Determinism: events are applied in submission order by one dispatcher
-// thread, and with the default heuristic-only portfolio every
-// EventOutcome field except wall-clock `seconds` is a pure function of
-// (initial platform, event sequence, options) — the property the trace
-// replayer's byte-identical log check rides on.
+// thread, which also runs the portfolio's lanes in lane order, and with
+// the default heuristic-only portfolio every EventOutcome field except
+// wall-clock `seconds` is a pure function of (initial platform, event
+// sequence, options) — the property the trace replayer's
+// byte-identical log check rides on.
 //
 // Durability (ServerOptions::wal_dir): construct through open() and the
 // server keeps a write-ahead log (service/wal.hpp) — each event is
@@ -50,10 +46,9 @@
 // acknowledges the events one at a time in sequence order, so an
 // acknowledged event is always durable. A failed group append fails
 // every event of the group, unapplied. recover() rebuilds a crashed
-// server from snapshot + log tail; because the caches are
-// byte-transparent and the dispatcher is deterministic, the recovered
-// incumbent is *byte-identical* to an uninterrupted run's (the
-// crash-recovery CI job asserts exactly that).
+// server from snapshot + log tail; because the dispatcher is
+// deterministic, the recovered incumbent is *byte-identical* to an
+// uninterrupted run's (the crash-recovery CI job asserts exactly that).
 #pragma once
 
 #include <cstddef>
@@ -66,13 +61,9 @@
 #include <thread>
 #include <vector>
 
-#include "alloc/greedy.hpp"
 #include "core/problem.hpp"
-#include "core/relax_cache.hpp"
-#include "core/solver_context.hpp"
 #include "runtime/portfolio.hpp"
 #include "runtime/solve.hpp"
-#include "runtime/thread_pool.hpp"
 #include "service/composite.hpp"
 #include "service/event.hpp"
 #include "service/event_queue.hpp"
@@ -84,28 +75,27 @@
 namespace mfa::service {
 
 struct ServerOptions {
-  /// Per-event solver configuration. The default differs from the
-  /// batch default: exact lanes are off, because a daemon must not
-  /// spend minutes proving optimality per event and because wall-clock-
-  /// budgeted exact lanes would make the event log timing-dependent.
-  /// Enable run_exact for proof-grade serving where latency permits.
+  /// Per-event solver configuration; the lanes run sequentially, in
+  /// lane order, on the dispatcher thread. The default differs from
+  /// the batch default in two ways. It has one GP+A lane (T = 0): the
+  /// composite's resource fraction is 1.0, where every T lane places
+  /// the same allocation (see the file comment). And exact lanes are
+  /// off, because a daemon must not spend minutes proving optimality
+  /// per event and because wall-clock-budgeted exact lanes would make
+  /// the event log timing-dependent. Enable run_exact for proof-grade
+  /// serving where latency permits.
   runtime::PortfolioOptions portfolio;
 
-  /// Shape of both server-owned memo caches, the relaxation cache and
-  /// the greedy placement cache: each is sharded and capacity-bounded —
-  /// a daemon must not grow without bound. 0 entries = unbounded.
+  /// Not read by the server, which keeps no solver cache.
+  /// e2ebench/src/traced.cpp still sizes its probe caches from them.
   std::size_t cache_shards = 16;
   std::size_t cache_entries = 1 << 16;
 
   /// Outcomes retained for log(): the newest `log_capacity` events
   /// (0 = unbounded — replay/test harnesses that diff the full log).
-  /// Same rationale as the cache bound: a daemon processing millions
-  /// of events must not accumulate per-event records forever.
+  /// A daemon processing millions of events must not accumulate
+  /// per-event records forever.
   std::size_t log_capacity = 4096;
-
-  /// Worker threads the portfolio lanes race on (the server keeps one
-  /// pool for its lifetime): 1 = sequential lanes, 0 = hardware size.
-  int solver_threads = 1;
 
   // ---- Migration-aware stability (apply_stability). Both budgets off
   // (-1) keeps the solve path byte-identical to the unconstrained
@@ -135,6 +125,7 @@ struct ServerOptions {
   std::size_t snapshot_every = 256;
 
   ServerOptions() {
+    portfolio.gpa_t_max = {0.0};
     portfolio.run_exact = false;
     portfolio.run_naive = false;
     portfolio.max_seconds = 5.0;
@@ -158,7 +149,6 @@ struct ServiceStats {
   std::uint64_t resizes = 0;
   std::size_t active_pipelines = 0;
   std::int64_t solve_nodes = 0;
-  std::uint64_t relax_hits = 0;
   // Migration totals (see AllocationDiff): CUs torn down and pipelines
   // disturbed across all events, plus how often the stability ladder
   // repacked or gave up.
@@ -241,13 +231,6 @@ class AllocServer {
   /// data; invalid/empty before the first successful solve).
   [[nodiscard]] OccupancyTracker occupancy() const;
 
-  [[nodiscard]] core::RelaxationCache::Stats cache_stats() const {
-    return cache_.stats();
-  }
-  [[nodiscard]] alloc::GreedyCache::Stats greedy_cache_stats() const {
-    return greedy_cache_.stats();
-  }
-
  private:
   /// Tag for the delegated constructor that wires everything but does
   /// not start the dispatcher (open()/recover() finish WAL setup first).
@@ -309,23 +292,10 @@ class AllocServer {
   // each carries its own thread-model justification. -------------------
   // mfa-lint: allow(mutex-hygiene) immutable after construction
   ServerOptions options_;
-  // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
-  core::RelaxationCache cache_;
-  /// Memoized greedy placements (alloc/greedy.hpp): service churn
-  /// re-places identical (problem, totals) pairs across events and
-  /// portfolio lanes, so placements are computed once and replayed.
-  /// Bounded like cache_ (cache_shards/cache_entries).
-  // mfa-lint: allow(mutex-hygiene) ShardedCache, internally synchronized
-  alloc::GreedyCache greedy_cache_;
-  /// The single wiring point handed to the portfolio (points at cache_).
-  // mfa-lint: allow(mutex-hygiene) immutable after construction
-  core::SolverContext ctx_;
-  /// null → sequential lanes
-  // mfa-lint: allow(mutex-hygiene) set in ctor; ThreadPool self-syncs
-  std::unique_ptr<runtime::ThreadPool> pool_;
+  /// Sequential lanes (no pool of its own).
   // mfa-lint: allow(mutex-hygiene) set in ctor; solves serialized by
   // the dispatcher
-  std::unique_ptr<runtime::Portfolio> portfolio_;
+  runtime::Portfolio portfolio_;
 
   // ---- Dispatcher-owned workload state, guarded by state_mutex_
   // (declared first so the GUARDED_BY annotations can name it). The

@@ -18,8 +18,8 @@
 // The maintained problem is bit-identical to what the wholesale rebuild
 // would produce — kernel order is concatenation order of the live
 // pipelines, scaled WCETs are computed from the same base numbers with
-// the same expression. That identity is what keeps relaxation-cache
-// keys stable across events, so a replayed composite hits the cache.
+// the same expression. That identity is what makes a patched composite
+// solve to exactly the bytes a rebuilt one would.
 //
 // The server checks each event before its delta (validate_pipeline,
 // Platform::validate), so a delta is never undone: every composite is

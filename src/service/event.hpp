@@ -133,22 +133,13 @@ struct SolveCounters {
   std::int64_t nodes = 0;  ///< Σ nodes across portfolio lanes
 };
 
-/// The cache half of an event's outcome: what the solve paid for. Every
-/// counter is read from the serving AllocServer's own cache, never from
-/// process-wide state, so under a ShardRouter each shard's counters are
-/// exactly those of a standalone server fed the same events, at any
-/// shard count. They are deterministic with sequential portfolio lanes
-/// (solver_threads = 1, the default): racing lanes may duplicate a miss
-/// before the first writer publishes, which makes them timing-dependent
-/// at higher thread counts (like `seconds`, unlike the solve outputs).
+/// The composite half of an event's outcome: which delta the event
+/// applied to the live composite problem (service/composite.hpp). It
+/// depends only on the event stream, so it is part of the deterministic
+/// replay log.
 struct CacheCounters {
   /// Delta class the event applied to the composite problem.
   CompositeDelta delta = CompositeDelta::kNone;
-  /// Relaxation-cache hits during the event's solve: root and
-  /// branch-and-bound node relaxations found in the server's cache,
-  /// whether stored by an earlier lane of this solve or by an earlier
-  /// event.
-  std::uint64_t relax_hits = 0;
 };
 
 /// The migration half of an event's outcome: what the accepted
@@ -176,9 +167,9 @@ struct AllocationDiff {
 };
 
 /// What the server reports for one processed event, in three explicit
-/// sections — solve outputs, cache counters, migration diff — plus the
+/// sections — solve outputs, composite delta, migration diff — plus the
 /// event envelope. Every field except `seconds` is deterministic for a
-/// fixed trace, configuration and thread count — the replay log the CLI
+/// fixed trace and configuration — the replay log the CLI
 /// writes (and CI diffs) contains exactly those fields; `seconds` is
 /// wall clock and reported separately. (The JSON encoding is a flat key
 /// sequence with "diff" and "warm_allocs" appended; see

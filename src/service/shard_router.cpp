@@ -92,7 +92,6 @@ EventOutcome merge_outcomes(std::vector<EventOutcome> outcomes) {
       merged.solve_status = o.solve_status;
     }
     merged.solve.nodes += o.solve.nodes;
-    merged.cache.relax_hits += o.cache.relax_hits;
     merged.diff.computed = merged.diff.computed || o.diff.computed;
     merged.diff.cus_moved += o.diff.cus_moved;
     merged.diff.pipelines_disturbed += o.diff.pipelines_disturbed;
@@ -221,7 +220,6 @@ ServiceStats ShardRouter::stats() const {
     merged.resizes += s.resizes;
     merged.active_pipelines += s.active_pipelines;
     merged.solve_nodes += s.solve_nodes;
-    merged.relax_hits += s.relax_hits;
     merged.cus_moved += s.cus_moved;
     merged.pipelines_disturbed += s.pipelines_disturbed;
     merged.stability_repacks += s.stability_repacks;

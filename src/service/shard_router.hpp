@@ -23,19 +23,16 @@
 // configured with the same initial pool shape, so the deployment
 // models N pool replicas with tenants spread across them);
 // ResizePlatform events carry no pipeline id and are *broadcast* to
-// every shard. Shards share nothing: each owns its caches (relaxation
-// entries are keyed by the full composite, which rarely repeats across
-// shards, and sharing would add contention for no hit-rate), so every
-// counter in a shard's EventOutcome comes from that shard's own state
-// and a shard's outcome log equals that of a standalone AllocServer fed
-// the same events.
+// every shard. Shards share nothing, so every counter in a shard's
+// EventOutcome comes from that shard's own state and a shard's outcome
+// log equals that of a standalone AllocServer fed the same events.
 //
 // Thread model: the router itself is immutable after open()/recover()
 // — shards_ is built once and never mutated, so
 // submit()/stats()/shard_of() need no router-level lock from any
 // thread. All mutable state lives inside the individual AllocServers
-// (guarded by their state_mutex_ and their internally synchronized
-// caches). stop() only calls the shards' own idempotent stop().
+// (guarded by their state_mutex_). stop() only calls the shards' own
+// idempotent stop().
 //
 // Durability: with RouterOptions::wal_root set, shard i logs to
 // <wal_root>/shard-<i> (its own WAL + snapshots), and recover()
@@ -95,7 +92,7 @@ class ShardRouter {
 
   /// Routes the event to its pipeline's shard. ResizePlatform is
   /// broadcast: the returned (deferred) future resolves to a merged
-  /// outcome — first non-ok status, summed pipeline/node/cache
+  /// outcome — first non-ok status, summed pipeline/node/migration
   /// counters, shard 0's incumbent fields — once every shard has
   /// applied it.
   std::future<EventOutcome> submit(Event event);

@@ -66,6 +66,23 @@ TEST(Cli, MfallocdParserShape) {
   }
 }
 
+TEST(Cli, ServingCommandsTakeNoJobs) {
+  // The server runs its lanes on the dispatcher thread: neither the
+  // daemon nor `serve` declares a thread count.
+  ArgParser daemon = mfallocd_parser("mfallocd");
+  const Status daemon_jobs = parse(daemon, {"--jobs", "2"});
+  EXPECT_EQ(daemon_jobs.code(), Code::kInvalid);
+  EXPECT_NE(daemon_jobs.message().find("unknown flag '--jobs'"),
+            std::string::npos);
+  auto serve = command_parser("mfalloc_cli", "serve");
+  ASSERT_TRUE(serve.is_ok());
+  const Status serve_jobs =
+      parse(serve.value(), {"--trace", "t.json", "--jobs", "2"});
+  EXPECT_EQ(serve_jobs.code(), Code::kInvalid);
+  EXPECT_NE(serve_jobs.message().find("unknown flag '--jobs'"),
+            std::string::npos);
+}
+
 TEST(Cli, ServeExposesStabilityBudgets) {
   auto parser = command_parser("mfalloc_cli", "serve");
   ASSERT_TRUE(parser.is_ok());
@@ -193,9 +210,10 @@ TEST(Cli, TypedAccessorsValidate) {
   EXPECT_EQ(parser.int_or("shards", 2, 1, 256).status().code(),
             Code::kInvalid);
   // Absent → fallback, not an error.
-  const auto jobs = parser.int_or("jobs", 1, 0, 4096);
-  ASSERT_TRUE(jobs.is_ok());
-  EXPECT_EQ(jobs.value(), 1);
+  const auto snapshot_every =
+      parser.int_or("snapshot-every", 256, 0, 1 << 30);
+  ASSERT_TRUE(snapshot_every.is_ok());
+  EXPECT_EQ(snapshot_every.value(), 256);
 }
 
 TEST(Cli, ParseHelpersRejectGarbage) {

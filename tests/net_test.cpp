@@ -410,6 +410,35 @@ TEST_F(ApiTest, MissingOrUnknownSchemaVersionIs400) {
       400);
 }
 
+TEST_F(ApiTest, SchemaFourAndOlderBodiesAreAccepted) {
+  // Schema 4 dropped relax_hits from outcomes and /v1/stats; a body
+  // stamped with an older version still runs.
+  const HttpResponse response =
+      call("POST", "/v1/events", add_event_body("tenant-v"));
+  ASSERT_EQ(response.status, 200) << response.body;
+  auto reply = io::Json::parse(response.body);
+  ASSERT_TRUE(reply.is_ok());
+  EXPECT_EQ(reply.value().find("schema_version")->as_number(), 4.0);
+  const io::Json& outcome = reply.value().find("outcomes")->at(0);
+  EXPECT_NE(outcome.find("nodes"), nullptr);
+  EXPECT_EQ(outcome.find("relax_hits"), nullptr);
+
+  io::Json events = io::Json::array();
+  events.push_back(io::to_json(service::Event::remove("tenant-v")));
+  io::Json old = io::Json::object();
+  old.set("schema_version", io::Json::number(3));
+  old.set("events", std::move(events));
+  EXPECT_EQ(call("POST", "/v1/events", old.dump()).status, 200);
+  EXPECT_EQ(router_->active_pipelines(), 0u);
+
+  auto stats = io::Json::parse(call("GET", "/v1/stats").body);
+  ASSERT_TRUE(stats.is_ok());
+  const io::Json* merged = stats.value().find("merged");
+  ASSERT_NE(merged, nullptr);
+  EXPECT_NE(merged->find("solve_nodes"), nullptr);
+  EXPECT_EQ(merged->find("relax_hits"), nullptr);
+}
+
 TEST_F(ApiTest, HalfBadBatchIsRejectedAtomically) {
   // First event valid, second garbage: nothing may run.
   auto doc = io::Json::parse(add_event_body("tenant-b"));

@@ -170,20 +170,30 @@ TEST(Serialize, LegacyV0DocumentsAccepted) {
           .is_ok());
 }
 
-TEST(Serialize, SchemaVersion1StillAccepted) {
-  // Version 2 only trimmed the outcome/stats output; v1 inputs, including
-  // WALs written before the bump, read unchanged.
+TEST(Serialize, EveryVersionUpToFourAccepted) {
+  // Versions 2 to 4 only trimmed the outcome/stats output: inputs at any
+  // version, including WALs written before a bump, read unchanged, and
+  // the next version is not guessed at.
+  EXPECT_EQ(kSchemaVersion, 4);
   Json problem = to_json(tiny_problem());
-  problem.set("schema_version", Json::number(1));
-  EXPECT_TRUE(problem_from_json(problem).is_ok());
+  Json trace = to_json(tiny_trace());
   service::WalRecord record;
   record.sequence = 3;
   record.event = tiny_trace().events.front();
-  Json j = to_json(record);
-  j.set("schema_version", Json::number(1));
-  auto parsed = wal_record_from_json(j);
-  ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
-  EXPECT_EQ(parsed.value().sequence, 3u);
+  Json wal = to_json(record);
+  for (const int version : {1, 2, 3, 4}) {
+    SCOPED_TRACE("schema_version " + std::to_string(version));
+    problem.set("schema_version", Json::number(version));
+    trace.set("schema_version", Json::number(version));
+    wal.set("schema_version", Json::number(version));
+    EXPECT_TRUE(problem_from_json(problem).is_ok());
+    EXPECT_TRUE(trace_from_json(trace).is_ok());
+    auto parsed = wal_record_from_json(wal);
+    ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
+    EXPECT_EQ(parsed.value().sequence, 3u);
+  }
+  problem.set("schema_version", Json::number(5));
+  EXPECT_EQ(problem_from_json(problem).status().code(), Code::kInvalid);
 }
 
 TEST(Serialize, UnknownSchemaVersionRejected) {
@@ -303,8 +313,8 @@ TEST(Serialize, MistypedOptionalFieldNamesItsPath) {
 }
 
 TEST(Serialize, EventOutcomeGoldenBytes) {
-  // The schema-3 wire shape, pinned byte for byte: the flat keys up to
-  // relax_hits, then the migration diff, then the warm-path allocation
+  // The schema-4 wire shape, pinned byte for byte: the flat keys up to
+  // delta, then the migration diff, then the warm-path allocation
   // counter.
   service::EventOutcome o;
   o.sequence = 7;
@@ -317,7 +327,6 @@ TEST(Serialize, EventOutcomeGoldenBytes) {
   o.solve.totals = {2, 1};
   o.solve.nodes = 12;
   o.cache.delta = service::CompositeDelta::kStructural;
-  o.cache.relax_hits = 5;
   o.diff.computed = true;
   o.diff.cus_moved = 3;
   o.diff.pipelines_disturbed = 1;
@@ -328,7 +337,7 @@ TEST(Serialize, EventOutcomeGoldenBytes) {
             "{\"seq\":7,\"type\":\"add\",\"id\":\"p1\",\"status\":\"ok\","
             "\"solve_status\":\"ok\",\"active\":2,"
             "\"ii_ms\":1.5,\"phi\":0.5,\"goal\":2,\"totals\":[2,1],"
-            "\"nodes\":12,\"delta\":\"structural\",\"relax_hits\":5,"
+            "\"nodes\":12,\"delta\":\"structural\","
             "\"diff\":{\"computed\":true,\"cus_moved\":3,"
             "\"disturbed\":1,\"goal_regret\":0.25,"
             "\"stability_applied\":true,\"budget_exceeded\":false},"

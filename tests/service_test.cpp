@@ -1,6 +1,6 @@
 // Allocation-service coverage: trace generator determinism and JSON
 // round-trips, replay-log determinism (the `serve --trace` contract),
-// cache-eviction transparency, composite deltas and held snapshots,
+// the one-GP+A-lane default, composite deltas and held snapshots,
 // event-queue MPMC behavior, WAL group-commit transparency, and the
 // event error paths (unknown ids, duplicates, empty pools, malformed
 // payloads, which must leave no trace).
@@ -71,9 +71,7 @@ void expect_deterministic_eq(const std::vector<EventOutcome>& a,
     EXPECT_EQ(a[i].solve.goal, b[i].solve.goal);
     EXPECT_EQ(a[i].solve.totals, b[i].solve.totals);
     EXPECT_EQ(a[i].solve.nodes, b[i].solve.nodes);
-    // The delta class depends only on the event stream, never on lane
-    // scheduling (the compile/patch counters, by contrast, are only
-    // deterministic for sequential lanes — see EventOutcome).
+    // The delta class depends only on the event stream.
     EXPECT_EQ(a[i].cache.delta, b[i].cache.delta);
     // The migration diff is part of the deterministic replay contract
     // (it is derived from consecutive incumbents, which are).
@@ -154,12 +152,54 @@ TEST(AllocServer, ReplayLogIsDeterministic) {
   const auto a = replay(trace, options);
   const auto b = replay(trace, options);
   expect_deterministic_eq(a, b);
+}
 
-  // Lane parallelism must not change the log either (lanes write into
-  // indexed slots; the winner is chosen by goal, not completion time).
-  ServerOptions parallel = options;
-  parallel.solver_threads = 3;
-  expect_deterministic_eq(a, replay(trace, parallel));
+TEST(AllocServer, DefaultPortfolioIsOneGpaLane) {
+  const auto names = [](const runtime::PortfolioOptions& portfolio) {
+    std::vector<std::string> out;
+    for (const runtime::StrategySpec& lane : portfolio.lanes()) {
+      out.push_back(lane.name());
+    }
+    return out;
+  };
+  ServerOptions options;
+  EXPECT_EQ(names(options.portfolio),
+            (std::vector<std::string>{"gpa(T=0.00)"}));
+  options.portfolio.run_exact = true;  // `serve --exact`
+  EXPECT_EQ(names(options.portfolio),
+            (std::vector<std::string>{"gpa(T=0.00)", "exact"}));
+}
+
+TEST(AllocServer, ExtraGpaLanesRepeatLaneZero) {
+  // Every composite has resource fraction 1.0, so Algorithm 1's cap
+  // min(1.0 + T, 1.0) ignores T: lanes at T = 0.05 and 0.10 repeat lane
+  // 0's whole search, tie it and lose the tie. The only trace they
+  // leave in an outcome is their B&B nodes.
+  const ServerOptions one_lane;
+  ServerOptions three_lanes;
+  three_lanes.portfolio.gpa_t_max = {0.0, 0.05, 0.10};
+  int resizes = 0;
+  std::int64_t nodes = 0;
+  for (const std::uint64_t seed : {17u, 41u, 67u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Trace trace = scenario::generate_trace(small_spec(120), seed);
+    const auto a = replay(trace, one_lane);
+    const auto b = replay(trace, three_lanes);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      SCOPED_TRACE("event " + std::to_string(i));
+      if (a[i].type == Event::Type::kResizePlatform) ++resizes;
+      nodes += a[i].solve.nodes;
+      EXPECT_EQ(b[i].solve.nodes, 3 * a[i].solve.nodes);
+      io::Json ja = io::to_json(a[i]);
+      io::Json jb = io::to_json(b[i]);
+      ja.set("nodes", io::Json::number(0));
+      jb.set("nodes", io::Json::number(0));
+      EXPECT_EQ(ja.dump(), jb.dump());
+    }
+  }
+  EXPECT_GT(resizes, 0);  // the traces exercise a pool change
+  EXPECT_GT(nodes, 0);
 }
 
 TEST(AllocServer, StabilityOffMatchesGenerousBudgets) {
@@ -210,7 +250,7 @@ TEST(AllocServer, StabilityBudgetsBoundDisturbance) {
 
 TEST(AllocServer, StabilityReplayIsDeterministic) {
   // Budgeted replays (including the soft move-cost objective) stay on
-  // the deterministic-log contract, sequential or lane-parallel.
+  // the deterministic-log contract.
   const Trace trace = scenario::generate_trace(small_spec(120), 17);
   ServerOptions options;
   options.max_moves = 3;
@@ -218,10 +258,6 @@ TEST(AllocServer, StabilityReplayIsDeterministic) {
   options.move_cost = 0.05;
   const auto a = replay(trace, options);
   expect_deterministic_eq(a, replay(trace, options));
-
-  ServerOptions parallel = options;
-  parallel.solver_threads = 3;
-  expect_deterministic_eq(a, replay(trace, parallel));
 }
 
 TEST(AllocServer, OccupancyTracksTheIncumbent) {
@@ -270,33 +306,6 @@ TEST(AllocServer, OccupancyTracksTheIncumbent) {
   EXPECT_EQ(after.placement("p0"), nullptr);
   ASSERT_TRUE(server.apply(Event::remove("p1")).status.is_ok());
   EXPECT_FALSE(server.occupancy().valid());
-}
-
-TEST(AllocServer, CacheEvictionIsTransparent) {
-  const Trace trace = scenario::generate_trace(small_spec(100), 41);
-  const ServerOptions unbounded;  // default: 2^16 entries, never hit here
-
-  ServerOptions tiny = unbounded;
-  tiny.cache_shards = 2;
-  tiny.cache_entries = 32;  // far below the replay's working set
-
-  AllocServer big(trace.platform, unbounded);
-  AllocServer small(trace.platform, tiny);
-  std::vector<EventOutcome> a;
-  std::vector<EventOutcome> b;
-  for (const Event& event : trace.events) {
-    a.push_back(big.apply(event));
-    b.push_back(small.apply(event));
-  }
-  // Eviction really happened in both memo caches, and changed nothing
-  // observable: every evicted entry re-solves to identical bytes.
-  EXPECT_GT(small.cache_stats().evictions, 0u);
-  EXPECT_LE(small.cache_stats().entries, 32u);
-  EXPECT_EQ(big.cache_stats().evictions, 0u);
-  EXPECT_GT(small.greedy_cache_stats().evictions, 0u);
-  EXPECT_LE(small.greedy_cache_stats().entries, 32u);
-  EXPECT_EQ(big.greedy_cache_stats().evictions, 0u);
-  expect_deterministic_eq(a, b);
 }
 
 /// The PR-4 wholesale composite rebuild, replicated as a test oracle:
@@ -430,7 +439,7 @@ TEST(CompositeBuilder, PatchedBuilderMatchesFreshBuilderByteForByte) {
   // A builder that lived through reprioritize + resize deltas (and
   // deltas back to the old weight and platform) must publish the same
   // bytes as one constructed directly in the final state — the identity
-  // that keeps relaxation-cache keys honest.
+  // that makes a patched composite solve like a fresh one.
   PipelineSpec p0;
   p0.id = "p0";
   p0.app.kernels = {test::make_kernel("a", 8.0, 10.0, 20.0, 5.0),
@@ -514,14 +523,12 @@ TEST(AllocServer, NumericDeltasPatchInsteadOfRecompiling) {
   }
   EXPECT_TRUE(any_reprioritize);
 
-  // With sequential lanes (the default) the delta class and the cache
-  // counters are part of the deterministic replay contract.
+  // The delta class is part of the deterministic replay contract.
   const auto again = replay(trace, options);
   ASSERT_EQ(again.size(), outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     SCOPED_TRACE("event " + std::to_string(i));
     EXPECT_EQ(outcomes[i].cache.delta, again[i].cache.delta);
-    EXPECT_EQ(outcomes[i].cache.relax_hits, again[i].cache.relax_hits);
   }
 }
 

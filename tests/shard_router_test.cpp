@@ -126,9 +126,9 @@ TEST(ShardRouter, PartitionIsBalanced) {
 
 TEST(ShardRouter, MatchesStandaloneServersPerShard) {
   // Shards share nothing, so each shard's full outcome log — every field
-  // but wall-clock seconds, cache counters included — must equal that of
-  // a standalone server fed the same events, at any shard count and
-  // with broadcast resizes in the mix.
+  // but wall-clock seconds — must equal that of a standalone server fed
+  // the same events, at any shard count and with broadcast resizes in
+  // the mix.
   scenario::TraceSpec spec;
   spec.num_events = 40;
   spec.num_fpgas = 3;

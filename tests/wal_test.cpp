@@ -42,10 +42,7 @@ std::string read_all(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-/// The deterministic solve outputs of an outcome (cache counters are
-/// excluded on purpose: a snapshot-spliced recovery rebuilds the caches
-/// from the tail only, which is transparent to results but not to
-/// hit/miss counts).
+/// The deterministic solve outputs of an outcome.
 void expect_solve_eq(const EventOutcome& a, const EventOutcome& b) {
   EXPECT_EQ(a.sequence, b.sequence);
   EXPECT_EQ(a.type, b.type);
