@@ -521,7 +521,7 @@ Json to_json(const service::EventOutcome& o) {
   for (int t : o.solve.totals) totals.push_back(Json::number(t));
   j.set("totals", std::move(totals));
   j.set("nodes", Json::number(static_cast<double>(o.solve.nodes)));
-  j.set("delta", Json::string(service::to_string(o.cache.delta)));
+  j.set("delta", Json::string(service::to_string(o.delta)));
   j.set("diff", to_json(o.diff));
   // Warm-path allocation count (0 unless the build links the counting
   // interposer).

@@ -427,7 +427,7 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
         } else {
           pipelines_.push_back(std::move(event.pipeline));
           composite_.add_pipeline(pipelines_.back());
-          outcome.cache.delta = CompositeDelta::kStructural;
+          outcome.delta = CompositeDelta::kStructural;
           workload_changed = true;
         }
         break;
@@ -442,7 +442,7 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
           const auto index = static_cast<std::size_t>(it - pipelines_.begin());
           pipelines_.erase(it);
           composite_.remove_pipeline(index);
-          outcome.cache.delta = CompositeDelta::kStructural;
+          outcome.delta = CompositeDelta::kStructural;
           workload_changed = true;
         }
         break;
@@ -470,7 +470,7 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
             composite_.reprioritize(index, *it);
             outcome.warm_allocs = allocs.allocations();
           }
-          outcome.cache.delta = CompositeDelta::kCoefficients;
+          outcome.delta = CompositeDelta::kCoefficients;
           workload_changed = true;
         }
         break;
@@ -484,7 +484,7 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
             composite_.resize_platform(std::move(event.platform));
             outcome.warm_allocs = allocs.allocations();
           }
-          outcome.cache.delta = CompositeDelta::kRhs;
+          outcome.delta = CompositeDelta::kRhs;
           workload_changed = true;
         }
         break;

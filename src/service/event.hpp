@@ -133,15 +133,6 @@ struct SolveCounters {
   std::int64_t nodes = 0;  ///< Σ nodes across portfolio lanes
 };
 
-/// The composite half of an event's outcome: which delta the event
-/// applied to the live composite problem (service/composite.hpp). It
-/// depends only on the event stream, so it is part of the deterministic
-/// replay log.
-struct CacheCounters {
-  /// Delta class the event applied to the composite problem.
-  CompositeDelta delta = CompositeDelta::kNone;
-};
-
 /// The migration half of an event's outcome: what the accepted
 /// allocation moved relative to the previous one (the occupancy
 /// tracker's records — see service/occupancy.hpp). CUs are "moved" when
@@ -166,9 +157,8 @@ struct AllocationDiff {
   bool budget_exceeded = false;
 };
 
-/// What the server reports for one processed event, in three explicit
-/// sections — solve outputs, composite delta, migration diff — plus the
-/// event envelope. Every field except `seconds` is deterministic for a
+/// What the server reports for one processed event: the event envelope,
+/// the solve outputs, the composite delta class and the migration diff. Every field except `seconds` is deterministic for a
 /// fixed trace and configuration — the replay log the CLI
 /// writes (and CI diffs) contains exactly those fields; `seconds` is
 /// wall clock and reported separately. (The JSON encoding is a flat key
@@ -182,7 +172,10 @@ struct EventOutcome {
   Status solve_status;  ///< re-solve outcome (ok for an empty pool)
   std::size_t active_pipelines = 0;  ///< live pipelines after the event
   SolveCounters solve;
-  CacheCounters cache;
+  /// Delta class the event applied to the live composite problem
+  /// (service/composite.hpp). It depends only on the event stream, so it
+  /// is part of the deterministic replay log.
+  CompositeDelta delta = CompositeDelta::kNone;
   AllocationDiff diff;
   /// Heap allocations observed while applying the warm composite delta
   /// (Reprioritize weight patch / ResizePlatform swap). Always 0 in a

@@ -9,7 +9,10 @@
 // A Budget may be shared by several solver threads (the runtime portfolio
 // races strategies under one deadline): tick()/consume() are lock-free,
 // the node count is exact under concurrency, and expire() cooperatively
-// cancels every solver polling the same budget.
+// cancels every solver polling the same budget. tick() is for searches
+// that share a budget node for node (NaiveMinlp); a search that owns
+// its budget can count nodes itself and settle through consume() in
+// batches, as the packing search does every 1,024 nodes.
 //
 // Thread model (for -Wthread-safety readers): Budget holds no mutex and
 // therefore carries no capability annotations — every shared member is
@@ -82,6 +85,8 @@ class Budget {
   /// lands exactly on a poll regardless of what other lanes do, and the
   /// shared exhausted_ flag stops all of them.
   /// Safe to call from several threads; each node is counted exactly once.
+  /// Meant for searches that share a budget node for node: its two
+  /// atomic adds are a large share of a cheap node's cost.
   bool tick() {
     const std::int64_t n =
         nodes_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -101,7 +106,8 @@ class Budget {
   }
 
   /// Bulk-accounts `n` nodes spent elsewhere (e.g. a sub-solver that ran
-  /// under its own per-call budget) and polls the deadline once.
+  /// under its own per-call budget, or a batch a search counted itself)
+  /// and polls the deadline once.
   void consume(std::int64_t n) {
     const std::int64_t total =
         nodes_.fetch_add(n, std::memory_order_relaxed) + n;

@@ -9,7 +9,7 @@
 // objective φ = max_k φ_k (the β > 0 case).
 //
 // The search is depth-first branch-and-bound over per-kernel count
-// vectors with three accelerations:
+// vectors with four accelerations:
 //  1. within-class symmetry breaking — FPGAs of the *same device class*
 //     still empty when a kernel is placed are interchangeable, so counts
 //     assigned to them are forced non-increasing (class by class; FPGAs
@@ -19,7 +19,25 @@
 //  3. spreading pruning — a partial φ_k plus the concavity bound
 //     rem/(1+rem) for the unplaced remainder cannot already exceed the
 //     incumbent, and the global optimum cannot beat the static
-//     chunk-count lower bound (search stops once it is attained).
+//     chunk-count lower bound (search stops once it is attained);
+//  4. a fit table per kernel entry — the FPGAs a kernel has not reached
+//     yet keep the slack they had when it was entered, so its fit on each
+//     FPGA, and the suffix sums test 2 reads, are taken once per entry
+//     instead of at every node, and kept across entries while an FPGA's
+//     slack is unchanged. Slack is restored by value, never undone with
+//     `+=`, so the table stays exact.
+//
+// Nodes are charged to the Budget in 1,024-node batches through
+// Budget::consume, not one tick() each: tick()'s two atomic adds cost
+// more than half of a node. The search still stops on the node tick()
+// would refuse (node N + 1 when N remain) and sees a passed deadline or
+// an expire() within 1,024 nodes. A Budget that other threads charge
+// at the same time may overrun its cap by up to one batch.
+//
+// tests/oracles/reference_packing.hpp holds the parity oracle: the same
+// search without acceleration 4 or the batching, one tick() per node and
+// every fit recomputed at every node. Both must visit the same nodes and
+// keep the same incumbents.
 #pragma once
 
 #include <optional>

@@ -33,12 +33,19 @@
 //     sharing a relaxation cache) the hit/miss trace, with and without
 //     a cache and under node caps.
 //
+//  7. packing parity — solver::PackingSolver reproduces the reference
+//     search (tests/oracles/reference_packing.hpp) node for node: both
+//     modes, with and without a stability reference, uncapped and under
+//     node caps that abort mid-search; every PackingResult field and the
+//     Budget's node count must be identical.
+//
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
 //                          [--stability] [--patched-bounds]
+//                          [--packing-parity]
 //
-// --stability runs only check 5 and --patched-bounds only check 6 (no
-// exact/naive oracles); both are cheap enough for wide ctest slices
-// across heterogeneous platforms.
+// --stability runs only check 5, --patched-bounds only check 6 and
+// --packing-parity only check 7 (no exact/naive oracles); all three are
+// cheap enough for wide ctest slices across heterogeneous platforms.
 //
 // On mismatch it prints the seed and the scenario JSON to stderr, writes
 // the scenario to --out (CI uploads it as an artifact) and exits 1.
@@ -48,6 +55,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -55,8 +63,10 @@
 #include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
 #include "io/serialize.hpp"
+#include "oracles/reference_packing.hpp"
 #include "oracles/stack_discretize.hpp"
 #include "scenario/generate.hpp"
+#include "solver/candidates.hpp"
 #include "solver/discretize.hpp"
 #include "solver/exact.hpp"
 #include "solver/naive.hpp"
@@ -70,6 +80,7 @@ struct Options {
   const char* out_path = nullptr;
   bool stability_only = false;
   bool patched_bounds_only = false;
+  bool packing_parity_only = false;
 };
 
 /// Scenario shape small enough for the naive oracle to *prove* optima
@@ -84,6 +95,22 @@ mfa::scenario::ScenarioSpec fuzz_spec() {
   spec.class_skew = 0.4;
   spec.tightness = 0.8;
   spec.max_cu_per_kernel = 3;
+  return spec;
+}
+
+/// Check 7's scenarios: more kernels and FPGAs than fuzz_spec, so that
+/// some searches run past the 1,024-node batches in which PackingSolver
+/// charges its Budget.
+mfa::scenario::ScenarioSpec packing_spec() {
+  mfa::scenario::ScenarioSpec spec;
+  spec.min_kernels = 3;
+  spec.max_kernels = 6;
+  spec.min_fpgas = 2;
+  spec.max_fpgas = 5;
+  spec.max_classes = 3;
+  spec.class_skew = 0.4;
+  spec.tightness = 0.8;
+  spec.max_cu_per_kernel = 4;
   return spec;
 }
 
@@ -205,6 +232,131 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
   stack_opts.max_nodes = 1 + static_cast<std::int64_t>(seed % 7);
   patched_opts.max_nodes = stack_opts.max_nodes;
   return both(stack_opts, patched_opts);
+}
+
+/// Check 7: PackingSolver against the reference search it replaced.
+/// At four candidate IIs (the first, the last and two between) both
+/// searches pack the minimal totals in both modes, three ways: without
+/// stability, under hard move/disturbance budgets against a seeded
+/// reference, and with a soft move cost against it. Each runs uncapped,
+/// then under two node caps that abort it mid-search: half its node
+/// count and a seeded cap of 0-6. Results must agree field for field, φ
+/// bit for bit, and both Budgets must report the same node count.
+const char* check_packing_parity(const mfa::core::Problem& problem,
+                                 std::uint64_t seed) {
+  using mfa::solver::Budget;
+  using mfa::solver::PackingMode;
+  using mfa::solver::PackingResult;
+  using mfa::solver::StabilityOptions;
+
+  const std::size_t kernels = problem.num_kernels();
+  const auto fpgas = static_cast<std::size_t>(problem.num_fpgas());
+  // A seeded incumbent: rows of 0-2 CUs per FPGA, every third kernel a
+  // new arrival (empty row), and on odd seeds one FPGA more than the
+  // fleet (the pool shrank under the reference).
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> cus(0, 2);
+  StabilityOptions budgets;
+  budgets.reference.resize(kernels);
+  budgets.group_of.resize(kernels);
+  for (std::size_t k = 0; k < kernels; ++k) {
+    budgets.group_of[k] = static_cast<int>(k % 3);
+    if (k % 3 == 2) continue;
+    for (std::size_t f = 0; f < fpgas + seed % 2; ++f) {
+      budgets.reference[k].push_back(cus(rng));
+    }
+  }
+  budgets.exempt_group = static_cast<int>(seed % 4) - 1;
+  budgets.max_moves = static_cast<int>(seed % 5);
+  budgets.max_disturbed = static_cast<int>(seed % 3);
+  StabilityOptions soft = budgets;
+  soft.max_moves = -1;
+  soft.max_disturbed = -1;
+  soft.move_cost = 0.25;
+
+  const auto same = [](const PackingResult& a,
+                       const PackingResult& b) -> const char* {
+    if (a.feasible != b.feasible) return "packing feasibility differs";
+    if (a.proved_optimal != b.proved_optimal) {
+      return "packing optimality provenance differs";
+    }
+    if (std::memcmp(&a.phi, &b.phi, sizeof a.phi) != 0) {
+      return "packing phi is not bit-identical";
+    }
+    if (a.cus_moved != b.cus_moved || a.disturbed != b.disturbed) {
+      return "packing stability counters differ";
+    }
+    if (a.allocation.has_value() != b.allocation.has_value()) {
+      return "packing allocation presence differs";
+    }
+    if (a.allocation) {
+      for (std::size_t k = 0; k < a.allocation->num_kernels(); ++k) {
+        for (int f = 0; f < a.allocation->num_fpgas(); ++f) {
+          if (a.allocation->cu(k, f) != b.allocation->cu(k, f)) {
+            return "packing allocation rows differ";
+          }
+        }
+      }
+    }
+    return nullptr;
+  };
+
+  const StabilityOptions* const stabilities[] = {nullptr, &budgets, &soft};
+  const mfa::solver::PackingSolver packer(problem);
+  const std::vector<double> candidates = mfa::solver::candidate_iis(problem);
+  const std::size_t last = candidates.size() - 1;
+  for (const std::size_t idx :
+       {std::size_t{0}, last / 3, 2 * last / 3, last}) {
+    const std::vector<int> totals =
+        mfa::solver::minimal_totals(problem, candidates[idx]);
+    for (const PackingMode mode :
+         {PackingMode::kFeasibility, PackingMode::kMinSpreading}) {
+      for (const StabilityOptions* stab : stabilities) {
+        // run() sets it to the node count the reference charged.
+        std::int64_t nodes = 0;
+        const auto run = [&](const Budget& start) -> const char* {
+          Budget reference_budget = start;
+          Budget budget = start;
+          const PackingResult want = mfa::oracles::reference_pack(
+              problem, totals, mode, reference_budget, stab);
+          const PackingResult got = packer.pack(totals, mode, budget, stab);
+          nodes = reference_budget.nodes_used();
+          if (const char* mismatch = same(want, got)) return mismatch;
+          if (nodes != budget.nodes_used()) {
+            std::fprintf(stderr, "nodes: reference %lld packing %lld\n",
+                         static_cast<long long>(nodes),
+                         static_cast<long long>(budget.nodes_used()));
+            return "packing charged its Budget a different node count";
+          }
+          return nullptr;
+        };
+        const char* mismatch = run(Budget());
+        std::int64_t cap = -1;
+        if (mismatch == nullptr) {
+          cap = nodes / 2;
+          mismatch = run(Budget::nodes_only(cap));
+        }
+        if (mismatch == nullptr) {
+          cap = static_cast<std::int64_t>(seed % 7);
+          mismatch = run(Budget::nodes_only(cap));
+        }
+        if (mismatch != nullptr) {
+          std::fprintf(stderr,
+                       "candidate II %.9g (index %zu), %s, stability %s, "
+                       "node cap %lld\n",
+                       candidates[idx], idx,
+                       mode == PackingMode::kFeasibility ? "feasibility"
+                                                         : "min-spreading",
+                       stab == nullptr         ? "off"
+                       : stab->move_cost > 0.0 ? "soft cost"
+                                               : "hard budgets",
+                       static_cast<long long>(cap));
+          return mismatch;
+        }
+      }
+    }
+  }
+  return nullptr;
 }
 
 /// Migration-aware packing oracle (see file comment, check 5). The
@@ -434,6 +586,8 @@ int main(int argc, char** argv) {
       opt.stability_only = true;
     } else if (std::strcmp(argv[i], "--patched-bounds") == 0) {
       opt.patched_bounds_only = true;
+    } else if (std::strcmp(argv[i], "--packing-parity") == 0) {
+      opt.packing_parity_only = true;
     } else if (argv[i][0] != '-') {
       opt.count = std::strtoull(argv[i], nullptr, 10);
       if (opt.count == 0) {
@@ -443,13 +597,15 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [num_seeds] [--start S] [--out failure.json]"
-                   " [--stability] [--patched-bounds]\n",
+                   " [--stability] [--patched-bounds]"
+                   " [--packing-parity]\n",
                    argv[0]);
       return 2;
     }
   }
 
-  const mfa::scenario::ScenarioSpec spec = fuzz_spec();
+  const mfa::scenario::ScenarioSpec spec =
+      opt.packing_parity_only ? packing_spec() : fuzz_spec();
   std::uint64_t checked = 0;
   std::uint64_t infeasible = 0;
   for (std::uint64_t seed = opt.start; seed < opt.start + opt.count; ++seed) {
@@ -460,6 +616,8 @@ int main(int argc, char** argv) {
       mismatch = check_stability(problem, seed);
     } else if (opt.patched_bounds_only) {
       mismatch = check_patched_bounds(problem, seed);
+    } else if (opt.packing_parity_only) {
+      mismatch = check_packing_parity(problem, seed);
     } else {
       mismatch = check_seed(problem, &feasible);
     }
@@ -477,9 +635,11 @@ int main(int argc, char** argv) {
   std::printf("differential fuzz%s: %" PRIu64 " seeds ok\n",
               opt.stability_only        ? " (stability)"
               : opt.patched_bounds_only ? " (patched bounds)"
+              : opt.packing_parity_only ? " (packing parity)"
                                         : "",
               checked);
-  if (!opt.stability_only && !opt.patched_bounds_only) {
+  if (!opt.stability_only && !opt.patched_bounds_only &&
+      !opt.packing_parity_only) {
     std::printf("(%" PRIu64 " infeasible instances exercised)\n", infeasible);
   }
   return 0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "hls/paper.hpp"
 #include "solver/packing.hpp"
 #include "testutil.hpp"
 
@@ -144,6 +145,85 @@ TEST(PackingSolver, ZeroTotalsAllowed) {
   ASSERT_TRUE(r.feasible);
   EXPECT_EQ(r.allocation->total_cu(0), 0);
   EXPECT_EQ(r.allocation->total_cu(1), 1);
+}
+
+/// VGG-16 on eight FPGAs at fraction 0.56, and the minimal totals for
+/// II = 16.45 ms: a pack no small node cap lets finish (neither mode
+/// decides it within 500,000 nodes).
+Problem vgg_056() {
+  Problem p = hls::paper::case_vgg_8fpga();
+  p.resource_fraction = 0.56;
+  return p;
+}
+const std::vector<int> kVggTotals = {2, 5, 1, 2, 2, 1, 2, 2, 2,
+                                     1, 2, 3, 3, 1, 2, 2, 2};
+constexpr PackingMode kModes[] = {PackingMode::kFeasibility,
+                                  PackingMode::kMinSpreading};
+
+TEST(PackingBudget, NodeCapChargesTheRefusedNode) {
+  const Problem p = vgg_056();
+  for (const PackingMode mode : kModes) {
+    for (const std::int64_t cap : {0, 1, 7, 1000}) {
+      Budget budget = Budget::nodes_only(cap);
+      const PackingResult r = PackingSolver(p).pack(kVggTotals, mode, budget);
+      EXPECT_FALSE(r.proved_optimal) << "cap " << cap;
+      // Like Budget::tick(): the node past the cap is charged, refused.
+      EXPECT_EQ(budget.nodes_used(), cap + 1) << "cap " << cap;
+    }
+  }
+}
+
+TEST(PackingBudget, CapOfExactlyItsNodeCountLetsASearchFinish) {
+  // Alex-16 at fraction 0.95, minimal totals for II = 0.8433 ms: a
+  // min-spreading pack of about 4,000 nodes, so several 1,024-node
+  // batches pass before the cap binds.
+  Problem p = hls::paper::case_alex16_2fpga();
+  p.resource_fraction = 0.95;
+  const std::vector<int> totals = {7, 3, 1, 5, 1, 8, 6, 4};
+  Budget free_run = unlimited();
+  const PackingResult full =
+      PackingSolver(p).pack(totals, PackingMode::kMinSpreading, free_run);
+  ASSERT_TRUE(full.proved_optimal);
+  const std::int64_t nodes = free_run.nodes_used();
+  ASSERT_GT(nodes, 3 * 1024);
+
+  Budget exact = Budget::nodes_only(nodes);
+  const PackingResult capped =
+      PackingSolver(p).pack(totals, PackingMode::kMinSpreading, exact);
+  EXPECT_TRUE(capped.proved_optimal);
+  EXPECT_EQ(capped.phi, full.phi);
+  EXPECT_EQ(exact.nodes_used(), nodes);
+  EXPECT_FALSE(exact.exhausted());
+
+  Budget one_short = Budget::nodes_only(nodes - 1);
+  const PackingResult cut =
+      PackingSolver(p).pack(totals, PackingMode::kMinSpreading, one_short);
+  EXPECT_FALSE(cut.proved_optimal);
+  EXPECT_EQ(one_short.nodes_used(), nodes);
+  EXPECT_TRUE(one_short.exhausted());
+}
+
+TEST(PackingBudget, ExpiredBudgetStopsAtTheFirstNode) {
+  const Problem p = vgg_056();
+  for (const PackingMode mode : kModes) {
+    Budget budget = Budget::nodes_only(1'000'000);
+    budget.expire();
+    const PackingResult r = PackingSolver(p).pack(kVggTotals, mode, budget);
+    EXPECT_FALSE(r.proved_optimal);
+    EXPECT_EQ(budget.nodes_used(), 1);
+  }
+}
+
+TEST(PackingBudget, PassedDeadlineStopsTheSearchByNode1024) {
+  const Problem p = vgg_056();
+  for (const PackingMode mode : kModes) {
+    Budget budget(1'000'000'000, 0.0);
+    const PackingResult r = PackingSolver(p).pack(kVggTotals, mode, budget);
+    EXPECT_FALSE(r.proved_optimal);
+    EXPECT_GE(budget.nodes_used(), 1);
+    EXPECT_LE(budget.nodes_used(), 1024);
+    EXPECT_TRUE(budget.exhausted());
+  }
 }
 
 /// The rows of an allocation in StabilityOptions::reference layout.

@@ -326,7 +326,7 @@ TEST(Serialize, EventOutcomeGoldenBytes) {
   o.solve.goal = 2.0;
   o.solve.totals = {2, 1};
   o.solve.nodes = 12;
-  o.cache.delta = service::CompositeDelta::kStructural;
+  o.delta = service::CompositeDelta::kStructural;
   o.diff.computed = true;
   o.diff.cus_moved = 3;
   o.diff.pipelines_disturbed = 1;

@@ -72,7 +72,7 @@ void expect_deterministic_eq(const std::vector<EventOutcome>& a,
     EXPECT_EQ(a[i].solve.totals, b[i].solve.totals);
     EXPECT_EQ(a[i].solve.nodes, b[i].solve.nodes);
     // The delta class depends only on the event stream.
-    EXPECT_EQ(a[i].cache.delta, b[i].cache.delta);
+    EXPECT_EQ(a[i].delta, b[i].delta);
     // The migration diff is part of the deterministic replay contract
     // (it is derived from consecutive incumbents, which are).
     EXPECT_EQ(a[i].diff.computed, b[i].diff.computed);
@@ -368,7 +368,7 @@ TEST(AllocServer, IncrementalCompositeMatchesWholesaleRebuild) {
 
   EventOutcome re = server.apply(Event::reprioritize("p0", 2.0));
   ASSERT_TRUE(re.status.is_ok());
-  EXPECT_EQ(re.cache.delta, CompositeDelta::kCoefficients);
+  EXPECT_EQ(re.delta, CompositeDelta::kCoefficients);
   live[0].weight = 2.0;
   expect_composite_matches();
 
@@ -379,13 +379,13 @@ TEST(AllocServer, IncrementalCompositeMatchesWholesaleRebuild) {
 
   EventOutcome grown = server.apply(Event::resize(core::Platform{"pool3", 3}));
   ASSERT_TRUE(grown.status.is_ok());
-  EXPECT_EQ(grown.cache.delta, CompositeDelta::kRhs);
+  EXPECT_EQ(grown.delta, CompositeDelta::kRhs);
   platform = core::Platform{"pool3", 3};
   expect_composite_matches();
 
   EventOutcome removed = server.apply(Event::remove("p0"));
   ASSERT_TRUE(removed.status.is_ok());
-  EXPECT_EQ(removed.cache.delta, CompositeDelta::kStructural);
+  EXPECT_EQ(removed.delta, CompositeDelta::kStructural);
   live.erase(live.begin());
   expect_composite_matches();
 }
@@ -504,20 +504,20 @@ TEST(AllocServer, NumericDeltasPatchInsteadOfRecompiling) {
     SCOPED_TRACE("event " + std::to_string(i));
     const EventOutcome& o = outcomes[i];
     if (!o.status.is_ok()) {
-      EXPECT_EQ(o.cache.delta, CompositeDelta::kNone);
+      EXPECT_EQ(o.delta, CompositeDelta::kNone);
       continue;
     }
     switch (o.type) {
       case Event::Type::kAddPipeline:
       case Event::Type::kRemovePipeline:
-        EXPECT_EQ(o.cache.delta, CompositeDelta::kStructural);
+        EXPECT_EQ(o.delta, CompositeDelta::kStructural);
         break;
       case Event::Type::kReprioritize:
         any_reprioritize = true;
-        EXPECT_EQ(o.cache.delta, CompositeDelta::kCoefficients);
+        EXPECT_EQ(o.delta, CompositeDelta::kCoefficients);
         break;
       case Event::Type::kResizePlatform:
-        EXPECT_EQ(o.cache.delta, CompositeDelta::kRhs);
+        EXPECT_EQ(o.delta, CompositeDelta::kRhs);
         break;
     }
   }
@@ -528,7 +528,7 @@ TEST(AllocServer, NumericDeltasPatchInsteadOfRecompiling) {
   ASSERT_EQ(again.size(), outcomes.size());
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     SCOPED_TRACE("event " + std::to_string(i));
-    EXPECT_EQ(outcomes[i].cache.delta, again[i].cache.delta);
+    EXPECT_EQ(outcomes[i].delta, again[i].delta);
   }
 }
 
@@ -610,7 +610,7 @@ TEST(AllocServer, MalformedEventFailsAndNeverPoisonsTheServer) {
   EXPECT_EQ(bad.status.code(), Code::kInvalid);
   EXPECT_EQ(bad.status.message(),
             "kernel 'p0/a' must have a positive finite WCET");
-  EXPECT_EQ(bad.cache.delta, CompositeDelta::kNone);
+  EXPECT_EQ(bad.delta, CompositeDelta::kNone);
   EXPECT_EQ(bad.solve.goal, goal_before);
 
   // The server still serves: a well-formed event after the malformed
@@ -736,7 +736,7 @@ TEST(AllocServer, RejectedEventsLeaveNoTrace) {
       const EventOutcome got = hostile_server.apply(hostile[i]);
       if (malformed[i]) {
         EXPECT_EQ(got.status.code(), Code::kInvalid) << got.status.to_string();
-        EXPECT_EQ(got.cache.delta, CompositeDelta::kNone);
+        EXPECT_EQ(got.delta, CompositeDelta::kNone);
         continue;
       }
       const EventOutcome want = clean_server.apply(clean[next_clean++]);
