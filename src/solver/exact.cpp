@@ -17,7 +17,10 @@ using core::Problem;
 /// Without it, one adversarial infeasibility proof mid-search could
 /// drain the whole budget and degrade every later candidate; with it, a
 /// stuck call is abandoned ("unknown", treated conservatively) and the
-/// search continues at full strength.
+/// search continues at full strength. The packing search's
+/// capacity-count bounds decide most packs long before it: on the
+/// paper's three cases over fractions 0.50-1.00, 8 of 51 VGG-16 points
+/// still have a pack that reaches it, and no AlexNet point does.
 constexpr std::int64_t kMaxNodesPerPack = 500'000;
 
 }  // namespace

@@ -9,7 +9,7 @@
 // objective φ = max_k φ_k (the β > 0 case).
 //
 // The search is depth-first branch-and-bound over per-kernel count
-// vectors with four accelerations:
+// vectors with five accelerations:
 //  1. within-class symmetry breaking — FPGAs of the *same device class*
 //     still empty when a kernel is placed are interchangeable, so counts
 //     assigned to them are forced non-increasing (class by class; FPGAs
@@ -25,7 +25,34 @@
 //     FPGA, and the suffix sums test 2 reads, are taken once per entry
 //     instead of at every node, and kept across entries while an FPGA's
 //     slack is unchanged. Slack is restored by value, never undone with
-//     `+=`, so the table stays exact.
+//     `+=`, so the table stays exact;
+//  5. capacity-count bounds (dual-feasible functions, Fekete & Schepers
+//     2001) — they cut off any partial placement that no completion can
+//     fit, so an infeasible pack is proved infeasible instead of running
+//     to its node cap. On each axis (BRAM, DSP, LUT, FF, bandwidth) a CU
+//     of size s fills at least ⌊s/θ⌋ whole blocks of size θ, and slack
+//     S holds at most room(S, θ) = ⌊S·(1 + 1e-6)/θ⌋ of them:
+//       A. at every kernel entry, before any node is charged: for each
+//          distinct size θ of an unplaced kernel, Σ_j N_j·⌊s_j/θ⌋ over
+//          the unplaced kernels ≤ Σ_f room(slack_f, θ). The left side is
+//          fixed per pack and kept as suffix sums over the kernel order;
+//          the rooms are kept per depth under each FPGA's slack stamp,
+//          like the fit table, with running sums;
+//       B. once at the root, beside the pooled-capacity test: for
+//          consecutive distinct sizes s < θ, the B CUs of size ≥ θ take
+//          at most m_f = room(S_f, θ) on FPGA f, σ = Σ_f m_f − B ≥ 0 of
+//          those go unused, and the n CUs of size s must satisfy
+//          n ≤ Σ_f ⌊(S_f·(1 + 1e-6) − m_f·θ)/s⌋ + σ·(⌊θ/s⌋ + 1).
+//     Neither rule prunes a placement fit() accepts: fit() allows 1e-12
+//     relative and 1e-9 absolute per step, so everything placed from
+//     slack S onwards sums to at most S·(1 + 1.1e-9), and the 1e-6
+//     headroom in room() covers that and all rounding (see room() in
+//     packing.cpp). A subtree the bounds cut holds no feasible leaf, so
+//     the search visits a subsequence of the nodes it visits without
+//     them, in the same order: a pack that finishes without the bounds
+//     returns the same incumbents and the same first feasible leaf with
+//     them, and a pack that hits its node cap without them now finishes
+//     or gets at least as far.
 //
 // Nodes are charged to the Budget in 1,024-node batches through
 // Budget::consume, not one tick() each: tick()'s two atomic adds cost
@@ -35,9 +62,11 @@
 // at the same time may overrun its cap by up to one batch.
 //
 // tests/oracles/reference_packing.hpp holds the parity oracle: the same
-// search without acceleration 4 or the batching, one tick() per node and
-// every fit recomputed at every node. Both must visit the same nodes and
-// keep the same incumbents.
+// search without acceleration 4 or the batching, one tick() per node,
+// every fit recomputed at every node and the bounds of acceleration 5
+// recomputed at every kernel entry. Both must visit the same nodes and
+// keep the same incumbents. The oracle also runs without acceleration 5,
+// which must give the same answers in no fewer nodes.
 #pragma once
 
 #include <optional>

@@ -37,7 +37,10 @@
 //     search (tests/oracles/reference_packing.hpp) node for node: both
 //     modes, with and without a stability reference, uncapped and under
 //     node caps that abort mid-search; every PackingResult field and the
-//     Budget's node count must be identical.
+//     Budget's node count must be identical. The reference without its
+//     capacity-count bounds, run uncapped beside it, must return the
+//     same answer in at least as many nodes, and some run of the slice
+//     must take fewer (so the bounds were exercised).
 //
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
 //                          [--stability] [--patched-bounds]
@@ -242,8 +245,13 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
 /// then under two node caps that abort it mid-search: half its node
 /// count and a seeded cap of 0-6. Results must agree field for field, φ
 /// bit for bit, and both Budgets must report the same node count.
+///
+/// Each uncapped run is also repeated by the reference without the
+/// capacity-count bounds. Both must prove their answer, the answers must
+/// agree field for field, and the bounded search may not charge more
+/// nodes. `pruned` counts the runs in which it charged fewer.
 const char* check_packing_parity(const mfa::core::Problem& problem,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed, std::uint64_t& pruned) {
   using mfa::solver::Budget;
   using mfa::solver::PackingMode;
   using mfa::solver::PackingResult;
@@ -312,13 +320,14 @@ const char* check_packing_parity(const mfa::core::Problem& problem,
     for (const PackingMode mode :
          {PackingMode::kFeasibility, PackingMode::kMinSpreading}) {
       for (const StabilityOptions* stab : stabilities) {
-        // run() sets it to the node count the reference charged.
+        // run() sets them to the reference's result and node count.
+        PackingResult want;
         std::int64_t nodes = 0;
         const auto run = [&](const Budget& start) -> const char* {
           Budget reference_budget = start;
           Budget budget = start;
-          const PackingResult want = mfa::oracles::reference_pack(
-              problem, totals, mode, reference_budget, stab);
+          want = mfa::oracles::reference_pack(problem, totals, mode,
+                                              reference_budget, stab);
           const PackingResult got = packer.pack(totals, mode, budget, stab);
           nodes = reference_budget.nodes_used();
           if (const char* mismatch = same(want, got)) return mismatch;
@@ -331,6 +340,25 @@ const char* check_packing_parity(const mfa::core::Problem& problem,
           return nullptr;
         };
         const char* mismatch = run(Budget());
+        if (mismatch == nullptr) {
+          Budget unbounded_budget;
+          const PackingResult unbounded = mfa::oracles::reference_pack(
+              problem, totals, mode, unbounded_budget, stab,
+              mfa::oracles::CountBounds::kOff);
+          if (!unbounded.proved_optimal || !want.proved_optimal) {
+            mismatch = "an uncapped packing search did not finish";
+          } else if (const char* diff = same(unbounded, want)) {
+            std::fprintf(stderr, "unbounded vs bounded reference: %s\n", diff);
+            mismatch = "the capacity-count bounds changed a packing result";
+          } else if (nodes > unbounded_budget.nodes_used()) {
+            std::fprintf(stderr, "nodes: unbounded %lld bounded %lld\n",
+                         static_cast<long long>(unbounded_budget.nodes_used()),
+                         static_cast<long long>(nodes));
+            mismatch = "the capacity-count bounds added packing nodes";
+          } else if (nodes < unbounded_budget.nodes_used()) {
+            ++pruned;
+          }
+        }
         std::int64_t cap = -1;
         if (mismatch == nullptr) {
           cap = nodes / 2;
@@ -608,6 +636,7 @@ int main(int argc, char** argv) {
       opt.packing_parity_only ? packing_spec() : fuzz_spec();
   std::uint64_t checked = 0;
   std::uint64_t infeasible = 0;
+  std::uint64_t pruned = 0;  // check 7's runs the bounds made shorter
   for (std::uint64_t seed = opt.start; seed < opt.start + opt.count; ++seed) {
     const mfa::core::Problem problem = mfa::scenario::generate(spec, seed);
     bool feasible = true;
@@ -617,7 +646,7 @@ int main(int argc, char** argv) {
     } else if (opt.patched_bounds_only) {
       mismatch = check_patched_bounds(problem, seed);
     } else if (opt.packing_parity_only) {
-      mismatch = check_packing_parity(problem, seed);
+      mismatch = check_packing_parity(problem, seed, pruned);
     } else {
       mismatch = check_seed(problem, &feasible);
     }
@@ -641,6 +670,16 @@ int main(int argc, char** argv) {
   if (!opt.stability_only && !opt.patched_bounds_only &&
       !opt.packing_parity_only) {
     std::printf("(%" PRIu64 " infeasible instances exercised)\n", infeasible);
+  }
+  if (opt.packing_parity_only) {
+    std::printf("(%" PRIu64 " uncapped packs took fewer nodes with the "
+                "capacity-count bounds)\n", pruned);
+    if (pruned == 0) {
+      std::fprintf(stderr,
+                   "FAIL: no pack of the slice reached the capacity-count "
+                   "bounds\n");
+      return 1;
+    }
   }
   return 0;
 }

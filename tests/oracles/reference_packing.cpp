@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -20,19 +21,32 @@ using solver::StabilityOptions;
 
 constexpr double kEps = 1e-9;
 
+// The capacity-count bounds' constants, as in solver/packing.cpp.
+constexpr std::size_t kAxes = core::kNumResources + 1;
+constexpr double kRoomSlack = 1e-6;
+constexpr double kMaxRoom = 1 << 30;
+
 double phi_of(int n) { return static_cast<double>(n) / (1.0 + n); }
+
+/// Whole blocks of size θ that `slack` can hold, rounded up generously:
+/// ⌊slack·(1 + 1e-6)/θ⌋, and 0 for a negative slack.
+int room(double slack, double theta) {
+  return static_cast<int>(
+      std::max(0.0, std::floor(slack * ((1.0 + kRoomSlack) / theta))));
+}
 
 /// Depth-first packing search over one problem instance.
 class Search {
  public:
   Search(const Problem& problem, const std::vector<int>& totals,
          PackingMode mode, Budget& budget,
-         const StabilityOptions* stability)
+         const StabilityOptions* stability, CountBounds bounds)
       : p_(problem),
         totals_(totals),
         mode_(mode),
         budget_(budget),
         stab_(stability),
+        bounds_(bounds == CountBounds::kOn),
         fpgas_(static_cast<std::size_t>(problem.num_fpgas())),
         counts_(totals.size(),
                 std::vector<int>(fpgas_, 0)),
@@ -76,7 +90,7 @@ class Search {
 
   PackingResult run() {
     PackingResult result;
-    if (!pooled_feasible()) {
+    if (!pooled_feasible() || (bounds_ && !pair_bound_holds())) {
       result.feasible = false;
       result.proved_optimal = true;
       return result;
@@ -128,6 +142,87 @@ class Search {
            bw <= p_.pooled_bw_cap() + 1e-6;
   }
 
+  [[nodiscard]] double size_on(std::size_t k, std::size_t a) const {
+    const Kernel& kern = p_.app.kernels[k];
+    return a < core::kNumResources ? kern.res.axis(a) : kern.bw;
+  }
+
+  [[nodiscard]] double slack_on(std::size_t f, std::size_t a) const {
+    return a < core::kNumResources ? slack_res_[f].axis(a) : slack_bw_[f];
+  }
+
+  /// Whether θ may serve as a threshold: its room on the whole fleet's
+  /// capacity is at most kMaxRoom.
+  [[nodiscard]] bool countable(std::size_t a, double theta) const {
+    double fleet = 0.0;
+    for (int f = 0; f < p_.num_fpgas(); ++f) {
+      fleet += a < core::kNumResources ? p_.cap(f).axis(a) : p_.bw_cap(f);
+    }
+    return theta > 0.0 && theta * kMaxRoom >= fleet * (1.0 + kRoomSlack);
+  }
+
+  /// Rule B at the root: for consecutive distinct sizes s < θ on an
+  /// axis, the CUs of size ≥ θ and then those of size s must fit.
+  [[nodiscard]] bool pair_bound_holds() const {
+    for (std::size_t a = 0; a < kAxes; ++a) {
+      std::vector<double> sizes;
+      for (std::size_t k = 0; k < totals_.size(); ++k) {
+        if (totals_[k] > 0 && countable(a, size_on(k, a))) {
+          sizes.push_back(size_on(k, a));
+        }
+      }
+      std::sort(sizes.begin(), sizes.end());
+      sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+      for (std::size_t i = 1; i < sizes.size(); ++i) {
+        const double s = sizes[i - 1];
+        const double theta = sizes[i];
+        std::int64_t big = 0;
+        std::int64_t small = 0;
+        for (std::size_t k = 0; k < totals_.size(); ++k) {
+          if (size_on(k, a) >= theta) big += totals_[k];
+          if (size_on(k, a) == s) small += totals_[k];
+        }
+        std::int64_t rooms = 0;
+        std::int64_t small_room = 0;
+        for (std::size_t f = 0; f < fpgas_; ++f) {
+          const int m = room(slack_on(f, a), theta);
+          rooms += m;
+          const double left = slack_on(f, a) * (1.0 + kRoomSlack) - m * theta;
+          small_room += static_cast<std::int64_t>(std::floor(left / s));
+        }
+        const std::int64_t spare = rooms - big;
+        const auto per_spare =
+            static_cast<std::int64_t>(std::floor(theta / s)) + 1;
+        if (spare < 0 || small > small_room + spare * per_spare) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Rule A at depth d, recomputed from the slack: for every axis and
+  /// every size θ of an unplaced kernel, Σ_j N_j·⌊s_j/θ⌋ over the
+  /// unplaced kernels must not exceed Σ_f room(slack_f, θ).
+  [[nodiscard]] bool block_bound_holds(std::size_t d) const {
+    for (std::size_t a = 0; a < kAxes; ++a) {
+      for (std::size_t i = d; i < order_.size(); ++i) {
+        const double theta = size_on(order_[i], a);
+        if (totals_[order_[i]] == 0 || !countable(a, theta)) continue;
+        double need = 0.0;
+        for (std::size_t j = d; j < order_.size(); ++j) {
+          const std::size_t k = order_[j];
+          if (totals_[k] == 0) continue;
+          need += totals_[k] * std::floor(size_on(k, a) / theta);
+        }
+        double rooms = 0.0;
+        for (std::size_t f = 0; f < fpgas_; ++f) {
+          rooms += room(slack_on(f, a), theta);
+        }
+        if (need > rooms) return false;
+      }
+    }
+    return true;
+  }
+
   /// Max CUs of kernel k that fit in FPGA f's current slack.
   [[nodiscard]] int fit(std::size_t k, std::size_t f, int limit) const {
     const Kernel& kern = p_.app.kernels[k];
@@ -168,6 +263,7 @@ class Search {
       stab_exit(step);
       return;
     }
+    if (bounds_ && !block_bound_holds(order_idx)) return;
     // Snapshot which FPGAs are empty now: empty FPGAs *of the same
     // device class* are interchangeable for this kernel, so counts
     // placed on them are forced non-increasing within each class.
@@ -313,6 +409,7 @@ class Search {
   PackingMode mode_;
   Budget& budget_;
   const StabilityOptions* stab_;
+  bool bounds_;
   std::size_t fpgas_;
 
   std::vector<std::size_t> order_;
@@ -343,7 +440,8 @@ class Search {
 PackingResult reference_pack(const Problem& problem,
                              const std::vector<int>& totals, PackingMode mode,
                              Budget& budget,
-                             const StabilityOptions* stability) {
+                             const StabilityOptions* stability,
+                             CountBounds bounds) {
   MFA_ASSERT(totals.size() == problem.num_kernels());
   for (int n : totals) MFA_ASSERT_MSG(n >= 0, "negative CU total");
   if (stability != nullptr) {
@@ -353,7 +451,7 @@ PackingResult reference_pack(const Problem& problem,
                        stability->group_of.size() == totals.size(),
                    "stability group map not aligned to the kernel set");
   }
-  Search search(problem, totals, mode, budget, stability);
+  Search search(problem, totals, mode, budget, stability, bounds);
   return search.run();
 }
 

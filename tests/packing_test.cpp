@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "hls/paper.hpp"
+#include "oracles/reference_packing.hpp"
 #include "solver/packing.hpp"
 #include "testutil.hpp"
 
@@ -147,21 +148,21 @@ TEST(PackingSolver, ZeroTotalsAllowed) {
   EXPECT_EQ(r.allocation->total_cu(1), 1);
 }
 
-/// VGG-16 on eight FPGAs at fraction 0.56, and the minimal totals for
-/// II = 16.45 ms: a pack no small node cap lets finish (neither mode
-/// decides it within 500,000 nodes).
-Problem vgg_056() {
+/// VGG-16 on eight FPGAs at fraction 0.93, and the minimal totals for
+/// II = 8.475 ms: a pack no small node cap lets finish (neither mode
+/// decides it within 2,000,000 nodes).
+Problem vgg_093() {
   Problem p = hls::paper::case_vgg_8fpga();
-  p.resource_fraction = 0.56;
+  p.resource_fraction = 0.93;
   return p;
 }
-const std::vector<int> kVggTotals = {2, 5, 1, 2, 2, 1, 2, 2, 2,
-                                     1, 2, 3, 3, 1, 2, 2, 2};
+const std::vector<int> kVggTotals = {4, 8, 2, 3, 4, 1, 3, 4, 4,
+                                     1, 3, 5, 5, 1, 3, 3, 3};
 constexpr PackingMode kModes[] = {PackingMode::kFeasibility,
                                   PackingMode::kMinSpreading};
 
 TEST(PackingBudget, NodeCapChargesTheRefusedNode) {
-  const Problem p = vgg_056();
+  const Problem p = vgg_093();
   for (const PackingMode mode : kModes) {
     for (const std::int64_t cap : {0, 1, 7, 1000}) {
       Budget budget = Budget::nodes_only(cap);
@@ -174,12 +175,13 @@ TEST(PackingBudget, NodeCapChargesTheRefusedNode) {
 }
 
 TEST(PackingBudget, CapOfExactlyItsNodeCountLetsASearchFinish) {
-  // Alex-16 at fraction 0.95, minimal totals for II = 0.8433 ms: a
-  // min-spreading pack of about 4,000 nodes, so several 1,024-node
+  // VGG-16 at fraction 0.751, minimal totals for II = 11.4 ms: a
+  // min-spreading pack of about 25,000 nodes, so several 1,024-node
   // batches pass before the cap binds.
-  Problem p = hls::paper::case_alex16_2fpga();
-  p.resource_fraction = 0.95;
-  const std::vector<int> totals = {7, 3, 1, 5, 1, 8, 6, 4};
+  Problem p = hls::paper::case_vgg_8fpga();
+  p.resource_fraction = 0.751;
+  const std::vector<int> totals = {3, 6, 2, 2, 3, 1, 2, 3, 3,
+                                   1, 3, 4, 4, 1, 2, 2, 2};
   Budget free_run = unlimited();
   const PackingResult full =
       PackingSolver(p).pack(totals, PackingMode::kMinSpreading, free_run);
@@ -204,7 +206,7 @@ TEST(PackingBudget, CapOfExactlyItsNodeCountLetsASearchFinish) {
 }
 
 TEST(PackingBudget, ExpiredBudgetStopsAtTheFirstNode) {
-  const Problem p = vgg_056();
+  const Problem p = vgg_093();
   for (const PackingMode mode : kModes) {
     Budget budget = Budget::nodes_only(1'000'000);
     budget.expire();
@@ -215,7 +217,7 @@ TEST(PackingBudget, ExpiredBudgetStopsAtTheFirstNode) {
 }
 
 TEST(PackingBudget, PassedDeadlineStopsTheSearchByNode1024) {
-  const Problem p = vgg_056();
+  const Problem p = vgg_093();
   for (const PackingMode mode : kModes) {
     Budget budget(1'000'000'000, 0.0);
     const PackingResult r = PackingSolver(p).pack(kVggTotals, mode, budget);
@@ -224,6 +226,70 @@ TEST(PackingBudget, PassedDeadlineStopsTheSearchByNode1024) {
     EXPECT_LE(budget.nodes_used(), 1024);
     EXPECT_TRUE(budget.exhausted());
   }
+}
+
+TEST(PackingBounds, ProveVggAt056InfeasibleWithin1000Nodes) {
+  // VGG-16 at fraction 0.56, minimal totals for II = 16.45 ms. Without
+  // the capacity-count bounds neither mode decides this pack within
+  // 500,000 nodes; with them both prove it infeasible.
+  Problem p = hls::paper::case_vgg_8fpga();
+  p.resource_fraction = 0.56;
+  const std::vector<int> totals = {2, 5, 1, 2, 2, 1, 2, 2, 2,
+                                   1, 2, 3, 3, 1, 2, 2, 2};
+  for (const PackingMode mode : kModes) {
+    Budget budget = Budget::nodes_only(1000);
+    const PackingResult r = PackingSolver(p).pack(totals, mode, budget);
+    EXPECT_TRUE(r.proved_optimal);
+    EXPECT_FALSE(r.feasible);
+    EXPECT_LE(budget.nodes_used(), 1000);
+  }
+}
+
+/// Packs `totals` with PackingSolver and with the reference search
+/// without the capacity-count bounds, in both modes: a pack that tiles
+/// its FPGAs exactly must stay feasible, with the same rows.
+void expect_tiling_survives_the_bounds(const Problem& p,
+                                       const std::vector<int>& totals) {
+  for (const PackingMode mode : kModes) {
+    Budget budget = unlimited();
+    const PackingResult got = PackingSolver(p).pack(totals, mode, budget);
+    Budget reference_budget = unlimited();
+    const PackingResult want = oracles::reference_pack(
+        p, totals, mode, reference_budget, nullptr,
+        oracles::CountBounds::kOff);
+    ASSERT_TRUE(want.feasible);
+    ASSERT_TRUE(got.feasible);
+    EXPECT_TRUE(got.proved_optimal);
+    EXPECT_EQ(got.phi, want.phi);
+    for (std::size_t k = 0; k < totals.size(); ++k) {
+      for (int f = 0; f < p.num_fpgas(); ++f) {
+        EXPECT_EQ(got.allocation->cu(k, f), want.allocation->cu(k, f))
+            << "kernel " << k << " FPGA " << f;
+      }
+    }
+  }
+}
+
+TEST(PackingBounds, ExactTilingOfThirdsStaysFeasible) {
+  // Three CUs of 33.33 % BRAM fill a 99.99 % FPGA exactly, so every
+  // FPGA of the pack is full to the last bit of its capacity.
+  Problem p;
+  p.app.kernels = {make_kernel("a", 1.0, 33.33, 1.0, 0.0),
+                   make_kernel("b", 1.0, 33.33, 2.0, 0.0)};
+  p.platform = Platform{"2", 2};
+  p.platform.capacity = core::ResourceVec::uniform(99.99);
+  expect_tiling_survives_the_bounds(p, {4, 2});
+}
+
+TEST(PackingBounds, ExactTilingOfDspQuartersStaysFeasible) {
+  // Four 15 % DSP CUs fill the 60 % an FPGA offers at fraction 0.6.
+  Problem p;
+  p.app.kernels = {make_kernel("a", 1.0, 0.0, 15.0, 0.0),
+                   make_kernel("b", 1.0, 1.0, 15.0, 0.0),
+                   make_kernel("c", 1.0, 2.0, 15.0, 0.0)};
+  p.platform = Platform{"3", 3};
+  p.resource_fraction = 0.6;
+  expect_tiling_survives_the_bounds(p, {5, 4, 3});
 }
 
 /// The rows of an allocation in StabilityOptions::reference layout.
