@@ -3,14 +3,15 @@
 // branch-and-bound discretization, Algorithm 1, exact packing, the
 // end-to-end pipelines on the paper's largest case (the exact ones with
 // their packing nodes per second, on a decided and an undecided
-// fraction), and the portfolio's three GP+A lanes with the relaxation
-// cache off and on.
+// fraction), three GP+A solves with the relaxation cache off and on, and
+// the portfolio's three GP+A lanes, which share one stage pass.
 #include <benchmark/benchmark.h>
 
 #include "alloc/gpa.hpp"
 #include "alloc/greedy.hpp"
 #include "core/relaxation.hpp"
 #include "hls/paper.hpp"
+#include "runtime/portfolio.hpp"
 #include "solver/discretize.hpp"
 #include "solver/exact.hpp"
 #include "solver/candidates.hpp"
@@ -71,11 +72,11 @@ void BM_GpaEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_GpaEndToEnd)->DenseRange(0, 4);
 
-// The portfolio's GP+A lane shape: three greedy deviations per point
-// re-solve the identical root relaxation and branch-and-bound tree. With
-// the relaxation cache on (argument 1; the cache lives across
-// iterations, as in a long-running sweep or service) the repeats
-// collapse to lookups; argument 0 solves every lane cold.
+// Three full GP+A solves at the portfolio's greedy deviations re-solve
+// the identical root relaxation and branch-and-bound tree. With the
+// relaxation cache on (argument 1; the cache lives across iterations, as
+// in a long-running sweep) the repeats collapse to lookups; argument 0
+// solves every lane cold.
 void BM_GpaThreeLanesRelaxCache(benchmark::State& state) {
   const mfa::core::Problem p = vgg_problem(0.7);
   mfa::core::RelaxationCache cache;
@@ -92,6 +93,21 @@ void BM_GpaThreeLanesRelaxCache(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GpaThreeLanesRelaxCache)->Arg(0)->Arg(1);
+
+// The same three deviations as the default portfolio runs them: one
+// relaxation + discretization pass, then Algorithm 1 per lane (exact
+// off, sequential lanes).
+void BM_PortfolioGpaLanes(benchmark::State& state) {
+  const mfa::core::Problem p = vgg_problem(0.7);
+  mfa::runtime::PortfolioOptions options;
+  options.run_exact = false;
+  const mfa::runtime::Portfolio portfolio(options, /*num_threads=*/1);
+  for (auto _ : state) {
+    auto r = portfolio.solve(p);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_PortfolioGpaLanes);
 
 void BM_PackingFeasibility(benchmark::State& state) {
   const mfa::core::Problem p = vgg_problem(0.7);

@@ -13,14 +13,19 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
+  StatusOr<GpaStages> staged = stages(problem);
+  if (!staged.is_ok()) return staged.status();
+  return allocate(problem, staged.value());
+}
+
+StatusOr<GpaStages> GpaSolver::stages(const core::Problem& problem) const {
   const Status valid = problem.validate();
   if (!valid.is_ok()) return valid;
 
   // ---- Step 1: continuous relaxation (paper §3.2.1) by bisection,
-  // memoized when a shared cache is configured (portfolio lanes solve
-  // identical roots), warm-started from options_.warm when set (the
-  // bisection probes the seed ÎI once). Cache keys fold the seed in, so
-  // warm and cold entries never alias.
+  // memoized when a shared cache is configured, warm-started from
+  // options_.warm when set (the bisection probes the seed ÎI once).
+  // Cache keys fold the seed in, so warm and cold entries never alias.
   auto t0 = std::chrono::steady_clock::now();
   const double hint =
       options_.warm && options_.warm->ii > 0.0 ? options_.warm->ii : 0.0;
@@ -51,24 +56,27 @@ StatusOr<GpaResult> GpaSolver::solve(const core::Problem& problem) const {
   const double seconds_discretize = seconds_since(t0);
   if (!discrete.is_ok()) return discrete.status();
 
+  GpaStages result{relaxed.value().ii,
+                   std::move(relaxed.value().n_hat),
+                   discrete.value().ii,
+                   std::move(discrete.value().totals),
+                   discrete.value().nodes,
+                   seconds_relax,
+                   seconds_discretize};
+  return result;
+}
+
+StatusOr<GpaResult> GpaSolver::allocate(const core::Problem& problem,
+                                        const GpaStages& stages) const {
   // ---- Step 3: greedy allocation (Algorithm 1).
-  t0 = std::chrono::steady_clock::now();
+  const auto t0 = std::chrono::steady_clock::now();
   GreedyAllocator allocator(options_.greedy);
-  StatusOr<GreedyResult> greedy =
-      allocator.allocate(problem, discrete.value().totals);
+  StatusOr<GreedyResult> greedy = allocator.allocate(problem, stages.totals);
   if (!greedy.is_ok()) return greedy.status();
   const double seconds_allocate = seconds_since(t0);
 
-  GpaResult result{std::move(greedy.value().allocation),
-                   relaxed.value().ii,
-                   relaxed.value().n_hat,
-                   discrete.value().ii,
-                   discrete.value().totals,
-                   greedy.value().used_fraction,
-                   discrete.value().nodes,
-                   seconds_relax,
-                   seconds_discretize,
-                   seconds_allocate};
+  GpaResult result{stages, std::move(greedy.value().allocation),
+                   greedy.value().used_fraction, seconds_allocate};
   return result;
 }
 

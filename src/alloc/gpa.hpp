@@ -10,9 +10,17 @@
 // are the whole pipeline: re-placing an answer against an incumbent
 // under migration budgets is the allocation service's job
 // (AllocServer::apply_stability), not a GP+A step.
+//
+// The greedy deviation T (Fig. 2) enters only Algorithm 1, so the solver
+// exposes the pipeline as two calls: stages() runs the T-free relaxation
+// and discretization, allocate() runs Algorithm 1 on their totals at
+// options.greedy. solve() is the two in sequence. A portfolio that races
+// several T lanes runs stages() once and allocate() once per lane.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "alloc/greedy.hpp"
 #include "core/allocation.hpp"
@@ -41,18 +49,23 @@ struct GpaOptions {
   GreedyOptions greedy;
 };
 
-struct GpaResult {
-  core::Allocation allocation;   ///< final feasible placement
+/// The T-free stages of one GP+A solve: the root relaxation and its
+/// discretization. Shared by every Algorithm 1 run on the same problem.
+struct GpaStages {
   double relaxed_ii = 0.0;       ///< ÎI from the GP step (lower bound)
   std::vector<double> relaxed_n; ///< N̂_k from the GP step (with ÎI: the
                                  ///< warm seed for a neighboring solve)
   double discrete_ii = 0.0;      ///< II after discretization (pre-alloc)
   std::vector<int> totals;       ///< discretized N_k
-  double used_fraction = 0.0;    ///< R_c the allocator ended at
   std::int64_t discretize_nodes = 0;
-
   double seconds_relax = 0.0;
   double seconds_discretize = 0.0;
+};
+
+/// A whole GP+A solve: its stages plus Algorithm 1's placement.
+struct GpaResult : GpaStages {
+  core::Allocation allocation;   ///< final feasible placement
+  double used_fraction = 0.0;    ///< R_c the allocator ended at
   double seconds_allocate = 0.0;
   [[nodiscard]] double seconds_total() const {
     return seconds_relax + seconds_discretize + seconds_allocate;
@@ -63,9 +76,20 @@ class GpaSolver {
  public:
   explicit GpaSolver(GpaOptions options = {}) : options_(options) {}
 
-  /// Runs GP → discretize → allocate. kInfeasible propagates from any
-  /// stage (pooled constraints, integrality, or Algorithm 1 within T).
+  /// Runs GP → discretize → allocate: stages(), then allocate() on
+  /// them. kInfeasible propagates from any stage (pooled constraints,
+  /// integrality, or Algorithm 1 within T).
   [[nodiscard]] StatusOr<GpaResult> solve(const core::Problem& problem) const;
+
+  /// Validates `problem`, then runs the root relaxation (seeded by
+  /// options.warm, through options.context's cache when set) and the
+  /// discretization. Reads nothing of options.greedy.
+  [[nodiscard]] StatusOr<GpaStages> stages(const core::Problem& problem) const;
+
+  /// Algorithm 1 at options.greedy on the totals of `stages`, which
+  /// stages() produced for this same `problem`.
+  [[nodiscard]] StatusOr<GpaResult> allocate(const core::Problem& problem,
+                                             const GpaStages& stages) const;
 
  private:
   GpaOptions options_;

@@ -50,8 +50,8 @@ namespace mfa::alloc {
 /// Memoized outcome of one successful greedy run: the placement matrix
 /// plus the scalar diagnostics, with no reference back to the Problem —
 /// a hit rebuilds the Allocation against the *caller's* Problem object,
-/// so entries can be shared across equal problem instances (portfolio
-/// lanes, repeated batch requests) regardless of object identity.
+/// so entries can be shared across equal problem instances (repeated
+/// requests) regardless of object identity.
 struct GreedyMemo {
   std::vector<int> cu;  ///< n_{k,f}, row-major [kernel][fpga]
   double used_fraction = 0.0;

@@ -1,11 +1,13 @@
 // Thread-safe memoization cache for continuous-relaxation solves.
 //
-// Sweeps and solver portfolios hammer thousands of *identical* relaxation
-// subproblems: every GP+A lane of a portfolio solves the same root
-// relaxation and walks the same branch-and-bound tree, and batch grids
-// repeat instances across methods. The cache memoizes those solves by a
-// 128-bit fingerprint of everything the result depends on (problem,
-// bounds, warm-start hint, algorithm tag — see core/fingerprint.hpp).
+// Repeated solves of one instance (a sweep run again over the same
+// design space) re-solve *identical* relaxation subproblems: the same
+// root relaxation and the same branch-and-bound tree. The cache memoizes
+// those solves by a 128-bit fingerprint of everything the result
+// depends on (problem, bounds, warm-start hint, algorithm tag — see
+// core/fingerprint.hpp). Nothing on a default path builds one: a
+// portfolio solve runs its GP+A stages once for all its T lanes, and
+// BatchRunner uses a cache only when the caller passes one.
 //
 // Both feasible solutions and infeasibility proofs are cached (branch-
 // and-bound prunes through infeasible nodes constantly).
@@ -15,8 +17,8 @@
 // core::ShardedCache (core/sharded_cache.hpp), shared with the greedy
 // placement cache. A lookup hit returns exactly what the thread
 // would have computed itself, which is how BatchRunner stays bit-for-bit
-// identical across thread counts while every batch shares one cache.
-// The default configuration is one unbounded shard.
+// identical across thread counts when the threads share a caller's
+// cache. The default configuration is one unbounded shard.
 #pragma once
 
 #include "core/relaxation.hpp"

@@ -21,21 +21,6 @@ const char* resource_name(Resource r) {
   return "?";
 }
 
-ResourceVec& ResourceVec::operator+=(const ResourceVec& rhs) {
-  for (std::size_t i = 0; i < kNumResources; ++i) v_[i] += rhs.v_[i];
-  return *this;
-}
-
-ResourceVec& ResourceVec::operator-=(const ResourceVec& rhs) {
-  for (std::size_t i = 0; i < kNumResources; ++i) v_[i] -= rhs.v_[i];
-  return *this;
-}
-
-ResourceVec& ResourceVec::operator*=(double s) {
-  for (double& x : v_) x *= s;
-  return *this;
-}
-
 bool ResourceVec::fits_within(const ResourceVec& cap, double tolerance) const {
   for (std::size_t i = 0; i < kNumResources; ++i) {
     if (v_[i] > cap.v_[i] + tolerance) return false;

@@ -49,9 +49,20 @@ class ResourceVec {
     return v_[i];
   }
 
-  ResourceVec& operator+=(const ResourceVec& rhs);
-  ResourceVec& operator-=(const ResourceVec& rhs);
-  ResourceVec& operator*=(double s);
+  // Inline: the packing search and Algorithm 1 update slack vectors at
+  // every node and placement.
+  ResourceVec& operator+=(const ResourceVec& rhs) {
+    for (std::size_t i = 0; i < kNumResources; ++i) v_[i] += rhs.v_[i];
+    return *this;
+  }
+  ResourceVec& operator-=(const ResourceVec& rhs) {
+    for (std::size_t i = 0; i < kNumResources; ++i) v_[i] -= rhs.v_[i];
+    return *this;
+  }
+  ResourceVec& operator*=(double s) {
+    for (double& x : v_) x *= s;
+    return *this;
+  }
 
   friend ResourceVec operator+(ResourceVec lhs, const ResourceVec& rhs) {
     return lhs += rhs;

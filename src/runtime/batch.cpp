@@ -10,28 +10,23 @@ std::vector<SolveResult> BatchRunner::solve_all(
   std::vector<SolveResult> results(requests.size());
   if (requests.empty()) return results;
 
-  // One relaxation cache for the whole batch (see header); hits are
-  // bit-identical to solving, so injecting them does not disturb
-  // determinism. The portfolio's and each request's own context win
-  // when they carry a cache.
-  core::RelaxationCache batch_cache;
-  core::SolverContext batch_context{&batch_cache};
+  // A caller's long-lived context reaches every request whose options
+  // carry no cache of their own; without one, nothing is cached (each
+  // solve already runs its GP+A stages once). Per-request options are
+  // value copies, so wiring never mutates caller state.
+  PortfolioOptions base = options_.portfolio;
+  std::vector<SolveRequest> work = requests;
   if (options_.context != nullptr &&
       options_.context->relax_cache != nullptr) {
-    batch_context.relax_cache = options_.context->relax_cache;
-  }
-  auto wire = [&batch_context](PortfolioOptions& o) {
-    if (o.context == nullptr || o.context->relax_cache == nullptr) {
-      o.context = &batch_context;
+    auto wire = [this](PortfolioOptions& o) {
+      if (o.context == nullptr || o.context->relax_cache == nullptr) {
+        o.context = options_.context;
+      }
+    };
+    wire(base);
+    for (SolveRequest& request : work) {
+      if (request.options) wire(*request.options);
     }
-  };
-  PortfolioOptions base = options_.portfolio;
-  wire(base);
-  // Per-request options are value copies, so injecting the cache never
-  // mutates caller state.
-  std::vector<SolveRequest> work = requests;
-  for (SolveRequest& request : work) {
-    if (request.options) wire(*request.options);
   }
 
   // Lanes sequential inside each instance (see header).

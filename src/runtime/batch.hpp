@@ -8,14 +8,14 @@
 // threads. Parallelism therefore comes purely from solving different
 // instances concurrently, which is the shape of the Fig. 3–5 grids.
 //
-// Every batch shares one relaxation cache across all its requests and
-// portfolio lanes (BatchOptions::context supplies a longer-lived one):
-// duplicate and near-duplicate instances (the same grid point under
-// several methods, the same root relaxation under several greedy
-// deviations) collapse to cache hits. Cache keys capture every solve
-// input, so a hit returns exactly the bytes a solve would have produced
-// and the bit-for-bit determinism guarantee above holds whichever
-// thread populated the cache first.
+// The runner builds no cache of its own: each portfolio solve already
+// runs its GP+A relaxation and discretization once for all its T lanes.
+// BatchOptions::context wires a caller's long-lived relaxation cache
+// into every request that carries none, so hits survive across
+// solve_all() calls. Cache keys capture every solve input, so a hit
+// returns exactly the bytes a solve would have produced and the
+// bit-for-bit determinism guarantee above holds whichever thread
+// populated the cache first.
 #pragma once
 
 #include <vector>
@@ -31,10 +31,10 @@ struct BatchOptions {
   int num_threads = 0;
   /// Portfolio applied to every request without its own options.
   PortfolioOptions portfolio;
-  /// A longer-lived relaxation cache to use instead of the per-batch
-  /// one, so hits survive across solve_all() calls (e.g. successive
-  /// sweeps over one design space). The single wiring point; see
-  /// core/solver_context.hpp. Not owned.
+  /// A long-lived relaxation cache for every request whose options carry
+  /// none, so hits survive across solve_all() calls (e.g. successive
+  /// sweeps over one design space); null solves without a cache. The
+  /// single wiring point; see core/solver_context.hpp. Not owned.
   const core::SolverContext* context = nullptr;
 };
 

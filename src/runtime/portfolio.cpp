@@ -26,9 +26,34 @@ struct LaneRun {
   std::optional<core::RelaxedSolution> relaxed;  // GP+A root (ÎI, N̂)
 };
 
+/// GP+A's T-free stages (root relaxation + discretization), run once per
+/// solve and shared by every kGpa lane, with the options they ran under.
+struct GpaStagesRun {
+  alloc::GpaOptions options;
+  StatusOr<alloc::GpaStages> stages{
+      Status{Code::kInvalid, "no GP+A lane configured"}};
+  double seconds = 0.0;
+};
+
+GpaStagesRun run_gpa_stages(const core::Problem& problem,
+                            const PortfolioOptions& options,
+                            const std::optional<core::RelaxedSolution>& warm) {
+  GpaStagesRun run;
+  run.options = options.gpa;
+  // A portfolio-level cache takes precedence over whatever the base
+  // GpaOptions carried.
+  if (options.context != nullptr && options.context->relax_cache != nullptr) {
+    run.options.context = options.context;
+  }
+  if (warm) run.options.warm = warm;  // root-relaxation seed (request-level)
+  const auto t0 = Clock::now();
+  run.stages = alloc::GpaSolver(run.options).stages(problem);
+  run.seconds = seconds_since(t0);
+  return run;
+}
+
 LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
-                 const PortfolioOptions& options,
-                 const std::optional<core::RelaxedSolution>& warm,
+                 const PortfolioOptions& options, const GpaStagesRun& gpa,
                  solver::Budget& shared) {
   LaneRun run;
   run.outcome.strategy = spec.name();
@@ -36,19 +61,18 @@ LaneRun run_lane(const StrategySpec& spec, const core::Problem& problem,
 
   switch (spec.kind) {
     case StrategySpec::Kind::kGpa: {
-      alloc::GpaOptions o = options.gpa;
-      o.greedy.t_max = spec.t_max;
-      // A portfolio-level cache takes precedence over whatever the base
-      // GpaOptions carried.
-      if (options.context != nullptr &&
-          options.context->relax_cache != nullptr) {
-        o.context = options.context;
+      // Algorithm 1 alone on the shared stages; Portfolio::solve
+      // charges their nodes and seconds to one lane.
+      if (!gpa.stages.is_ok()) {
+        run.outcome.status = gpa.stages.status();
+        break;
       }
-      if (warm) o.warm = warm;  // root-relaxation seed (request-level)
-      StatusOr<alloc::GpaResult> r = alloc::GpaSolver(o).solve(problem);
+      alloc::GpaOptions o = gpa.options;
+      o.greedy.t_max = spec.t_max;
+      StatusOr<alloc::GpaResult> r =
+          alloc::GpaSolver(o).allocate(problem, gpa.stages.value());
       if (r.is_ok()) {
         run.allocation = std::move(r.value().allocation);
-        run.outcome.nodes = r.value().discretize_nodes;
         run.relaxed = core::RelaxedSolution{
             r.value().relaxed_ii, std::move(r.value().relaxed_n)};
       } else {
@@ -157,14 +181,34 @@ SolveResult Portfolio::solve(const SolveRequest& request) const {
   }
   solver::Budget shared(options.max_nodes, options.max_seconds);
 
+  // The GP+A lanes differ only in T, which only Algorithm 1 reads: run
+  // the relaxation and discretization once, before the lanes fan out.
+  GpaStagesRun gpa;
+  if (!options.gpa_t_max.empty()) {
+    gpa = run_gpa_stages(problem, options, request.warm);
+  }
+
   std::vector<LaneRun> runs(lanes.size());
   if (pool_ != nullptr && lanes.size() > 1) {
     pool_->parallel_for(lanes.size(), [&](std::size_t i) {
-      runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);
+      runs[i] = run_lane(lanes[i], problem, options, gpa, shared);
     });
   } else {
     for (std::size_t i = 0; i < lanes.size(); ++i) {
-      runs[i] = run_lane(lanes[i], problem, options, request.warm, shared);
+      runs[i] = run_lane(lanes[i], problem, options, gpa, shared);
+    }
+  }
+
+  // The shared stages count once: their seconds go to the first GP+A
+  // lane, their nodes to the first GP+A lane that returned an allocation
+  // (a lane without one reports no nodes, as the exact lane does).
+  // lanes() lists the GP+A lanes first, one per gpa_t_max entry.
+  const std::size_t gpa_lanes = options.gpa_t_max.size();
+  if (gpa_lanes > 0) runs[0].outcome.seconds += gpa.seconds;
+  for (std::size_t i = 0; i < gpa_lanes; ++i) {
+    if (runs[i].allocation) {
+      runs[i].outcome.nodes = gpa.stages.value().discretize_nodes;
+      break;
     }
   }
 

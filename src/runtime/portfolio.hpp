@@ -3,6 +3,8 @@
 // The lanes (GP+A at several greedy deviations T, the structured exact
 // search, optionally the naive B&B) attack the same Problem concurrently
 // on a thread pool, sharing one solver::Budget-derived deadline. The
+// GP+A lanes differ only in Algorithm 1, so GP+A's relaxation and
+// discretization run once, before the lanes fan out. The
 // exact lanes charge their packing nodes against the shared budget and
 // poll it between packings, so the first lane to *prove* optimality on
 // the true objective can expire() the budget and stop the others at

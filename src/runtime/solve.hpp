@@ -52,7 +52,9 @@ struct StrategySpec {
 /// budget, with what per-solver knobs.
 struct PortfolioOptions {
   /// One kGpa lane per entry (Fig. 2 shows II vs T is not monotone, so
-  /// racing a few deviations is cheap insurance).
+  /// racing a few deviations is cheap insurance). T enters only
+  /// Algorithm 1: the portfolio runs the relaxation and discretization
+  /// once per solve and Algorithm 1 once per lane.
   std::vector<double> gpa_t_max = {0.0, 0.05, 0.10};
   bool run_exact = true;
   bool run_naive = false;
@@ -64,13 +66,13 @@ struct PortfolioOptions {
   std::int64_t max_nodes = 50'000'000;
   double max_seconds = 60.0;
 
-  /// Shared solver resources (see core/solver_context.hpp). Every lane
-  /// solves the identical root relaxation and walks the identical
-  /// discretization tree, so with the context's relaxation cache the
-  /// work is done once and reused; keys capture every solve input, so
-  /// hits are bit-identical to solving and determinism across thread
-  /// counts is preserved. Not owned; when it carries a cache, it
-  /// overrides `gpa.context`.
+  /// Shared solver resources (see core/solver_context.hpp). The GP+A
+  /// lanes share one root relaxation and discretization per solve
+  /// already; a context's relaxation cache lets those stages reuse the
+  /// work of earlier solves of the same instance. Keys capture every
+  /// solve input, so hits are bit-identical to solving and determinism
+  /// across thread counts is preserved. Not owned; when it carries a
+  /// cache, it overrides `gpa.context`.
   const core::SolverContext* context = nullptr;
 
   alloc::GpaOptions gpa;       ///< base GP+A knobs (t_max set per lane)
@@ -108,7 +110,12 @@ struct StrategyOutcome {
   double phi = std::numeric_limits<double>::infinity();
   /// α·II + β·φ under the *request's* weights (∞ when no allocation).
   double goal = std::numeric_limits<double>::infinity();
+  /// Search nodes of this lane. The GP+A lanes share one discretization,
+  /// whose nodes the first GP+A lane with an allocation reports; the
+  /// others report 0. A lane without an allocation reports none.
   std::int64_t nodes = 0;
+  /// Wall time of this lane; the first GP+A lane's includes the shared
+  /// relaxation and discretization.
   double seconds = 0.0;
 };
 
@@ -131,7 +138,7 @@ struct SolveResult {
   /// request's `warm` (exact/naive winners leave it empty).
   std::optional<core::RelaxedSolution> relaxed;
   std::string winner;       ///< name of the winning lane
-  std::int64_t nodes = 0;   ///< Σ nodes across lanes
+  std::int64_t nodes = 0;   ///< Σ nodes across lanes, each node once
   double seconds = 0.0;     ///< wall time of the whole portfolio call
   std::vector<StrategyOutcome> lanes;  ///< in deterministic lane order
 

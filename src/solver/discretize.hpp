@@ -38,10 +38,10 @@ struct DiscretizeResult {
 struct DiscretizeOptions {
   std::int64_t max_nodes = 1'000'000;
   /// Optional shared memoization of node relaxations, keyed by problem
-  /// fingerprint × bounds × warm hint (core/relax_cache.hpp). Portfolio
-  /// lanes and duplicate batch instances walk identical trees, so a
-  /// shared cache collapses their node solves to lookups. Not owned;
-  /// may be used from several threads concurrently.
+  /// fingerprint × bounds × warm hint (core/relax_cache.hpp). Repeated
+  /// instances walk identical trees, so a long-lived cache collapses
+  /// their node solves to lookups. Not owned; may be used from several
+  /// threads concurrently.
   core::RelaxationCache* cache = nullptr;
 };
 

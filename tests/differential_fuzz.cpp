@@ -42,17 +42,27 @@
 //     same answer in at least as many nodes, and some run of the slice
 //     must take fewer (so the bounds were exercised).
 //
+//  8. greedy parity — alloc::GreedyAllocator reproduces the reference
+//     Algorithm 1 (tests/oracles/reference_greedy.hpp) on each seed's
+//     kernels over a homogeneous and a mixed fleet, at T = 0, 0.05,
+//     0.10 and 0.30, for GP+A's discretized totals and for totals that
+//     force dropped CUs: status, allocation rows, used_fraction bits,
+//     iterations and dropped_cus must be identical, and some run of the
+//     slice must drop CUs (so that path was exercised).
+//
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
 //                          [--stability] [--patched-bounds]
-//                          [--packing-parity]
+//                          [--packing-parity] [--greedy-parity]
 //
-// --stability runs only check 5, --patched-bounds only check 6 and
-// --packing-parity only check 7 (no exact/naive oracles); all three are
-// cheap enough for wide ctest slices across heterogeneous platforms.
+// --stability runs only check 5, --patched-bounds only check 6,
+// --packing-parity only check 7 and --greedy-parity only check 8 (no
+// exact/naive oracles); all four are cheap enough for wide ctest slices
+// across heterogeneous platforms.
 //
 // On mismatch it prints the seed and the scenario JSON to stderr, writes
 // the scenario to --out (CI uploads it as an artifact) and exits 1.
 // Budget-capped (unproved) exact/naive results are skipped, not failed.
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -63,12 +73,15 @@
 #include <vector>
 
 #include "alloc/gpa.hpp"
+#include "alloc/greedy.hpp"
 #include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
 #include "io/serialize.hpp"
+#include "oracles/reference_greedy.hpp"
 #include "oracles/reference_packing.hpp"
 #include "oracles/stack_discretize.hpp"
 #include "scenario/generate.hpp"
+#include "scenario/rng.hpp"
 #include "solver/candidates.hpp"
 #include "solver/discretize.hpp"
 #include "solver/exact.hpp"
@@ -84,6 +97,7 @@ struct Options {
   bool stability_only = false;
   bool patched_bounds_only = false;
   bool packing_parity_only = false;
+  bool greedy_parity_only = false;
 };
 
 /// Scenario shape small enough for the naive oracle to *prove* optima
@@ -114,6 +128,21 @@ mfa::scenario::ScenarioSpec packing_spec() {
   spec.class_skew = 0.4;
   spec.tightness = 0.8;
   spec.max_cu_per_kernel = 4;
+  return spec;
+}
+
+/// Check 8's scenarios: homogeneous fleets of up to eight FPGAs, so that
+/// Algorithm 1 re-sorts fleets of several sizes; check_greedy_parity
+/// derives the mixed fleet from each.
+mfa::scenario::ScenarioSpec greedy_spec() {
+  mfa::scenario::ScenarioSpec spec;
+  spec.min_kernels = 2;
+  spec.max_kernels = 8;
+  spec.min_fpgas = 2;
+  spec.max_fpgas = 8;
+  spec.max_classes = 1;
+  spec.tightness = 0.8;
+  spec.max_cu_per_kernel = 6;
   return spec;
 }
 
@@ -387,6 +416,114 @@ const char* check_packing_parity(const mfa::core::Problem& problem,
   return nullptr;
 }
 
+/// `problem` with its fleet replaced by a mixed one of the same size:
+/// class 0 as generated, one or two smaller classes drawn from `seed`.
+mfa::core::Problem with_mixed_fleet(const mfa::core::Problem& problem,
+                                    std::uint64_t seed) {
+  mfa::scenario::Rng rng(seed ^ 0x6a09e667f3bcc909ull);
+  const int fpgas = problem.platform.num_fpgas;
+  const int classes = fpgas >= 3 ? rng.uniform_int(2, 3) : 2;
+  std::vector<mfa::core::DeviceClass> list(static_cast<std::size_t>(classes));
+  for (int c = 0; c < classes; ++c) {
+    mfa::core::DeviceClass& dc = list[static_cast<std::size_t>(c)];
+    dc.name = "class" + std::to_string(c);
+    if (c == 0) continue;
+    dc.capacity =
+        mfa::core::ResourceVec::uniform(100.0 * rng.uniform(0.4, 1.0));
+    dc.bw_capacity = 100.0 * rng.uniform(0.4, 1.0);
+  }
+  std::vector<int> class_of(static_cast<std::size_t>(fpgas));
+  for (int f = 0; f < fpgas; ++f) {
+    class_of[static_cast<std::size_t>(f)] =
+        f < classes ? f : rng.uniform_int(0, classes - 1);
+  }
+  mfa::core::Problem mixed = problem;
+  mixed.platform = mfa::core::Platform::heterogeneous(
+      problem.platform.name + "-mixed", std::move(list), std::move(class_of));
+  return mixed;
+}
+
+/// Check 8: GreedyAllocator against the reference Algorithm 1, on
+/// `problem`'s homogeneous fleet and on with_mixed_fleet's. Each fleet
+/// places GP+A's discretized totals (all ones when the GP+A stages fail)
+/// and the same totals with one kernel asking for one CU more than fits
+/// the whole fleet at full capacity, so that run must drop CUs or fail.
+/// `dropped` counts the runs that dropped CUs.
+const char* check_greedy_parity(const mfa::core::Problem& problem,
+                                std::uint64_t seed, std::uint64_t& dropped) {
+  using mfa::alloc::GreedyResult;
+
+  const auto compare =
+      [](const mfa::StatusOr<GreedyResult>& reference,
+         const mfa::StatusOr<GreedyResult>& greedy) -> const char* {
+    if (reference.is_ok() != greedy.is_ok()) {
+      return "greedy and reference Algorithm 1 disagree on status";
+    }
+    if (!reference.is_ok()) {
+      return reference.status().code() == greedy.status().code()
+                 ? nullptr
+                 : "greedy fails with a different status code";
+    }
+    const GreedyResult& a = reference.value();
+    const GreedyResult& b = greedy.value();
+    if (std::memcmp(&a.used_fraction, &b.used_fraction, sizeof(double)) !=
+        0) {
+      return "greedy used_fraction is not bit-identical";
+    }
+    if (a.iterations != b.iterations) return "greedy iterations differ";
+    if (a.dropped_cus != b.dropped_cus) return "greedy dropped_cus differ";
+    for (std::size_t k = 0; k < a.allocation.num_kernels(); ++k) {
+      for (int f = 0; f < a.allocation.num_fpgas(); ++f) {
+        if (a.allocation.cu(k, f) != b.allocation.cu(k, f)) {
+          std::fprintf(stderr, "reference:\n%s\ngreedy:\n%s",
+                       a.allocation.to_string().c_str(),
+                       b.allocation.to_string().c_str());
+          return "greedy allocation rows differ";
+        }
+      }
+    }
+    return nullptr;
+  };
+
+  const mfa::core::Problem mixed = with_mixed_fleet(problem, seed);
+  for (const mfa::core::Problem* fleet : {&problem, &mixed}) {
+    const auto stages = mfa::alloc::GpaSolver().stages(*fleet);
+    std::vector<int> base = stages.is_ok()
+                                ? stages.value().totals
+                                : std::vector<int>(fleet->num_kernels(), 1);
+    // One kernel asks for a CU more than the whole fleet holds at full
+    // capacity; Algorithm 1 never goes past R_c = 1.
+    const std::size_t k = seed % fleet->num_kernels();
+    int fleet_room = 0;
+    for (int f = 0; f < fleet->num_fpgas(); ++f) {
+      fleet_room += fleet->app.kernels[k].res.max_multiples(
+          fleet->platform.fpga_capacity(f), 1000);
+    }
+    std::vector<int> flooded = base;
+    flooded[k] = std::max(base[k], fleet_room) + 1;
+
+    for (const std::vector<int>* totals : {&base, &flooded}) {
+      for (const double t : {0.0, 0.05, 0.10, 0.30}) {
+        mfa::alloc::GreedyOptions options;
+        options.t_max = t;
+        const auto reference =
+            mfa::oracles::reference_greedy(*fleet, *totals, options);
+        const auto greedy =
+            mfa::alloc::GreedyAllocator(options).allocate(*fleet, *totals);
+        if (const char* mismatch = compare(reference, greedy)) {
+          std::fprintf(stderr, "fleet %s, T = %.2f, %s totals\n",
+                       fleet->platform.homogeneous() ? "homogeneous"
+                                                     : "mixed",
+                       t, totals == &base ? "GP+A" : "flooded");
+          return mismatch;
+        }
+        if (greedy.is_ok() && greedy.value().dropped_cus > 0) ++dropped;
+      }
+    }
+  }
+  return nullptr;
+}
+
 /// Migration-aware packing oracle (see file comment, check 5). The
 /// reference placement is GP+A's own allocation of the seed — a
 /// realistic incumbent the budgets can always fall back to, which makes
@@ -616,6 +753,8 @@ int main(int argc, char** argv) {
       opt.patched_bounds_only = true;
     } else if (std::strcmp(argv[i], "--packing-parity") == 0) {
       opt.packing_parity_only = true;
+    } else if (std::strcmp(argv[i], "--greedy-parity") == 0) {
+      opt.greedy_parity_only = true;
     } else if (argv[i][0] != '-') {
       opt.count = std::strtoull(argv[i], nullptr, 10);
       if (opt.count == 0) {
@@ -626,17 +765,20 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [num_seeds] [--start S] [--out failure.json]"
                    " [--stability] [--patched-bounds]"
-                   " [--packing-parity]\n",
+                   " [--packing-parity] [--greedy-parity]\n",
                    argv[0]);
       return 2;
     }
   }
 
   const mfa::scenario::ScenarioSpec spec =
-      opt.packing_parity_only ? packing_spec() : fuzz_spec();
+      opt.packing_parity_only  ? packing_spec()
+      : opt.greedy_parity_only ? greedy_spec()
+                               : fuzz_spec();
   std::uint64_t checked = 0;
   std::uint64_t infeasible = 0;
   std::uint64_t pruned = 0;  // check 7's runs the bounds made shorter
+  std::uint64_t dropped = 0;  // check 8's runs that dropped CUs
   for (std::uint64_t seed = opt.start; seed < opt.start + opt.count; ++seed) {
     const mfa::core::Problem problem = mfa::scenario::generate(spec, seed);
     bool feasible = true;
@@ -647,6 +789,8 @@ int main(int argc, char** argv) {
       mismatch = check_patched_bounds(problem, seed);
     } else if (opt.packing_parity_only) {
       mismatch = check_packing_parity(problem, seed, pruned);
+    } else if (opt.greedy_parity_only) {
+      mismatch = check_greedy_parity(problem, seed, dropped);
     } else {
       mismatch = check_seed(problem, &feasible);
     }
@@ -665,10 +809,11 @@ int main(int argc, char** argv) {
               opt.stability_only        ? " (stability)"
               : opt.patched_bounds_only ? " (patched bounds)"
               : opt.packing_parity_only ? " (packing parity)"
+              : opt.greedy_parity_only  ? " (greedy parity)"
                                         : "",
               checked);
   if (!opt.stability_only && !opt.patched_bounds_only &&
-      !opt.packing_parity_only) {
+      !opt.packing_parity_only && !opt.greedy_parity_only) {
     std::printf("(%" PRIu64 " infeasible instances exercised)\n", infeasible);
   }
   if (opt.packing_parity_only) {
@@ -678,6 +823,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "FAIL: no pack of the slice reached the capacity-count "
                    "bounds\n");
+      return 1;
+    }
+  }
+  if (opt.greedy_parity_only) {
+    std::printf("(%" PRIu64 " Algorithm 1 runs dropped CUs)\n", dropped);
+    if (dropped == 0) {
+      std::fprintf(stderr, "FAIL: no run of the slice dropped CUs\n");
       return 1;
     }
   }

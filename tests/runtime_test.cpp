@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -180,6 +181,70 @@ TEST(Portfolio, ParallelLanesMatchSequentialLanes) {
   EXPECT_EQ(seq.goal, par.goal);
   EXPECT_EQ(seq.ii, par.ii);
   EXPECT_EQ(seq.phi, par.phi);
+}
+
+/// The placement matrix, row-major [kernel][fpga].
+std::vector<int> rows(const core::Allocation& allocation) {
+  std::vector<int> out;
+  for (std::size_t k = 0; k < allocation.num_kernels(); ++k) {
+    for (int f = 0; f < allocation.num_fpgas(); ++f) {
+      out.push_back(allocation.cu(k, f));
+    }
+  }
+  return out;
+}
+
+TEST(Portfolio, GpaLanesMatchGpaSolverAtTheirDeviation) {
+  // The portfolio runs GP+A's relaxation and discretization once and
+  // Algorithm 1 once per T lane. Each lane must still be a full
+  // GpaSolver solve at its T, bit for bit, and SolveResult::nodes must
+  // count the shared discretization once.
+  std::vector<core::Problem> problems = random_grid(12, 5);
+  for (const core::Problem& paper :
+       {hls::paper::case_alex16_2fpga(), hls::paper::case_alex32_4fpga(),
+        hls::paper::case_vgg_8fpga()}) {
+    for (int i = 0; i <= 50; ++i) {
+      core::Problem p = paper;
+      p.resource_fraction = 0.50 + 0.01 * i;
+      problems.push_back(std::move(p));
+    }
+  }
+  PortfolioOptions options;  // the default T lanes
+  options.run_exact = false;
+  const Portfolio portfolio(options, 1);
+  int solved = 0;
+  for (const core::Problem& problem : problems) {
+    SCOPED_TRACE(problem.app.name + " at " +
+                 std::to_string(problem.resource_fraction));
+    const SolveResult r = portfolio.solve(problem);
+    ASSERT_EQ(r.lanes.size(), options.gpa_t_max.size());
+    std::int64_t discretize_nodes = 0;
+    for (std::size_t i = 0; i < r.lanes.size(); ++i) {
+      alloc::GpaOptions o = options.gpa;
+      o.greedy.t_max = options.gpa_t_max[i];
+      const StatusOr<alloc::GpaResult> solo =
+          alloc::GpaSolver(o).solve(problem);
+      const StrategyOutcome& lane = r.lanes[i];
+      ASSERT_EQ(lane.status.code(), solo.status().code()) << lane.strategy;
+      if (!solo.is_ok()) continue;
+      const core::Allocation& a = solo.value().allocation;
+      EXPECT_EQ(lane.goal, problem.alpha * a.ii() + problem.beta * a.phi())
+          << lane.strategy;
+      if (discretize_nodes == 0) {
+        discretize_nodes = solo.value().discretize_nodes;
+      }
+      if (lane.strategy == r.winner) {
+        ASSERT_TRUE(r.allocation.has_value());
+        EXPECT_EQ(rows(*r.allocation), rows(a));
+        ASSERT_TRUE(r.relaxed.has_value());
+        EXPECT_EQ(r.relaxed->ii, solo.value().relaxed_ii);
+        EXPECT_EQ(r.relaxed->n_hat, solo.value().relaxed_n);
+        ++solved;
+      }
+    }
+    EXPECT_EQ(r.nodes, discretize_nodes);
+  }
+  EXPECT_GT(solved, 100);
 }
 
 /// Applies one generated trace event to a composite and its live list.
@@ -433,16 +498,28 @@ TEST(BatchRunner, FourThreadsFasterThanOneOnMulticore) {
                std::chrono::steady_clock::now() - t0)
         .count();
   };
-  const double one = time_run(1);
-  const double four = time_run(4);
-  EXPECT_LT(four, one / 1.1)
-      << "1 thread: " << one << " s, 4 threads: " << four << " s";
+  // Alternate the two thread counts and compare medians, so that load
+  // from other processes during one run does not decide the outcome.
+  std::vector<double> one;
+  std::vector<double> four;
+  for (int round = 0; round < 3; ++round) {
+    one.push_back(time_run(1));
+    four.push_back(time_run(4));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  EXPECT_LT(median(four), median(one) / 1.1)
+      << "1 thread: " << one[0] << ", " << one[1] << ", " << one[2]
+      << " s; 4 threads: " << four[0] << ", " << four[1] << ", " << four[2]
+      << " s";
 }
 
 TEST(BatchRunner, SharedCacheDoesNotChangeResults) {
-  // The batch's shared relaxation cache is a pure memoization: on 1
-  // thread or 4, every result must be bit-for-bit identical to solving
-  // each instance alone with no cache at all.
+  // The batch builds no cache of its own, so solving the grid as a
+  // batch, on 1 thread or 4, must give every instance bit-for-bit the
+  // result of solving it alone.
   const std::vector<core::Problem> grid = random_grid(12, 99);
   const PortfolioOptions options = deterministic_portfolio(50'000);
 
@@ -484,13 +561,14 @@ TEST(BatchRunner, ExternalCacheIsPopulatedAndReused) {
   const std::vector<SolveResult> first = BatchRunner(batch).solve_all(grid);
   const auto after_first = cache.stats();
   EXPECT_GT(after_first.entries, 0u);
-  // Three GP+A lanes per instance walk identical trees → intra-batch hits.
-  EXPECT_GT(after_first.hits, 0u);
 
-  // A second batch over the same grid is served from the cache: no new
-  // entries, identical results.
+  // A second batch over the same grid is served from the cache: every
+  // lookup hits, no entry is added, and the results are identical.
   const std::vector<SolveResult> second = BatchRunner(batch).solve_all(grid);
-  EXPECT_EQ(cache.stats().entries, after_first.entries);
+  const auto after_second = cache.stats();
+  EXPECT_EQ(after_second.misses, after_first.misses);
+  EXPECT_GT(after_second.hits, after_first.hits);
+  EXPECT_EQ(after_second.entries, after_first.entries);
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_EQ(first[i].goal, second[i].goal);
     EXPECT_EQ(first[i].winner, second[i].winner);

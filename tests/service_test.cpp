@@ -173,8 +173,9 @@ TEST(AllocServer, DefaultPortfolioIsOneGpaLane) {
 TEST(AllocServer, ExtraGpaLanesRepeatLaneZero) {
   // Every composite has resource fraction 1.0, so Algorithm 1's cap
   // min(1.0 + T, 1.0) ignores T: lanes at T = 0.05 and 0.10 repeat lane
-  // 0's whole search, tie it and lose the tie. The only trace they
-  // leave in an outcome is their B&B nodes.
+  // 0's placement, tie it and lose the tie. The portfolio runs the GP+A
+  // stages once for all three lanes and counts their B&B nodes once, so
+  // the extra lanes leave no trace in an outcome at all.
   const ServerOptions one_lane;
   ServerOptions three_lanes;
   three_lanes.portfolio.gpa_t_max = {0.0, 0.05, 0.10};
@@ -190,12 +191,7 @@ TEST(AllocServer, ExtraGpaLanesRepeatLaneZero) {
       SCOPED_TRACE("event " + std::to_string(i));
       if (a[i].type == Event::Type::kResizePlatform) ++resizes;
       nodes += a[i].solve.nodes;
-      EXPECT_EQ(b[i].solve.nodes, 3 * a[i].solve.nodes);
-      io::Json ja = io::to_json(a[i]);
-      io::Json jb = io::to_json(b[i]);
-      ja.set("nodes", io::Json::number(0));
-      jb.set("nodes", io::Json::number(0));
-      EXPECT_EQ(ja.dump(), jb.dump());
+      EXPECT_EQ(io::to_json(a[i]).dump(), io::to_json(b[i]).dump());
     }
   }
   EXPECT_GT(resizes, 0);  // the traces exercise a pool change
