@@ -6,21 +6,16 @@
 // event's composite is re-solved from scratch by one GP+A lane.
 //
 // Reported per replay: wall-clock replay time, mean/p50/p95/p99/max
-// per-event latency, B&B nodes and the warm-path allocation count.
+// per-event latency and B&B nodes.
 //
 // A second replay runs the same configuration with a write-ahead log
 // (fsync on) to price durability: the WAL column reports the same
 // latency metrics, so the append-before-apply overhead is visible per
 // event rather than hidden in the daemon.
 //
-// `--check` exits non-zero when a gate fails:
-//   * the WAL replay's deterministic event log must be byte-identical
-//     to the plain replay — durability is observability-free (the
-//     property crash recovery rides on), and
-//   * zero heap allocations inside warm delta application — the runtime
-//     half of the zero-allocation warm path (support/alloc_count.hpp).
-//     Enforced when the counting interposer is linked
-//     (-DMFA_COUNT_ALLOC=ON); skipped with a notice otherwise.
+// `--check` exits non-zero unless the WAL replay's deterministic event
+// log is byte-identical to the plain replay — durability is
+// observability-free (the property crash recovery rides on).
 // `--smoke` shrinks the trace for CI wiring checks.
 //
 // With MFA_BENCH_OUT set to a directory, the measurements are written
@@ -39,7 +34,6 @@
 #include "io/serialize.hpp"
 #include "scenario/trace.hpp"
 #include "service/alloc_server.hpp"
-#include "support/alloc_count.hpp"
 
 namespace {
 
@@ -53,10 +47,6 @@ struct ReplayStats {
   double p95_event_ms = 0.0;
   double p99_event_ms = 0.0;
   double max_event_ms = 0.0;
-  /// Heap allocations inside warm delta application, summed over the
-  /// replay's reprioritize/resize events (0 unless the counting
-  /// interposer is linked; --check gates it at zero when it is).
-  std::uint64_t warm_allocs = 0;
   /// Concatenated deterministic outcome JSON, one line per event — the
   /// WAL determinism gate byte-compares these across replays.
   std::string log_digest;
@@ -92,7 +82,6 @@ ReplayStats replay(const mfa::scenario::Trace& trace,
   for (const mfa::service::Event& event : trace.events) {
     const mfa::service::EventOutcome outcome = server.apply(event);
     stats.nodes += outcome.solve.nodes;
-    stats.warm_allocs += outcome.warm_allocs;
     event_ms.push_back(outcome.seconds * 1e3);
     stats.log_digest += mfa::io::to_json(outcome).dump();
     stats.log_digest += '\n';
@@ -143,12 +132,6 @@ void emit_json(int events, const ReplayStats& plain, const ReplayStats& wal) {
                                     : 0.0));
   doc.set("wal_log_identical",
           mfa::io::Json::boolean(wal.log_digest == plain.log_digest));
-  // The zero-allocation gate's inputs.
-  doc.set("alloc_counting_linked",
-          mfa::io::Json::boolean(mfa::alloc_counting_linked()));
-  const std::uint64_t warm_allocs = plain.warm_allocs + wal.warm_allocs;
-  doc.set("warm_allocs",
-          mfa::io::Json::number(static_cast<double>(warm_allocs)));
   write_json(std::string(dir) + "/BENCH_service_churn.json", doc);
 }
 
@@ -168,8 +151,6 @@ void print_table(const ReplayStats& plain, const ReplayStats& wal) {
   row_f("p95 event latency (ms)", plain.p95_event_ms, wal.p95_event_ms);
   row_f("p99 event latency (ms)", plain.p99_event_ms, wal.p99_event_ms);
   row_f("max event latency (ms)", plain.max_event_ms, wal.max_event_ms);
-  row_i("warm-path allocations", static_cast<std::int64_t>(plain.warm_allocs),
-        static_cast<std::int64_t>(wal.warm_allocs));
 }
 
 }  // namespace
@@ -222,32 +203,10 @@ int main(int argc, char** argv) {
                   : 0.0,
               wal_identical ? "yes" : "NO");
   emit_json(events, plain, wal);
-  if (check) {
-    int rc = 0;
-    if (!wal_identical) {
-      std::printf("FAIL: WAL-enabled replay produced a different event log "
-                  "(durability must be byte-transparent)\n");
-      rc = 1;
-    }
-    // Zero-allocation warm path: with the counting interposer linked
-    // (-DMFA_COUNT_ALLOC=ON), no reprioritize/resize delta may allocate.
-    // The static half is mfa_lint's suppression-free warm-path-alloc
-    // rule; this is the runtime witness.
-    if (mfa::alloc_counting_linked()) {
-      const std::uint64_t total_warm_allocs =
-          plain.warm_allocs + wal.warm_allocs;
-      if (total_warm_allocs != 0) {
-        std::printf("FAIL: warm deltas performed %llu heap allocations "
-                    "(expected 0)\n",
-                    static_cast<unsigned long long>(total_warm_allocs));
-        rc = 1;
-      }
-    } else {
-      std::printf("note: zero-allocation gate skipped — counting "
-                  "interposer not linked (build with -DMFA_COUNT_ALLOC=ON "
-                  "to enable it)\n");
-    }
-    return rc;
+  if (check && !wal_identical) {
+    std::printf("FAIL: WAL-enabled replay produced a different event log "
+                "(durability must be byte-transparent)\n");
+    return 1;
   }
   return 0;
 }

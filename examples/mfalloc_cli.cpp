@@ -17,7 +17,7 @@
 // additionally writes the *deterministic* event log (no wall-clock
 // fields), byte-identical across runs for a fixed trace. `post` speaks
 // the versioned wire API (net/api.hpp): events go up in batches as
-// {"schema_version":4,"events":[...]}, outcomes come
+// {"schema_version":5,"events":[...]}, outcomes come
 // back per event; `--resume` asks GET /v1/stats how far the daemon got
 // (e.g. after a crash + `mfallocd --recover`) and continues from there.
 //

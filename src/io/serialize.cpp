@@ -523,9 +523,6 @@ Json to_json(const service::EventOutcome& o) {
   j.set("nodes", Json::number(static_cast<double>(o.solve.nodes)));
   j.set("delta", Json::string(service::to_string(o.delta)));
   j.set("diff", to_json(o.diff));
-  // Warm-path allocation count (0 unless the build links the counting
-  // interposer).
-  j.set("warm_allocs", Json::number(static_cast<double>(o.warm_allocs)));
   return j;
 }
 

@@ -33,7 +33,7 @@
 // malformed-payload corpus enforcing exactly that).
 //
 // Versioning: every payload this header *writes* carries a top-level
-// "schema_version" (currently 4). Readers accept every version from 1
+// "schema_version" (currently 5). Readers accept every version from 1
 // to the current one and, for the formats that predate versioning
 // (problem, trace, allocation), a missing field — those parse as legacy
 // v0 with unchanged semantics. Version 2 dropped the GP compilation
@@ -41,8 +41,10 @@
 // event outcomes and service stats; version 3 dropped "warm" (the
 // server no longer seeds a re-solve from its incumbent) from event
 // outcomes; version 4 dropped "relax_hits" (the server keeps no
-// relaxation cache) from event outcomes and service stats. Every input
-// format reads the same in all four versions.
+// relaxation cache) from event outcomes and service stats; version 5
+// dropped the warm-path heap-allocation count (0 in every build) from
+// event outcomes and service stats. Every input format reads the same
+// in all five versions.
 // Formats born versioned (WAL records, wire-API bodies) require the
 // field. An unknown or malformed version is a typed Code::kInvalid,
 // never a guess.
@@ -69,7 +71,7 @@
 namespace mfa::io {
 
 /// Version stamped into every payload written by this layer.
-inline constexpr int kSchemaVersion = 4;
+inline constexpr int kSchemaVersion = 5;
 
 /// Validates `j`'s "schema_version" against kSchemaVersion. A missing
 /// field is accepted as legacy v0 unless `required` (new formats);
@@ -114,7 +116,7 @@ StatusOr<service::PipelineSpec> pipeline_spec_from_json(const Json& j);
 /// clock, so two replays of one trace dump byte-identical logs (the
 /// property CI diffs). Callers wanting latency add it themselves.
 /// Encoding: a flat key sequence (seq..delta) followed by a nested
-/// "diff" object and "warm_allocs".
+/// "diff" object.
 Json to_json(const service::EventOutcome& outcome);
 
 /// Migration diff → {"computed", "cus_moved", "disturbed",

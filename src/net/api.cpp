@@ -51,7 +51,6 @@ Json stats_to_json(const service::ServiceStats& s) {
   j.set("p95_ms", Json::number(s.p95_ms));
   j.set("p99_ms", Json::number(s.p99_ms));
   j.set("max_ms", Json::number(s.max_ms));
-  j.set("warm_allocs", Json::number(static_cast<double>(s.warm_allocs)));
   return j;
 }
 

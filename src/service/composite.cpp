@@ -64,8 +64,8 @@ void CompositeBuilder::remove_pipeline(std::size_t index) {
   }
 }
 
-MFA_WARM_PATH void CompositeBuilder::reprioritize(std::size_t index,
-                                                  const PipelineSpec& pipe) {
+void CompositeBuilder::reprioritize(std::size_t index,
+                                    const PipelineSpec& pipe) {
   MFA_ASSERT(index < ranges_.size());
   MFA_ASSERT_MSG(ranges_[index].count == pipe.app.kernels.size(),
                  "reprioritize spec shape drifted from the composite");
@@ -81,7 +81,7 @@ MFA_WARM_PATH void CompositeBuilder::reprioritize(std::size_t index,
   }
 }
 
-MFA_WARM_PATH void CompositeBuilder::resize_platform(core::Platform platform) {
+void CompositeBuilder::resize_platform(core::Platform platform) {
   problem_.platform = std::move(platform);
 }
 

@@ -25,9 +25,10 @@
 // Platform::validate), so a delta is never undone: every composite is
 // valid by construction, though it may be infeasible.
 //
-// The builder owns the live problem *by value* — the warm deltas above
-// write doubles (or move-assign the platform) into memory nobody else
-// can see, so they are allocation-free by construction. snapshot()
+// The builder owns the live problem *by value* — the numeric deltas
+// above write doubles (or move-assign the platform) into memory nobody
+// else can see, so they are allocation-free by construction
+// (tests/composite_alloc_test.cpp counts them). snapshot()
 // hands out an immutable shared copy, so a held snapshot never changes
 // under later deltas.
 #pragma once
@@ -39,7 +40,6 @@
 #include "core/problem.hpp"
 #include "service/event.hpp"
 #include "support/status.hpp"
-#include "support/thread_annotations.hpp"
 
 namespace mfa::service {
 
@@ -76,13 +76,11 @@ class CompositeBuilder {
   /// Rewrites pipeline `index`'s scaled WCETs from `pipe` (which carries
   /// the new weight). Coefficient-only: names, order and every other
   /// kernel field stay untouched — plain double stores, no allocation.
-  MFA_WARM_PATH void reprioritize(std::size_t index, const PipelineSpec& pipe);
+  void reprioritize(std::size_t index, const PipelineSpec& pipe);
 
   /// Swaps the platform. RHS-only: the kernel set stays untouched; the
   /// incoming platform is move-assigned, so no allocation either.
-  /// (Named resize_platform, not resize, so the lexical warm-path lint
-  /// can tell it apart from container resize calls.)
-  MFA_WARM_PATH void resize_platform(core::Platform platform);
+  void resize_platform(core::Platform platform);
 
   // ---- Observers. ----------------------------------------------------
 
@@ -103,7 +101,7 @@ class CompositeBuilder {
     std::size_t count = 0;
   };
 
-  /// The live composite, owned by value: warm deltas mutate it freely.
+  /// The live composite, owned by value: deltas mutate it freely.
   core::Problem problem_;
   std::vector<Range> ranges_;  ///< parallel to the server's live list
 };

@@ -162,8 +162,7 @@ struct AllocationDiff {
 /// fixed trace and configuration — the replay log the CLI
 /// writes (and CI diffs) contains exactly those fields; `seconds` is
 /// wall clock and reported separately. (The JSON encoding is a flat key
-/// sequence with "diff" and "warm_allocs" appended; see
-/// io/serialize.cpp.)
+/// sequence with "diff" appended; see io/serialize.cpp.)
 struct EventOutcome {
   std::uint64_t sequence = 0;  ///< position in the server's event order
   Event::Type type = Event::Type::kAddPipeline;
@@ -177,14 +176,6 @@ struct EventOutcome {
   /// is part of the deterministic replay log.
   CompositeDelta delta = CompositeDelta::kNone;
   AllocationDiff diff;
-  /// Heap allocations observed while applying the warm composite delta
-  /// (Reprioritize weight patch / ResizePlatform swap). Always 0 in a
-  /// regular build; with the counting interposer linked (CMake option
-  /// MFA_COUNT_ALLOC, see support/alloc_count.hpp) it is the runtime
-  /// half of the zero-allocation warm-path gate — bench/service_churn
-  /// --check fails on any nonzero value. Deterministic per build
-  /// configuration, so it is serialized with the other counters.
-  std::uint64_t warm_allocs = 0;
   /// Wall-clock event latency: the append + fsync of the WAL group the
   /// event was committed in, plus the event's own apply (delta,
   /// re-solve, snapshot). Not in the replay log.

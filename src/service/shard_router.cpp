@@ -227,7 +227,6 @@ ServiceStats ShardRouter::stats() const {
     merged.snapshots += s.snapshots;
     merged.wal_commits += s.wal_commits;
     merged.wal_errors += s.wal_errors;
-    merged.warm_allocs += s.warm_allocs;
     merged.p50_ms = std::max(merged.p50_ms, s.p50_ms);
     merged.p95_ms = std::max(merged.p95_ms, s.p95_ms);
     merged.p99_ms = std::max(merged.p99_ms, s.p99_ms);

@@ -1,5 +1,4 @@
-// Clang Thread Safety Analysis attribute macros, plus the repo's own
-// static-contract markers.
+// Clang Thread Safety Analysis attribute macros.
 //
 // Under clang, -Wthread-safety turns GUARDED_BY/REQUIRES/ACQUIRE/...
 // into *compile-time* lock-discipline checking: accessing a
@@ -12,14 +11,6 @@
 // mfa::Mutex / mfa::LockGuard / mfa::CondVar (support/mutex.hpp), never
 // raw std::mutex (mfa_lint rule mutex-hygiene enforces this outside the
 // wrapper itself).
-//
-// MFA_WARM_PATH is *not* a compiler attribute: it marks functions on
-// the steady-state event path (AllocServer numeric-event dispatch →
-// CompositeBuilder coefficient/RHS deltas) that must not allocate.
-// tools/mfa_lint walks the lexical call graph from every MFA_WARM_PATH
-// function and rejects reachable allocating calls (rule
-// warm-path-alloc) — the static face of the zero-allocation gate, next
-// to the runtime `service_churn --check` gate.
 #pragma once
 
 #if defined(__clang__) && !defined(SWIG)
@@ -86,16 +77,3 @@
 /// invariant (mfa_lint does not count these, but reviewers do).
 #define MFA_NO_THREAD_SAFETY_ANALYSIS \
   MFA_THREAD_ANNOTATION__(no_thread_safety_analysis)
-
-/// Marks a function as part of the steady-state (warm) event path: no
-/// allocation may be reachable from it through the in-tree call graph.
-/// Checked by tools/mfa_lint (rule warm-path-alloc), not by the
-/// compiler. There is an `allow(...)`-comment suppression syntax for
-/// deliberate cold branches, but src/ must stay suppression-free for
-/// this rule (CI runs mfa_lint --forbid-suppression warm-path-alloc):
-/// restructure so sizing happens at setup instead — see
-/// service::CompositeBuilder::reprioritize, which only stores into
-/// kernel slots sized when the pipeline was added. The runtime
-/// half of the same contract is support/alloc_count.hpp's counting
-/// interposer, gated by bench/service_churn --check.
-#define MFA_WARM_PATH

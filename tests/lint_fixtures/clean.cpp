@@ -1,20 +1,5 @@
 // mfa_lint clean fixture: a file exercising every rule's look-alikes.
 // Zero findings expected.
-#define MFA_WARM_PATH
-
-// A genuinely allocation-free warm function: writes through existing
-// storage only. `new` appears in this comment and in the string below;
-// neither counts. push_back appears only in this comment.
-MFA_WARM_PATH void patch_in_place(double* coeff, int n, double scale) {
-  for (int i = 0; i < n; ++i) coeff[i] *= scale;
-  warm_callee(coeff, n);
-}
-
-void warm_callee(double* coeff, int n) {
-  for (int i = 0; i < n; ++i) coeff[i] += 1.0;
-}
-
-const char* banner() { return "a new beginning"; }
 
 // Serialization over an ordered container is fine.
 struct Json {};
@@ -35,8 +20,3 @@ class Clean {
   int value_ MFA_GUARDED_BY(mutex_) = 0;
   std::atomic<bool> flag_{false};
 };
-
-// References and pointers to std::string are not constructions.
-void borrow(const std::string& s, std::string* out) {
-  if (out != nullptr && !s.empty()) *out = s;
-}

@@ -68,6 +68,7 @@ TEST(LintGolden, EveryExpectedFindingFiresAtItsExactLine) {
   const auto diags = mfa::lint::run_lint(load_fixtures(keep_all));
 
   const std::set<std::string> expected = {
+      "/alloc/clock_bad.cpp:7:solver-clock",
       "/io_bad.cpp:8:banned-io",
       "/io_bad.cpp:9:banned-io",
       "/mutex_bad.hpp:18:mutex-hygiene",
@@ -78,25 +79,22 @@ TEST(LintGolden, EveryExpectedFindingFiresAtItsExactLine) {
       "/solver/clock_bad.cpp:8:solver-clock",
       "/solver/clock_bad.cpp:12:solver-clock",
       "/solver/clock_bad.cpp:17:solver-clock",
-      "/warm_alloc_bad.cpp:12:warm-path-alloc",
-      "/warm_alloc_bad.cpp:20:warm-path-alloc",
-      "/warm_alloc_bad.cpp:21:warm-path-alloc",
   };
 
   EXPECT_EQ(finding_keys(diags), expected) << mfa::lint::format(diags);
 }
 
-TEST(LintGolden, CallGraphChainsNameTheWarmRoot) {
+TEST(LintGolden, CallGraphChainsNameTheRoot) {
   const auto diags = mfa::lint::run_lint(load_fixtures(keep_all));
   bool saw_chain = false;
   for (const auto& d : diags) {
-    if (d.file == "/warm_alloc_bad.cpp" && d.line == 20) {
+    if (d.file == "/serialize_bad.cpp" && d.line == 21) {
       saw_chain =
-          d.message.find("hot_delta <- cold_helper") != std::string::npos;
+          d.message.find("to_json <- shuffle_fields") != std::string::npos;
     }
   }
   EXPECT_TRUE(saw_chain)
-      << "transitive warm-path finding should report its call chain";
+      << "transitive serialization finding should report its call chain";
 }
 
 TEST(LintGolden, CleanFixturesProduceNoFindings) {
@@ -135,10 +133,10 @@ TEST(LintTokenizer, CommentsStringsAndPreprocessorAreNotTokens) {
 TEST(LintTokenizer, SuppressionAttachesToNextCodeLine) {
   const auto f = mfa::lint::tokenize("/x.cpp",
                                     "int a;\n"
-                                    "// mfa-lint: allow(warm-path-alloc) why\n"
+                                    "// mfa-lint: allow(mutex-hygiene) why\n"
                                     "int b;\n");
-  EXPECT_FALSE(f.allowed(1, "warm-path-alloc"));
-  EXPECT_TRUE(f.allowed(3, "warm-path-alloc"));
+  EXPECT_FALSE(f.allowed(1, "mutex-hygiene"));
+  EXPECT_TRUE(f.allowed(3, "mutex-hygiene"));
   EXPECT_FALSE(f.allowed(3, "banned-io")) << "suppressions are per-rule";
 }
 
@@ -148,40 +146,6 @@ TEST(LintTokenizer, IncludesAreRecorded) {
   ASSERT_EQ(f.includes.size(), 2u);
   EXPECT_EQ(f.includes[0].second, "unordered_map");
   EXPECT_EQ(f.includes[1].second, "lint.hpp");
-}
-
-TEST(LintForbidSuppression, FlagsOnlyTheForbiddenRule) {
-  const std::vector<std::pair<std::string, std::string>> sources = {
-      {"/x.cpp",
-       "int a;\n"
-       "// mfa-lint: allow(warm-path-alloc) grow-once scratch\n"
-       "int b;\n"
-       "// mfa-lint: allow(banned-io) CLI surface\n"
-       "int c;\n"}};
-  const auto none = mfa::lint::forbid_suppressions(sources, {});
-  EXPECT_TRUE(none.empty());
-  const auto found =
-      mfa::lint::forbid_suppressions(sources, {"warm-path-alloc"});
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].file, "/x.cpp");
-  EXPECT_EQ(found[0].line, 3) << "the suppression reports at the line it "
-                                 "attaches to, like the rule it silences";
-  EXPECT_EQ(found[0].rule, "forbid-suppression");
-  EXPECT_NE(found[0].message.find("warm-path-alloc"), std::string::npos);
-}
-
-TEST(LintIndex, WarmMarkingIsPerFile) {
-  std::vector<mfa::lint::SourceFile> files;
-  files.push_back(mfa::lint::tokenize(
-      "/a.cpp", "#define MFA_WARM_PATH\nMFA_WARM_PATH void value() {}\n"));
-  files.push_back(mfa::lint::tokenize("/b.cpp", "void value() {}\n"));
-  const auto corpus = mfa::lint::index(std::move(files));
-  ASSERT_EQ(corpus.functions.size(), 2u);
-  int warm = 0;
-  for (const auto& fn : corpus.functions)
-    if (fn.warm) ++warm;
-  EXPECT_EQ(warm, 1) << "a warm name in a.cpp must not mark b.cpp's "
-                        "same-named definition warm";
 }
 
 }  // namespace

@@ -410,15 +410,15 @@ TEST_F(ApiTest, MissingOrUnknownSchemaVersionIs400) {
       400);
 }
 
-TEST_F(ApiTest, SchemaFourAndOlderBodiesAreAccepted) {
-  // Schema 4 dropped relax_hits from outcomes and /v1/stats; a body
-  // stamped with an older version still runs.
+TEST_F(ApiTest, SchemaFiveAndOlderBodiesAreAccepted) {
+  // Schemas 2 to 5 only dropped counters from outcomes and /v1/stats;
+  // a body stamped with an older version still runs.
   const HttpResponse response =
       call("POST", "/v1/events", add_event_body("tenant-v"));
   ASSERT_EQ(response.status, 200) << response.body;
   auto reply = io::Json::parse(response.body);
   ASSERT_TRUE(reply.is_ok());
-  EXPECT_EQ(reply.value().find("schema_version")->as_number(), 4.0);
+  EXPECT_EQ(reply.value().find("schema_version")->as_number(), 5.0);
   const io::Json& outcome = reply.value().find("outcomes")->at(0);
   EXPECT_NE(outcome.find("nodes"), nullptr);
   EXPECT_EQ(outcome.find("relax_hits"), nullptr);
@@ -426,7 +426,7 @@ TEST_F(ApiTest, SchemaFourAndOlderBodiesAreAccepted) {
   io::Json events = io::Json::array();
   events.push_back(io::to_json(service::Event::remove("tenant-v")));
   io::Json old = io::Json::object();
-  old.set("schema_version", io::Json::number(3));
+  old.set("schema_version", io::Json::number(4));
   old.set("events", std::move(events));
   EXPECT_EQ(call("POST", "/v1/events", old.dump()).status, 200);
   EXPECT_EQ(router_->active_pipelines(), 0u);

@@ -170,18 +170,18 @@ TEST(Serialize, LegacyV0DocumentsAccepted) {
           .is_ok());
 }
 
-TEST(Serialize, EveryVersionUpToFourAccepted) {
-  // Versions 2 to 4 only trimmed the outcome/stats output: inputs at any
+TEST(Serialize, EveryVersionUpToFiveAccepted) {
+  // Versions 2 to 5 only trimmed the outcome/stats output: inputs at any
   // version, including WALs written before a bump, read unchanged, and
   // the next version is not guessed at.
-  EXPECT_EQ(kSchemaVersion, 4);
+  EXPECT_EQ(kSchemaVersion, 5);
   Json problem = to_json(tiny_problem());
   Json trace = to_json(tiny_trace());
   service::WalRecord record;
   record.sequence = 3;
   record.event = tiny_trace().events.front();
   Json wal = to_json(record);
-  for (const int version : {1, 2, 3, 4}) {
+  for (const int version : {1, 2, 3, 4, 5}) {
     SCOPED_TRACE("schema_version " + std::to_string(version));
     problem.set("schema_version", Json::number(version));
     trace.set("schema_version", Json::number(version));
@@ -192,7 +192,7 @@ TEST(Serialize, EveryVersionUpToFourAccepted) {
     ASSERT_TRUE(parsed.is_ok()) << parsed.status().to_string();
     EXPECT_EQ(parsed.value().sequence, 3u);
   }
-  problem.set("schema_version", Json::number(5));
+  problem.set("schema_version", Json::number(6));
   EXPECT_EQ(problem_from_json(problem).status().code(), Code::kInvalid);
 }
 
@@ -313,9 +313,8 @@ TEST(Serialize, MistypedOptionalFieldNamesItsPath) {
 }
 
 TEST(Serialize, EventOutcomeGoldenBytes) {
-  // The schema-4 wire shape, pinned byte for byte: the flat keys up to
-  // delta, then the migration diff, then the warm-path allocation
-  // counter.
+  // The schema-5 wire shape, pinned byte for byte: the flat keys up to
+  // delta, then the migration diff.
   service::EventOutcome o;
   o.sequence = 7;
   o.type = service::Event::Type::kAddPipeline;
@@ -332,7 +331,6 @@ TEST(Serialize, EventOutcomeGoldenBytes) {
   o.diff.pipelines_disturbed = 1;
   o.diff.goal_regret = 0.25;
   o.diff.stability_applied = true;
-  o.warm_allocs = 6;
   EXPECT_EQ(to_json(o).dump(),
             "{\"seq\":7,\"type\":\"add\",\"id\":\"p1\",\"status\":\"ok\","
             "\"solve_status\":\"ok\",\"active\":2,"
@@ -340,8 +338,7 @@ TEST(Serialize, EventOutcomeGoldenBytes) {
             "\"nodes\":12,\"delta\":\"structural\","
             "\"diff\":{\"computed\":true,\"cus_moved\":3,"
             "\"disturbed\":1,\"goal_regret\":0.25,"
-            "\"stability_applied\":true,\"budget_exceeded\":false},"
-            "\"warm_allocs\":6}");
+            "\"stability_applied\":true,\"budget_exceeded\":false}}");
 
   // Targetless events (resize) omit "id".
   service::EventOutcome bare;

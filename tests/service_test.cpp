@@ -470,22 +470,6 @@ TEST(CompositeBuilder, PatchedBuilderMatchesFreshBuilderByteForByte) {
             io::to_json(*fresh.snapshot()).dump(2));
 }
 
-TEST(AllocServer, WarmAllocCountersAreDeterministic) {
-  // Whatever the counting interposer reports (zero when it is not
-  // linked into this binary), two identical replays must report it
-  // identically per event — the counter is part of the replay-log
-  // surface and must not pick up noise from the environment.
-  const Trace trace = scenario::generate_trace(small_spec(80), 91);
-  const ServerOptions options;
-  const auto a = replay(trace, options);
-  const auto b = replay(trace, options);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("event " + std::to_string(i));
-    EXPECT_EQ(a[i].warm_allocs, b[i].warm_allocs);
-  }
-}
-
 TEST(AllocServer, NumericDeltasPatchInsteadOfRecompiling) {
   // Events that only move numbers (reprioritize, resize) patch the live
   // composite in place — coefficients or platform RHS — instead of

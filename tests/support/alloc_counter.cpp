@@ -1,38 +1,30 @@
-// Counting replacements for the global allocation functions.
-//
-// NOT part of libmfa: CMake links this TU directly into bench and test
-// executables when MFA_COUNT_ALLOC is ON (see support/alloc_count.hpp
-// for the contract). Replacing `operator new` must happen at the final
-// link, and must never leak into consumers of the library.
+// Counting replacements for the global allocation functions (see
+// alloc_counter.hpp).
 //
 // Every form forwards to malloc — posix_memalign for the over-aligned
-// overloads, so all deletes can be plain free() — and bumps the
-// thread-local counter in support/alloc_count.cpp. The replacements are
-// deliberately boring: same failure semantics as the defaults
-// (bad_alloc on exhaustion, null for nothrow), no headers, no size
-// stashing.
+// overloads, so all deletes can be plain free() — and bumps a
+// thread-local counter. The replacements are deliberately boring: same
+// failure semantics as the defaults (bad_alloc on exhaustion, null for
+// nothrow), no headers, no size stashing.
+#include "support/alloc_counter.hpp"
+
 #include <cstdlib>
 #include <new>
 
-#include "support/alloc_count.hpp"
-
 namespace {
 
-// Flips mfa::alloc_counting_linked() during static initialization so
-// runtime gates can tell "zero allocations" from "nobody was counting".
-const bool g_interposer_registered = [] {
-  mfa::detail::note_interposer_linked();
-  return true;
-}();
+// Plain thread-local integer: constant-initialized per thread, no guard
+// variable, safe to touch from inside operator new.
+thread_local std::uint64_t t_alloc_count = 0;
 
 void* counted_alloc(std::size_t size) {
-  mfa::detail::count_allocation();
+  ++t_alloc_count;
   // Zero-size allocations must still return unique pointers.
   return std::malloc(size > 0 ? size : 1);
 }
 
 void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
-  mfa::detail::count_allocation();
+  ++t_alloc_count;
   void* p = nullptr;
   std::size_t a = static_cast<std::size_t>(align);
   if (a < sizeof(void*)) a = sizeof(void*);  // posix_memalign minimum
@@ -41,6 +33,12 @@ void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
 }
 
 }  // namespace
+
+namespace mfa::test {
+
+std::uint64_t thread_alloc_count() { return t_alloc_count; }
+
+}  // namespace mfa::test
 
 void* operator new(std::size_t size) {
   void* p = counted_alloc(size);

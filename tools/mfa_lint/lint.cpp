@@ -325,34 +325,12 @@ std::size_t find_body(const std::vector<Token>& t, std::size_t k) {
   return kNpos;
 }
 
-/// Names marked MFA_WARM_PATH in `file`: the first identifier after the
-/// macro that is directly followed by `(` is the marked function. The
-/// set is per-file: a definition is warm only when its *own* file marks
-/// the name, so an unrelated same-named function elsewhere (the graph
-/// is name-based) is not dragged in as a root.
-void collect_warm_names(const SourceFile& file, std::set<std::string>& warm) {
-  const std::vector<Token>& t = file.tokens;
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    if (t[i].text != "MFA_WARM_PATH") continue;
-    for (std::size_t j = i + 1; j < t.size() && j < i + 64; ++j) {
-      if (t[j].text == ";" || t[j].text == "{") break;
-      if (t[j].kind == Token::Kind::kIdent && tok_is(t, j + 1, "(") &&
-          !is_keyword(t[j].text) && !starts_with(t[j].text, "MFA_")) {
-        warm.insert(t[j].text);
-        break;
-      }
-    }
-  }
-}
-
 }  // namespace
 
 Corpus index(std::vector<SourceFile> files) {
   Corpus corpus;
   corpus.files = std::move(files);
   for (std::size_t fi = 0; fi < corpus.files.size(); ++fi) {
-    std::set<std::string> warm_names;
-    collect_warm_names(corpus.files[fi], warm_names);
     const std::vector<Token>& t = corpus.files[fi].tokens;
     for (std::size_t i = 0; i + 1 < t.size(); ++i) {
       if (t[i].kind != Token::Kind::kIdent || !tok_is(t, i + 1, "(")) continue;
@@ -370,7 +348,6 @@ Corpus index(std::vector<SourceFile> files) {
       fn.line = t[i].line;
       fn.body_begin = open + 1;
       fn.body_end = end;
-      fn.warm = warm_names.count(fn.name) > 0;
       corpus.by_name[fn.name].push_back(corpus.functions.size());
       corpus.functions.push_back(std::move(fn));
       // Keep scanning from inside the signature so nested definitions
@@ -460,64 +437,6 @@ void traverse(const Corpus& corpus, const std::vector<std::size_t>& roots,
       }
     }
   }
-}
-
-// ---- warm-path-alloc ------------------------------------------------------
-
-const std::set<std::string>& allocating_calls() {
-  static const std::set<std::string> kAlloc = {
-      "malloc",       "calloc",       "realloc",      "strdup",
-      "aligned_alloc", "push_back",   "emplace_back", "push_front",
-      "emplace_front", "emplace",     "resize",       "reserve",
-      "insert",       "append",       "to_string",    "make_shared",
-      "make_unique",  "substr",       "operator_new",
-  };
-  return kAlloc;
-}
-
-void check_warm_path(const Corpus& corpus, std::vector<Diagnostic>& out) {
-  constexpr std::string_view kRule = "warm-path-alloc";
-  std::vector<std::size_t> roots;
-  for (std::size_t i = 0; i < corpus.functions.size(); ++i) {
-    if (corpus.functions[i].warm) roots.push_back(i);
-  }
-  traverse(corpus, roots, kRule, allocating_calls(),
-           [&](const Function& fn, const std::string& chain) {
-    const SourceFile& file = corpus.files[fn.file];
-    const std::vector<Token>& t = file.tokens;
-    for (const Call& call : calls_in(t, fn)) {
-      if (allocating_calls().count(call.name) == 0) continue;
-      if (file.allowed(call.line, kRule)) continue;
-      out.push_back(Diagnostic{
-          file.path, call.line, std::string(kRule),
-          "allocating call '" + call.name + "' reachable from MFA_WARM_PATH (" +
-              chain + ")"});
-    }
-    for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
-      if (t[i].text == "new" && t[i].kind == Token::Kind::kIdent) {
-        if (file.allowed(t[i].line, kRule)) continue;
-        out.push_back(Diagnostic{
-            file.path, t[i].line, std::string(kRule),
-            "operator new reachable from MFA_WARM_PATH (" + chain + ")"});
-      }
-      // Local std::string / std::vector construction (not a ref/ptr).
-      if ((t[i].text == "string" || t[i].text == "vector" ||
-           t[i].text == "deque") &&
-          i >= 2 && t[i - 1].text == ":" && t[i - 2].text == ":" && i >= 3 &&
-          t[i - 3].text == "std") {
-        std::size_t j = skip_angles(t, i + 1);
-        if (j < t.size() && t[j].text != "&" && t[j].text != "*" &&
-            t[j].text != ">" && t[j].text != "," && t[j].text != ")" &&
-            t[j].text != ":" && t[j].text != ";") {
-          if (file.allowed(t[i].line, kRule)) continue;
-          out.push_back(Diagnostic{
-              file.path, t[i].line, std::string(kRule),
-              "constructs std::" + t[i].text +
-                  " on a MFA_WARM_PATH path (" + chain + ")"});
-        }
-      }
-    }
-  });
 }
 
 // ---- serialize-determinism ------------------------------------------------
@@ -772,7 +691,8 @@ void check_token_hygiene(const Corpus& corpus, std::vector<Diagnostic>& out) {
                            path_contains(file.path, "main.cpp");
     const bool solver_path = path_contains(file.path, "/solver/") ||
                              path_contains(file.path, "/gp/") ||
-                             path_contains(file.path, "/core/");
+                             path_contains(file.path, "/core/") ||
+                             path_contains(file.path, "/alloc/");
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (t[i].kind != Token::Kind::kIdent) continue;
       const std::string& w = t[i].text;
@@ -808,7 +728,6 @@ void check_token_hygiene(const Corpus& corpus, std::vector<Diagnostic>& out) {
 
 std::vector<Diagnostic> run_rules(const Corpus& corpus) {
   std::vector<Diagnostic> out;
-  check_warm_path(corpus, out);
   check_serialize(corpus, out);
   check_mutex_hygiene(corpus, out);
   check_token_hygiene(corpus, out);
@@ -834,30 +753,6 @@ std::vector<Diagnostic> run_lint(
     files.push_back(tokenize(path, content));
   }
   return run_rules(index(std::move(files)));
-}
-
-std::vector<Diagnostic> forbid_suppressions(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    const std::vector<std::string>& rules) {
-  std::vector<Diagnostic> out;
-  for (const auto& [path, content] : sources) {
-    const SourceFile file = tokenize(path, content);
-    for (const auto& [line, rule] : file.allows) {
-      if (std::find(rules.begin(), rules.end(), rule) != rules.end()) {
-        out.push_back(
-            {file.path, line, "forbid-suppression",
-             "suppression of '" + rule +
-                 "' is not permitted in this tree: fix the finding "
-                 "instead of allowing it"});
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
-              return std::tie(a.file, a.line, a.rule, a.message) <
-                     std::tie(b.file, b.line, b.rule, b.message);
-            });
-  return out;
 }
 
 std::string format(const std::vector<Diagnostic>& diagnostics) {

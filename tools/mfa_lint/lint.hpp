@@ -4,10 +4,6 @@
 // checks the invariants that live *between* functions and files — the
 // project conventions a generic checker has no vocabulary for:
 //
-//   warm-path-alloc        MFA_WARM_PATH functions must not reach an
-//                          allocating call through the in-tree call
-//                          graph (the static face of ROADMAP item 1's
-//                          zero-allocation warm event path).
 //   serialize-determinism  nothing reachable from a serialization root
 //                          (to_json / serialize*) may iterate unordered
 //                          containers, call rand(), or key a map by
@@ -20,7 +16,7 @@
 //                          src/cli and bench code.
 //   solver-clock           wall-clock reads (time(), clock(),
 //                          system_clock, …) and bare rand() in solver /
-//                          gp / core paths, which must stay
+//                          gp / core / alloc paths, which must stay
 //                          deterministic under replay.
 //
 // Everything is lexical: a dependency-free tokenizer (comments, strings
@@ -80,7 +76,6 @@ struct Function {
   int line = 0;              ///< line of the name token
   std::size_t body_begin = 0;  ///< token index just past '{'
   std::size_t body_end = 0;    ///< token index of the matching '}'
-  bool warm = false;           ///< carries MFA_WARM_PATH
 };
 
 struct Corpus {
@@ -104,16 +99,6 @@ std::vector<Diagnostic> run_rules(const Corpus& corpus);
 /// Convenience: tokenize + index + run_rules over (path, content) pairs.
 std::vector<Diagnostic> run_lint(
     const std::vector<std::pair<std::string, std::string>>& sources);
-
-/// Reports every `mfa-lint: allow(<rule>)` comment whose rule id is in
-/// `rules` as a finding (rule "forbid-suppression"). Escalation knob
-/// for invariants a tree has fully paid off: once src/ is clean of a
-/// rule's suppressions, the CLI's repeatable `--forbid-suppression
-/// <rule>` flag keeps them from creeping back — the warm-path-alloc
-/// rule runs this way in tier-1 (see CMakeLists' mfa_lint_src).
-std::vector<Diagnostic> forbid_suppressions(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    const std::vector<std::string>& rules);
 
 /// "path:line: [rule] message" per diagnostic.
 std::string format(const std::vector<Diagnostic>& diagnostics);

@@ -1,22 +1,17 @@
 // mfa_lint CLI:
-//   `mfa_lint [--check] [--forbid-suppression <rule>]... <file-or-dir>...`
+//   `mfa_lint [--check] <file-or-dir>...`
 //
 // Scans .hpp/.cpp files (directories recursively), prints one
 // `path:line: [rule] message` per finding and exits non-zero when
 // anything is found — the same binary is the ctest entry and the CI
 // gate. `--check` is accepted for readability in scripts; it is the
-// default (and only) mode. `--forbid-suppression <rule>` (repeatable)
-// additionally fails on every allow(<rule>) comment, for rules whose
-// suppressions the tree has fully retired (tier-1 runs it for
-// warm-path-alloc).
+// default (and only) mode.
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <sstream>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "lint.hpp"
@@ -41,26 +36,14 @@ std::string slurp(const fs::path& p) {
 
 int main(int argc, char** argv) {
   std::vector<fs::path> inputs;
-  std::vector<std::string> forbidden;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--check") continue;
-    if (arg == "--forbid-suppression") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr,
-                     "mfa_lint: --forbid-suppression needs a rule id\n");
-        return 2;
-      }
-      forbidden.emplace_back(argv[++i]);
-      continue;
-    }
     if (arg == "--help" || arg == "-h") {
-      std::puts("usage: mfa_lint [--check] "
-                "[--forbid-suppression <rule>]... <file-or-dir>...");
-      std::puts("rules: warm-path-alloc serialize-determinism mutex-hygiene");
-      std::puts("       banned-io solver-clock");
+      std::puts("usage: mfa_lint [--check] <file-or-dir>...");
+      std::puts("rules: serialize-determinism mutex-hygiene banned-io");
+      std::puts("       solver-clock");
       std::puts("suppress: // mfa-lint: allow(rule-id) justification");
-      std::puts("  (--forbid-suppression fails on any allow() of that rule)");
       return 0;
     }
     inputs.emplace_back(arg);
@@ -91,21 +74,8 @@ int main(int argc, char** argv) {
   }
   std::sort(sources.begin(), sources.end());
 
-  std::vector<mfa::lint::Diagnostic> diagnostics =
+  const std::vector<mfa::lint::Diagnostic> diagnostics =
       mfa::lint::run_lint(sources);
-  if (!forbidden.empty()) {
-    std::vector<mfa::lint::Diagnostic> banned =
-        mfa::lint::forbid_suppressions(sources, forbidden);
-    diagnostics.insert(diagnostics.end(),
-                       std::make_move_iterator(banned.begin()),
-                       std::make_move_iterator(banned.end()));
-    std::sort(diagnostics.begin(), diagnostics.end(),
-              [](const mfa::lint::Diagnostic& a,
-                 const mfa::lint::Diagnostic& b) {
-                return std::tie(a.file, a.line, a.rule) <
-                       std::tie(b.file, b.line, b.rule);
-              });
-  }
   if (!diagnostics.empty()) {
     std::fputs(mfa::lint::format(diagnostics).c_str(), stdout);
     std::fprintf(stderr, "mfa_lint: %zu finding(s) in %zu file(s) scanned\n",
