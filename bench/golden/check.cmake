@@ -1,4 +1,5 @@
-# Runs each paper-reproduction bench and compares its stdout byte for
+# Runs each paper-reproduction bench, and bench_sweep_grid's golden of
+# the offline design-space grid, and compares its stdout byte for
 # byte with the committed bench/golden/<name>.txt (ctest's
 # paper_benches_golden):
 #
@@ -11,7 +12,8 @@
 # change: ./bench_<name> > bench/golden/<name>.txt
 set(BENCHES
     fig2_t_sensitivity fig3_alex16 fig4_alex32 fig5_vgg fig6_distribution
-    table2_characterization table3_characterization table4_weights)
+    table2_characterization table3_characterization table4_weights
+    sweep_grid)
 set(GOLDEN_DIR "${CMAKE_CURRENT_LIST_DIR}")
 
 unset(ENV{MFA_BENCH_THREADS})
