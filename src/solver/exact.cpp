@@ -18,10 +18,22 @@ using core::Problem;
 /// drain the whole budget and degrade every later candidate; with it, a
 /// stuck call is abandoned ("unknown", treated conservatively) and the
 /// search continues at full strength. The packing search's
-/// capacity-count bounds decide most packs long before it: on the
-/// paper's three cases over fractions 0.50-1.00, 8 of 51 VGG-16 points
-/// still have a pack that reaches it, and no AlexNet point does.
+/// capacity-count bounds and the β > 0 scan's cutoffs decide most packs
+/// long before it: on the paper's three cases over fractions 0.50-1.00
+/// at the Table-4 weights no pack reaches it. At β = 0 three VGG-16
+/// points (0.75, 0.90 and 0.93) still have a feasibility pack that does.
 constexpr std::int64_t kMaxNodesPerPack = 500'000;
+
+/// The φ a min-spreading pack at candidate II t must reach for its
+/// placement to tie or beat the incumbent's goal g: (g − α·t)/β, plus
+/// two pruning tolerances of the packing search (which prunes a subtree
+/// whose bound comes within one of the cutoff) and a relative margin
+/// for the rounding of goal() and of this quotient.
+double phi_cutoff(const Problem& problem, double g, double t) {
+  const double alpha_t = problem.alpha * t;
+  return (g - alpha_t) / problem.beta + 2.0 * kPackingEps +
+         1e-11 * (g + alpha_t) / problem.beta;
+}
 
 }  // namespace
 
@@ -42,14 +54,12 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
 
   bool all_proved = true;
   bool out_of_budget = false;
-  int evaluated = 0;
   std::int64_t nodes_total = 0;
 
   // Each packing runs under its own node cap (kMaxNodesPerPack) within
   // the remaining global node/time budget.
-  auto pack = [&](const std::vector<int>& totals,
-                  PackingMode mode) -> PackingResult {
-    ++evaluated;
+  auto pack = [&](const std::vector<int>& totals, PackingMode mode,
+                  double bound) -> PackingResult {
     std::int64_t remaining = options_.max_nodes - nodes_total;
     double seconds_left = options_.max_seconds - elapsed();
     if (options_.shared != nullptr) {
@@ -63,7 +73,7 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
       return PackingResult{};
     }
     Budget budget(std::min(kMaxNodesPerPack, remaining), seconds_left);
-    PackingResult r = packer.pack(totals, mode, budget);
+    PackingResult r = packer.pack(totals, mode, budget, nullptr, bound);
     nodes_total += budget.nodes_used();
     if (options_.shared != nullptr) {
       options_.shared->consume(budget.nodes_used());
@@ -71,14 +81,12 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
     if (!r.proved_optimal) all_proved = false;
     return r;
   };
-
-  // ---- Stage 1 (β = 0 optimum): binary search for the smallest
-  // candidate II whose minimal totals admit a feasible packing.
-  // "Unknown" (budget-aborted) packings are treated as infeasible but
-  // poison the optimality proof.
+  // "Unknown" (budget-aborted) feasibility packs are treated as
+  // infeasible but poison the optimality proof.
   auto feasibility = [&](std::size_t idx) -> PackingResult {
     return pack(minimal_totals(problem, candidates[idx]),
-                PackingMode::kFeasibility);
+                PackingMode::kFeasibility,
+                std::numeric_limits<double>::infinity());
   };
 
   PackingResult top = feasibility(candidates.size() - 1);
@@ -90,72 +98,60 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
     }
     return Status{Code::kLimit, "budget exhausted before a first solution"};
   }
+  Allocation best = std::move(*top.allocation);
 
-  std::size_t lo = 0;
-  std::size_t hi = candidates.size() - 1;
-  PackingResult best_pack = std::move(top);
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    PackingResult r = feasibility(mid);
-    if (r.feasible) {
-      hi = mid;
-      best_pack = std::move(r);
-    } else {
-      lo = mid + 1;
+  if (problem.beta == 0.0) {
+    // ---- β = 0: binary search for the smallest candidate II whose
+    // minimal totals admit a feasible packing.
+    std::size_t lo = 0;
+    std::size_t hi = candidates.size() - 1;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      PackingResult r = feasibility(mid);
+      if (r.feasible) {
+        hi = mid;
+        best = std::move(*r.allocation);
+      } else {
+        lo = mid + 1;
+      }
     }
-  }
-  const std::size_t first_feasible = hi;
-
-  ExactResult result{*best_pack.allocation,
-                     best_pack.allocation->ii(),
-                     best_pack.allocation->phi(),
-                     0.0,
-                     all_proved,
-                     0,
-                     0.0,
-                     0};
-  result.goal = best_pack.allocation->goal();
-
-  // ---- Stage 2 (β > 0): ascend the candidate list with min-spreading
-  // packings. φ ≥ 1/2 always (N_k ≥ 1 ⇒ φ_k ≥ 1/2), which yields the
-  // termination cutoff; capacity-forced chunk bounds skip hopeless
-  // candidates early.
-  if (problem.beta > 0.0) {
-    double best_g = std::numeric_limits<double>::infinity();
-    std::optional<Allocation> best_alloc;
-    for (std::size_t idx = first_feasible; idx < candidates.size(); ++idx) {
+  } else {
+    // ---- β > 0: one scan from the top candidate down, each pack
+    // bounded by the incumbent's goal (see the file comment).
+    double best_g = best.goal();
+    for (std::size_t idx = candidates.size() - 1; idx-- > 0;) {
       const double t = candidates[idx];
-      if (problem.alpha * t + problem.beta * 0.5 >= best_g) break;
       const std::vector<int> totals = minimal_totals(problem, t);
+      if (!pooled_feasible(problem, totals)) break;
       double phi_lb = 0.0;
+      int most = 0;
       for (std::size_t k = 0; k < totals.size(); ++k) {
         phi_lb = std::max(phi_lb, phi_lower_bound(problem, k, totals[k]));
+        most = std::max(most, totals[k]);
       }
-      if (problem.alpha * t + problem.beta * phi_lb >= best_g) continue;
-      PackingResult r = pack(totals, PackingMode::kMinSpreading);
+      const double cut = phi_cutoff(problem, best_g, t);
+      if (phi_lb >= cut) continue;
+      PackingResult r = pack(totals, PackingMode::kMinSpreading, cut);
       if (out_of_budget) break;
-      if (!r.feasible) continue;  // possible just above first_feasible ties
-      const double g = r.allocation->goal();
-      if (g < best_g) {
-        best_g = g;
-        best_alloc = std::move(r.allocation);
+      if (r.feasible) {
+        const double g = r.allocation->goal();
+        if (g <= best_g) {
+          best_g = g;
+          best = std::move(*r.allocation);
+        }
+      } else if (cut - kPackingEps > 0.5 * most) {
+        break;  // no placement at t, so none at any smaller t
       }
-    }
-    if (best_alloc) {
-      result.allocation = std::move(*best_alloc);
-      result.ii = result.allocation.ii();
-      result.phi = result.allocation.phi();
-      result.goal = result.allocation.goal();
     }
   }
-  result.proved_optimal = all_proved && !out_of_budget;
 
-  result.nodes = nodes_total;
-  result.seconds = elapsed();
-  result.candidates_evaluated = evaluated;
-  MFA_ASSERT_MSG(result.allocation.feasible(),
+  MFA_ASSERT_MSG(best.feasible(),
                  "exact solver produced an infeasible allocation");
-  return result;
+  const double ii = best.ii();
+  const double phi = best.phi();
+  const double goal = best.goal();
+  return ExactResult{std::move(best), ii, phi, goal,
+                     all_proved && !out_of_budget, nodes_total, elapsed()};
 }
 
 }  // namespace mfa::solver

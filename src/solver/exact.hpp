@@ -9,13 +9,30 @@
 //    and raising any N_k above that can only worsen both the packing
 //    pressure and the spreading φ (φ_k is increasing in every n_{k,f}),
 //    so minimal totals are optimal for each candidate;
-//  * feasibility of minimal totals is monotone in t (larger t → fewer
-//    CUs → easier packing), so the β = 0 optimum is found by binary
-//    search over the candidate list with an exact packing check;
-//  * for β > 0 the candidates are scanned in ascending order, each
-//    evaluated with a min-spreading exact packing, with the cutoff
-//    α·t + β·φ_min ≥ g_best terminating the scan (φ ≥ 1/2 always since
-//    N_k ≥ 1, and capacity-forced chunk bounds sharpen the cutoff).
+//  * minimal totals only grow as t falls, so feasibility is monotone in
+//    t (larger t → fewer CUs → easier packing). For β = 0 the optimum is
+//    the smallest feasible candidate, found by binary search over the
+//    candidate list with one feasibility pack per probe;
+//  * for β > 0 one scan walks the candidates from the top one (every
+//    N_k = 1; its placement is the first incumbent) downwards. With g
+//    the incumbent's goal, a placement at candidate t ties or beats it
+//    when φ ≤ (g − α·t)/β; the scan's cutoff is that φ plus a few of the
+//    packing search's pruning tolerances, so that a placement with an
+//    equal goal is still found. A candidate whose capacity-forced chunk
+//    bound φ_lb(t) (solver/packing.hpp) reaches the cutoff gets no pack:
+//    its bound α·t + β·φ_lb(t) exceeds g. Any other gets one
+//    min-spreading pack started from the cutoff, and its placement
+//    becomes the incumbent when its goal is ≤ g, so of two equal goals
+//    the smaller t wins. The scan stops at the first t where either
+//      - its minimal totals fail the pooled-capacity test, or
+//      - its pack finds no placement under a cutoff that no placement
+//        could reach: every placement has φ ≤ max_k N_k/2 (each
+//        n/(1+n) ≤ n/2), so a cutoff above that, pruning tolerance
+//        included, made the pack a pure feasibility question.
+//    Either fact holds for every smaller t too, whose minimal totals are
+//    componentwise at least as large, so no placement exists below. A
+//    pack that stops at its node cap without a placement leaves the
+//    result unproved, as a capped binary-search probe does.
 //
 // Every result states whether optimality was *proved* within the budget.
 #pragma once
@@ -42,14 +59,13 @@ struct ExactOptions {
 };
 
 struct ExactResult {
-  core::Allocation allocation;   ///< best allocation found
-  double ii = 0.0;               ///< II of that allocation (ms)
-  double phi = 0.0;              ///< spreading of that allocation
-  double goal = 0.0;             ///< α·II + β·φ
-  bool proved_optimal = false;   ///< true iff the search completed
-  std::int64_t nodes = 0;        ///< packing nodes expanded
-  double seconds = 0.0;          ///< wall-clock time spent
-  int candidates_evaluated = 0;  ///< candidate IIs subjected to packing
+  core::Allocation allocation;  ///< best allocation found
+  double ii = 0.0;              ///< II of that allocation (ms)
+  double phi = 0.0;             ///< spreading of that allocation
+  double goal = 0.0;            ///< α·II + β·φ
+  bool proved_optimal = false;  ///< true iff the search completed
+  std::int64_t nodes = 0;       ///< packing nodes expanded
+  double seconds = 0.0;         ///< wall-clock time spent
 };
 
 class ExactSolver {

@@ -15,8 +15,6 @@ using core::Kernel;
 using core::Problem;
 using core::ResourceVec;
 
-constexpr double kEps = 1e-9;
-
 /// Nodes a search counts between two settlements with its Budget.
 constexpr std::int64_t kSettleEvery = 1024;
 
@@ -72,7 +70,7 @@ class Search {
  public:
   Search(const Problem& problem, const std::vector<int>& totals,
          PackingMode mode, Budget& budget,
-         const StabilityOptions* stability)
+         const StabilityOptions* stability, double bound)
       : p_(problem),
         totals_(totals),
         mode_(mode),
@@ -86,7 +84,8 @@ class Search {
         fpga_load_(fpgas_, 0),
         classes_(problem.platform.num_classes()),
         table_(totals.size() * (fpgas_ + 1)),
-        last_empty_(totals.size() * classes_) {
+        last_empty_(totals.size() * classes_),
+        best_obj_(bound) {
     if (stab_ != nullptr) {
       int groups = 1;
       for (const int g : stab_->group_of) groups = std::max(groups, g + 1);
@@ -128,7 +127,7 @@ class Search {
 
   PackingResult run() {
     PackingResult result;
-    if (!pooled_feasible() || !pair_bound_holds()) {
+    if (!pooled_feasible(p_, totals_) || !pair_bound_holds()) {
       result.feasible = false;
       result.proved_optimal = true;
       return result;
@@ -168,18 +167,6 @@ class Search {
       best = std::min(best, score);
     }
     return best * totals_[k];
-  }
-
-  /// Necessary condition: pooled demand fits pooled capacity.
-  [[nodiscard]] bool pooled_feasible() const {
-    ResourceVec demand;
-    double bw = 0.0;
-    for (std::size_t k = 0; k < totals_.size(); ++k) {
-      demand += p_.app.kernels[k].res * static_cast<double>(totals_[k]);
-      bw += p_.app.kernels[k].bw * totals_[k];
-    }
-    return demand.fits_within(p_.pooled_cap(), 1e-6) &&
-           bw <= p_.pooled_bw_cap() + 1e-6;
   }
 
   /// Kernel k's per-CU demand on bound axis a.
@@ -355,12 +342,13 @@ class Search {
   void assign_kernel(std::size_t order_idx, double phi_so_far) {
     if (done_ || aborted_) return;
     if (order_idx == order_.size()) {
-      found_ = true;
       // With stability the incumbent comparison is on the composite
       // objective φ + move_cost·moves; unconstrained it degenerates to φ
       // (moves_ stays 0), keeping this branch bit-identical to before.
+      // A leaf that does not beat the caller's bound is no incumbent.
       const double obj = phi_so_far + move_cost() * moves_;
       if (obj < best_obj_) {
+        found_ = true;
         best_obj_ = obj;
         best_phi_ = phi_so_far;
         best_moves_ = moves_;
@@ -368,7 +356,7 @@ class Search {
         best_counts_ = counts_;
       }
       if (mode_ == PackingMode::kFeasibility ||
-          (stop_on_static_lb_ && best_phi_ <= static_lb_ + kEps)) {
+          (stop_on_static_lb_ && best_phi_ <= static_lb_ + kPackingEps)) {
         done_ = true;
       }
       return;
@@ -430,7 +418,7 @@ class Search {
       // Concavity bound: the unplaced remainder adds at least rem/(1+rem),
       // and moves only ever grow, so moves-so-far lower-bounds the cost.
       const double lb = std::max(phi_so_far, partial_phi + phi_of(rem));
-      if (lb + move_cost() * moves_ >= best_obj_ - kEps) return;
+      if (lb + move_cost() * moves_ >= best_obj_ - kPackingEps) return;
     }
     // Remaining CUs must fit in the remaining FPGAs' aggregate fit:
     // Σ_g min(fit[g], rem) ≥ rem exactly when Σ_g fit[g] ≥ rem.
@@ -629,7 +617,8 @@ class Search {
   bool stop_on_static_lb_ = true;
   bool symmetric_ = true;
   double best_phi_ = std::numeric_limits<double>::infinity();
-  double best_obj_ = std::numeric_limits<double>::infinity();
+  /// The incumbent's objective, or the caller's bound before one.
+  double best_obj_;
   int moves_ = 0;
   int disturbed_ = 0;
   int best_moves_ = 0;
@@ -642,6 +631,18 @@ class Search {
 };
 
 }  // namespace
+
+bool pooled_feasible(const Problem& problem, const std::vector<int>& totals) {
+  MFA_ASSERT(totals.size() == problem.num_kernels());
+  ResourceVec demand;
+  double bw = 0.0;
+  for (std::size_t k = 0; k < totals.size(); ++k) {
+    demand += problem.app.kernels[k].res * static_cast<double>(totals[k]);
+    bw += problem.app.kernels[k].bw * totals[k];
+  }
+  return demand.fits_within(problem.pooled_cap(), 1e-6) &&
+         bw <= problem.pooled_bw_cap() + 1e-6;
+}
 
 int min_chunks(const Problem& problem, std::size_t k, int n) {
   MFA_ASSERT(k < problem.num_kernels());
@@ -673,14 +674,13 @@ double phi_lower_bound(const Problem& problem, std::size_t k, int n) {
 }
 
 PackingResult PackingSolver::pack(const std::vector<int>& totals,
-                                  PackingMode mode, Budget& budget) const {
-  return pack(totals, mode, budget, nullptr);
-}
-
-PackingResult PackingSolver::pack(const std::vector<int>& totals,
                                   PackingMode mode, Budget& budget,
-                                  const StabilityOptions* stability) const {
+                                  const StabilityOptions* stability,
+                                  double bound) const {
   MFA_ASSERT(totals.size() == problem_->num_kernels());
+  MFA_ASSERT_MSG(mode == PackingMode::kMinSpreading ||
+                     bound == std::numeric_limits<double>::infinity(),
+                 "an objective bound needs the min-spreading search");
   for (int n : totals) MFA_ASSERT_MSG(n >= 0, "negative CU total");
   if (stability != nullptr) {
     MFA_ASSERT_MSG(stability->reference.size() == totals.size(),
@@ -689,7 +689,7 @@ PackingResult PackingSolver::pack(const std::vector<int>& totals,
                        stability->group_of.size() == totals.size(),
                    "stability group map not aligned to the kernel set");
   }
-  Search search(*problem_, totals, mode, budget, stability);
+  Search search(*problem_, totals, mode, budget, stability, bound);
   return search.run();
 }
 

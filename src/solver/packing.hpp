@@ -18,7 +18,8 @@
 //     remaining FPGAs' aggregate fit;
 //  3. spreading pruning — a partial φ_k plus the concavity bound
 //     rem/(1+rem) for the unplaced remainder cannot already exceed the
-//     incumbent, and the global optimum cannot beat the static
+//     incumbent (before the first one, the caller's objective bound, if
+//     it gave one), and the global optimum cannot beat the static
 //     chunk-count lower bound (search stops once it is attained);
 //  4. a fit table per kernel entry — the FPGAs a kernel has not reached
 //     yet keep the slack they had when it was entered, so its fit on each
@@ -69,6 +70,7 @@
 // which must give the same answers in no fewer nodes.
 #pragma once
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -132,6 +134,18 @@ struct PackingResult {
   std::optional<core::Allocation> allocation;
 };
 
+/// The min-spreading search prunes a partial placement once its lower
+/// bound on the objective comes within this of the incumbent's.
+inline constexpr double kPackingEps = 1e-9;
+
+/// Necessary condition for any placement of `totals`, tested at the
+/// packing search's root: their pooled demand on every resource and on
+/// bandwidth fits the fleet's pooled capacity (1e-6 absolute headroom).
+/// Demand only grows with the totals, so totals that fail it have no
+/// placement, nor does any componentwise larger vector.
+bool pooled_feasible(const core::Problem& problem,
+                     const std::vector<int>& totals);
+
 /// Smallest number of FPGAs kernel k alone must span to host `n` CUs
 /// under the problem's effective caps (capacity-forced chunk count).
 int min_chunks(const core::Problem& problem, std::size_t k, int n);
@@ -147,16 +161,22 @@ class PackingSolver {
   /// Packs the given totals. `totals[k]` is N_k (must be ≥ 0; a zero
   /// total is allowed here so callers can probe partial configurations,
   /// though eq. 8 requires ≥ 1 for full solutions).
-  [[nodiscard]] PackingResult pack(const std::vector<int>& totals,
-                                   PackingMode mode, Budget& budget) const;
-
-  /// Migration-aware pack: same search, with torn-CU/disturbed-group
-  /// accounting against `stability->reference` and its budgets enforced
-  /// as hard constraints (see StabilityOptions). A null `stability` is
-  /// exactly the unconstrained overload.
-  [[nodiscard]] PackingResult pack(const std::vector<int>& totals,
-                                   PackingMode mode, Budget& budget,
-                                   const StabilityOptions* stability) const;
+  ///
+  /// A non-null `stability` makes the pack migration-aware: torn-CU and
+  /// disturbed-group accounting against `stability->reference`, with its
+  /// budgets enforced as hard constraints (see StabilityOptions).
+  ///
+  /// `bound` (kMinSpreading only) is an objective the caller already
+  /// holds, φ or φ + move_cost·moves: the search starts as if it held an
+  /// incumbent of that objective, prunes against it and keeps only a
+  /// placement that beats it. It returns no allocation (feasible = false)
+  /// when it finds none; proved_optimal then says that no placement's
+  /// objective is below `bound` − kPackingEps. The default +∞ is the
+  /// plain search.
+  [[nodiscard]] PackingResult pack(
+      const std::vector<int>& totals, PackingMode mode, Budget& budget,
+      const StabilityOptions* stability = nullptr,
+      double bound = std::numeric_limits<double>::infinity()) const;
 
  private:
   const core::Problem* problem_;

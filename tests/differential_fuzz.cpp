@@ -50,14 +50,26 @@
 //     iterations and dropped_cus must be identical, and some run of the
 //     slice must drop CUs (so that path was exercised).
 //
+//  9. exact parity — solver::ExactSolver against the two-stage search
+//     it replaced (tests/oracles/reference_exact.hpp), under node-only
+//     budgets of 2M, 3M or 50M nodes, on three scenario shapes of up to
+//     12 kernels × 8 FPGAs, four in five with β > 0. Both must return
+//     the same status. At β = 0 the results must be identical, nodes and
+//     proof flag included. At β > 0, wherever the reference proves its
+//     optimum ExactSolver must prove it too, with the same goal, II and
+//     φ bits and allocation rows; where the reference is capped,
+//     ExactSolver's goal must not be higher. Some seed of the slice must
+//     compare two proved β > 0 answers.
+//
 // Usage: differential_fuzz [num_seeds] [--start S] [--out failure.json]
 //                          [--stability] [--patched-bounds]
 //                          [--packing-parity] [--greedy-parity]
+//                          [--exact-parity]
 //
 // --stability runs only check 5, --patched-bounds only check 6,
-// --packing-parity only check 7 and --greedy-parity only check 8 (no
-// exact/naive oracles); all four are cheap enough for wide ctest slices
-// across heterogeneous platforms.
+// --packing-parity only check 7, --greedy-parity only check 8 and
+// --exact-parity only check 9 (no naive oracle); all five are cheap
+// enough for wide ctest slices across heterogeneous platforms.
 //
 // On mismatch it prints the seed and the scenario JSON to stderr, writes
 // the scenario to --out (CI uploads it as an artifact) and exits 1.
@@ -68,6 +80,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -77,6 +90,7 @@
 #include "core/relax_cache.hpp"
 #include "core/relaxation.hpp"
 #include "io/serialize.hpp"
+#include "oracles/reference_exact.hpp"
 #include "oracles/reference_greedy.hpp"
 #include "oracles/reference_packing.hpp"
 #include "oracles/stack_discretize.hpp"
@@ -98,6 +112,7 @@ struct Options {
   bool patched_bounds_only = false;
   bool packing_parity_only = false;
   bool greedy_parity_only = false;
+  bool exact_parity_only = false;
 };
 
 /// Scenario shape small enough for the naive oracle to *prove* optima
@@ -143,6 +158,27 @@ mfa::scenario::ScenarioSpec greedy_spec() {
   spec.max_classes = 1;
   spec.tightness = 0.8;
   spec.max_cu_per_kernel = 6;
+  return spec;
+}
+
+/// Check 9's scenarios, by seed % 3: fuzz_spec's, packing_spec's, or
+/// pipelines of 6-12 kernels on 4-8 FPGAs of up to two classes. Four in
+/// five carry a spreading weight β > 0, drawn up to 2, 10 or 50 by
+/// (seed / 3) % 3 (Table 4 weighs VGG-16 with β = 50).
+mfa::scenario::ScenarioSpec exact_parity_spec(std::uint64_t seed) {
+  mfa::scenario::ScenarioSpec spec = fuzz_spec();
+  if (seed % 3 == 1) spec = packing_spec();
+  if (seed % 3 == 2) {
+    spec.min_kernels = 6;
+    spec.max_kernels = 12;
+    spec.min_fpgas = 4;
+    spec.max_fpgas = 8;
+    spec.max_classes = 2;
+    spec.max_cu_per_kernel = 4;
+  }
+  spec.beta_probability = 0.8;
+  constexpr double kMaxBeta[] = {2.0, 10.0, 50.0};
+  spec.max_beta = kMaxBeta[(seed / 3) % 3];
   return spec;
 }
 
@@ -275,6 +311,12 @@ const char* check_patched_bounds(const mfa::core::Problem& problem,
 /// count and a seeded cap of 0-6. Results must agree field for field, φ
 /// bit for bit, and both Budgets must report the same node count.
 ///
+/// A min-spreading pack with a placement runs the same way again from
+/// three objective bounds: its optimum less a seeded step of 0.001, 0.1
+/// or 0.5, the optimum itself, and the optimum plus the step. From below
+/// both searches must prove that nothing beats the bound, and from above
+/// they must return a placement no worse than the optimum.
+///
 /// Each uncapped run is also repeated by the reference without the
 /// capacity-count bounds. Both must prove their answer, the answers must
 /// agree field for field, and the bounded search may not charge more
@@ -352,12 +394,16 @@ const char* check_packing_parity(const mfa::core::Problem& problem,
         // run() sets them to the reference's result and node count.
         PackingResult want;
         std::int64_t nodes = 0;
+        double bound = std::numeric_limits<double>::infinity();
+        std::int64_t cap = -1;
         const auto run = [&](const Budget& start) -> const char* {
           Budget reference_budget = start;
           Budget budget = start;
-          want = mfa::oracles::reference_pack(problem, totals, mode,
-                                              reference_budget, stab);
-          const PackingResult got = packer.pack(totals, mode, budget, stab);
+          want = mfa::oracles::reference_pack(
+              problem, totals, mode, reference_budget, stab,
+              mfa::oracles::CountBounds::kOn, bound);
+          const PackingResult got =
+              packer.pack(totals, mode, budget, stab, bound);
           nodes = reference_budget.nodes_used();
           if (const char* mismatch = same(want, got)) return mismatch;
           if (nodes != budget.nodes_used()) {
@@ -368,7 +414,18 @@ const char* check_packing_parity(const mfa::core::Problem& problem,
           }
           return nullptr;
         };
+        // The two caps that abort a run mid-search, after its uncapped
+        // run has set `nodes`.
+        const auto capped_runs = [&]() -> const char* {
+          cap = nodes / 2;
+          if (const char* mismatch = run(Budget::nodes_only(cap))) {
+            return mismatch;
+          }
+          cap = static_cast<std::int64_t>(seed % 7);
+          return run(Budget::nodes_only(cap));
+        };
         const char* mismatch = run(Budget());
+        const PackingResult uncapped = want;
         if (mismatch == nullptr) {
           Budget unbounded_budget;
           const PackingResult unbounded = mfa::oracles::reference_pack(
@@ -388,31 +445,129 @@ const char* check_packing_parity(const mfa::core::Problem& problem,
             ++pruned;
           }
         }
-        std::int64_t cap = -1;
-        if (mismatch == nullptr) {
-          cap = nodes / 2;
-          mismatch = run(Budget::nodes_only(cap));
-        }
-        if (mismatch == nullptr) {
-          cap = static_cast<std::int64_t>(seed % 7);
-          mismatch = run(Budget::nodes_only(cap));
+        if (mismatch == nullptr) mismatch = capped_runs();
+        if (mismatch == nullptr && mode == PackingMode::kMinSpreading &&
+            uncapped.feasible) {
+          const auto objective = [stab](const PackingResult& r) {
+            return r.phi +
+                   (stab != nullptr ? stab->move_cost : 0.0) * r.cus_moved;
+          };
+          const double optimum = objective(uncapped);
+          constexpr double kSteps[] = {0.001, 0.1, 0.5};
+          const double step = kSteps[seed % 3];
+          for (const double b : {optimum - step, optimum, optimum + step}) {
+            bound = b;
+            cap = -1;
+            mismatch = run(Budget());
+            if (mismatch == nullptr && b < optimum &&
+                (want.feasible || !want.proved_optimal)) {
+              mismatch = "a pack bounded below its optimum did not prove "
+                         "that nothing beats the bound";
+            }
+            if (mismatch == nullptr && b > optimum &&
+                (!want.feasible ||
+                 objective(want) > optimum + 2 * mfa::solver::kPackingEps)) {
+              mismatch = "a pack bounded above its optimum lost the optimum";
+            }
+            if (mismatch == nullptr) mismatch = capped_runs();
+            if (mismatch != nullptr) break;
+          }
         }
         if (mismatch != nullptr) {
           std::fprintf(stderr,
                        "candidate II %.9g (index %zu), %s, stability %s, "
-                       "node cap %lld\n",
+                       "objective bound %.17g, node cap %lld\n",
                        candidates[idx], idx,
                        mode == PackingMode::kFeasibility ? "feasibility"
                                                          : "min-spreading",
                        stab == nullptr         ? "off"
                        : stab->move_cost > 0.0 ? "soft cost"
                                                : "hard budgets",
-                       static_cast<long long>(cap));
+                       bound, static_cast<long long>(cap));
           return mismatch;
         }
       }
     }
   }
+  return nullptr;
+}
+
+/// Check 9's tallies over a slice.
+struct ExactParityCounts {
+  std::uint64_t spreading = 0;       ///< seeds with β > 0 and a solution
+  std::uint64_t both_proved = 0;     ///< of those, proved by both solvers
+  std::uint64_t newly_proved = 0;    ///< proved by ExactSolver alone
+  std::uint64_t lower_goal = 0;      ///< capped reference beaten
+  std::int64_t reference_nodes = 0;  ///< over the β > 0 seeds
+  std::int64_t nodes = 0;            ///< ExactSolver's, likewise
+};
+
+/// Check 9: ExactSolver against the two-stage reference search (see
+/// file comment), both on the same node-only budget.
+const char* check_exact_parity(const mfa::core::Problem& problem,
+                               std::uint64_t seed,
+                               ExactParityCounts& counts) {
+  using mfa::solver::ExactResult;
+
+  constexpr std::int64_t kBudgets[] = {2'000'000, 3'000'000, 50'000'000};
+  mfa::solver::ExactOptions options;
+  options.max_nodes = kBudgets[(seed / 9) % 3];
+  options.max_seconds = 1e9;  // node budgets only: deterministic
+  const auto want = mfa::oracles::reference_exact(problem, options);
+  const auto got = mfa::solver::ExactSolver(options).solve(problem);
+  if (want.is_ok() != got.is_ok() ||
+      (!want.is_ok() && want.status().code() != got.status().code())) {
+    return "exact solver and reference disagree on status";
+  }
+  if (!want.is_ok()) return nullptr;
+  const ExactResult& a = want.value();
+  const ExactResult& b = got.value();
+  const auto same_answer = [&]() -> const char* {
+    if (std::memcmp(&a.goal, &b.goal, sizeof a.goal) != 0 ||
+        std::memcmp(&a.ii, &b.ii, sizeof a.ii) != 0 ||
+        std::memcmp(&a.phi, &b.phi, sizeof a.phi) != 0) {
+      std::fprintf(stderr, "goal: reference %.17g exact %.17g\n", a.goal,
+                   b.goal);
+      return "exact goal, II or phi is not bit-identical";
+    }
+    for (std::size_t k = 0; k < a.allocation.num_kernels(); ++k) {
+      for (int f = 0; f < a.allocation.num_fpgas(); ++f) {
+        if (a.allocation.cu(k, f) != b.allocation.cu(k, f)) {
+          std::fprintf(stderr, "reference:\n%s\nexact:\n%s",
+                       a.allocation.to_string().c_str(),
+                       b.allocation.to_string().c_str());
+          return "exact allocation rows differ";
+        }
+      }
+    }
+    return nullptr;
+  };
+  if (problem.beta == 0.0) {
+    if (a.proved_optimal != b.proved_optimal || a.nodes != b.nodes) {
+      std::fprintf(stderr, "nodes: reference %lld exact %lld\n",
+                   static_cast<long long>(a.nodes),
+                   static_cast<long long>(b.nodes));
+      return "beta = 0 search differs from the reference's binary search";
+    }
+    return same_answer();
+  }
+  ++counts.spreading;
+  counts.reference_nodes += a.nodes;
+  counts.nodes += b.nodes;
+  if (a.proved_optimal) {
+    if (!b.proved_optimal) {
+      return "exact solver left unproved an optimum the reference proved";
+    }
+    ++counts.both_proved;
+    return same_answer();
+  }
+  if (b.proved_optimal) ++counts.newly_proved;
+  if (b.goal > a.goal) {
+    std::fprintf(stderr, "goal: reference %.17g exact %.17g\n", a.goal,
+                 b.goal);
+    return "exact solver's goal is higher than the capped reference's";
+  }
+  if (b.goal < a.goal) ++counts.lower_goal;
   return nullptr;
 }
 
@@ -755,6 +910,8 @@ int main(int argc, char** argv) {
       opt.packing_parity_only = true;
     } else if (std::strcmp(argv[i], "--greedy-parity") == 0) {
       opt.greedy_parity_only = true;
+    } else if (std::strcmp(argv[i], "--exact-parity") == 0) {
+      opt.exact_parity_only = true;
     } else if (argv[i][0] != '-') {
       opt.count = std::strtoull(argv[i], nullptr, 10);
       if (opt.count == 0) {
@@ -765,7 +922,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [num_seeds] [--start S] [--out failure.json]"
                    " [--stability] [--patched-bounds]"
-                   " [--packing-parity] [--greedy-parity]\n",
+                   " [--packing-parity] [--greedy-parity]"
+                   " [--exact-parity]\n",
                    argv[0]);
       return 2;
     }
@@ -779,8 +937,10 @@ int main(int argc, char** argv) {
   std::uint64_t infeasible = 0;
   std::uint64_t pruned = 0;  // check 7's runs the bounds made shorter
   std::uint64_t dropped = 0;  // check 8's runs that dropped CUs
+  ExactParityCounts exact_counts;  // check 9's
   for (std::uint64_t seed = opt.start; seed < opt.start + opt.count; ++seed) {
-    const mfa::core::Problem problem = mfa::scenario::generate(spec, seed);
+    const mfa::core::Problem problem = mfa::scenario::generate(
+        opt.exact_parity_only ? exact_parity_spec(seed) : spec, seed);
     bool feasible = true;
     const char* mismatch = nullptr;
     if (opt.stability_only) {
@@ -791,6 +951,8 @@ int main(int argc, char** argv) {
       mismatch = check_packing_parity(problem, seed, pruned);
     } else if (opt.greedy_parity_only) {
       mismatch = check_greedy_parity(problem, seed, dropped);
+    } else if (opt.exact_parity_only) {
+      mismatch = check_exact_parity(problem, seed, exact_counts);
     } else {
       mismatch = check_seed(problem, &feasible);
     }
@@ -810,10 +972,12 @@ int main(int argc, char** argv) {
               : opt.patched_bounds_only ? " (patched bounds)"
               : opt.packing_parity_only ? " (packing parity)"
               : opt.greedy_parity_only  ? " (greedy parity)"
+              : opt.exact_parity_only   ? " (exact parity)"
                                         : "",
               checked);
   if (!opt.stability_only && !opt.patched_bounds_only &&
-      !opt.packing_parity_only && !opt.greedy_parity_only) {
+      !opt.packing_parity_only && !opt.greedy_parity_only &&
+      !opt.exact_parity_only) {
     std::printf("(%" PRIu64 " infeasible instances exercised)\n", infeasible);
   }
   if (opt.packing_parity_only) {
@@ -823,6 +987,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "FAIL: no pack of the slice reached the capacity-count "
                    "bounds\n");
+      return 1;
+    }
+  }
+  if (opt.exact_parity_only) {
+    const ExactParityCounts& c = exact_counts;
+    std::printf("(%" PRIu64 " solved with beta > 0: %" PRIu64
+                " proved by both with identical answers, %" PRIu64
+                " proved only by ExactSolver, %" PRIu64
+                " capped references beaten; their nodes: reference %lld, "
+                "ExactSolver %lld)\n",
+                c.spreading, c.both_proved, c.newly_proved, c.lower_goal,
+                static_cast<long long>(c.reference_nodes),
+                static_cast<long long>(c.nodes));
+    if (c.both_proved == 0) {
+      std::fprintf(stderr,
+                   "FAIL: no seed of the slice compared two proved answers "
+                   "with beta > 0\n");
       return 1;
     }
   }

@@ -1,9 +1,11 @@
 #include <functional>
 #include <random>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "hls/paper.hpp"
+#include "oracles/reference_exact.hpp"
 #include "solver/candidates.hpp"
 #include "solver/exact.hpp"
 #include "solver/naive.hpp"
@@ -105,6 +107,28 @@ TEST(ExactSolver, SpreadingTermChangesOptimum) {
   EXPECT_LE(consolidated.value().phi, 0.75 + 1e-12);
 }
 
+TEST(ExactSolver, EqualGoalsGoToTheSmallerIi) {
+  // One 12 ms kernel at 30% DSP per CU on one FPGA, α = 1, β = 36: one
+  // CU (II 12, φ 1/2) and two (II 6, φ 2/3) both score exactly 30, and
+  // three (II 4, φ 3/4) score 31. Of two equal goals the smaller II
+  // wins, as in the ascending scan of the reference search; the β > 0
+  // scan needs its cutoff's slack to keep the tie reachable.
+  Problem p;
+  p.app.kernels = {make_kernel("k", 12.0, 0.0, 30.0, 0.0)};
+  p.platform = Platform{"1", 1};
+  p.alpha = 1.0;
+  p.beta = 36.0;
+  auto r = ExactSolver().solve(p);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(r.value().proved_optimal);
+  EXPECT_EQ(r.value().goal, 30.0);
+  EXPECT_EQ(r.value().ii, 6.0);
+  EXPECT_EQ(r.value().allocation.total_cu(0), 2);
+  auto reference = oracles::reference_exact(p);
+  ASSERT_TRUE(reference.is_ok());
+  EXPECT_EQ(reference.value().ii, 6.0);
+}
+
 TEST(ExactSolver, GoalIsAlphaIiPlusBetaPhi) {
   Problem p = tiny_problem();
   p.beta = 0.7;
@@ -126,6 +150,26 @@ TEST(ExactSolver, ProvesVggAtSeventyPercentOptimal) {
   ASSERT_TRUE(r.is_ok());
   EXPECT_TRUE(r.value().proved_optimal);
   EXPECT_NEAR(r.value().goal, 56.95, 1e-9);
+}
+
+TEST(ExactSolver, ProvesVggAtTableFourWeights) {
+  // VGG-16 on eight FPGAs at the Table-4 weights (α = 1, β = 50), at
+  // four fractions where the reference search
+  // (tests/oracles/reference_exact.hpp) leaves a pack at its
+  // 500,000-node cap and proves nothing. The top-down scan's cutoffs
+  // decide every pack in a few hundred nodes.
+  const std::pair<double, double> cases[] = {
+      {0.63, 56.95}, {0.75, 56.95}, {0.90, 55.2266667}, {0.93, 54.1571429}};
+  for (const auto& [fraction, goal] : cases) {
+    Problem p = hls::paper::case_vgg_8fpga();
+    p.resource_fraction = fraction;
+    ASSERT_EQ(p.beta, 50.0);
+    auto r = ExactSolver().solve(p);
+    ASSERT_TRUE(r.is_ok()) << fraction;
+    EXPECT_TRUE(r.value().proved_optimal) << fraction;
+    EXPECT_NEAR(r.value().goal, goal, 1e-6) << fraction;
+    EXPECT_LE(r.value().nodes, 2'000) << fraction;
+  }
 }
 
 TEST(ExactSolver, ReportsLimitOnStarvedBudget) {

@@ -40,7 +40,8 @@ class Search {
  public:
   Search(const Problem& problem, const std::vector<int>& totals,
          PackingMode mode, Budget& budget,
-         const StabilityOptions* stability, CountBounds bounds)
+         const StabilityOptions* stability, CountBounds bounds,
+         double bound)
       : p_(problem),
         totals_(totals),
         mode_(mode),
@@ -51,7 +52,8 @@ class Search {
         counts_(totals.size(),
                 std::vector<int>(fpgas_, 0)),
         fpga_class_(fpgas_, 0),
-        fpga_load_(fpgas_, 0) {
+        fpga_load_(fpgas_, 0),
+        best_obj_(bound) {
     if (stab_ != nullptr) {
       int groups = 1;
       for (const int g : stab_->group_of) groups = std::max(groups, g + 1);
@@ -237,12 +239,13 @@ class Search {
   void assign_kernel(std::size_t order_idx, double phi_so_far) {
     if (done_ || aborted_) return;
     if (order_idx == order_.size()) {
-      found_ = true;
       // With stability the incumbent comparison is on the composite
       // objective φ + move_cost·moves; unconstrained it degenerates to φ
-      // (moves_ stays 0), keeping this branch bit-identical to before.
+      // (moves_ stays 0). A leaf that does not beat the caller's bound
+      // is no incumbent.
       const double obj = phi_so_far + move_cost() * moves_;
       if (obj < best_obj_) {
+        found_ = true;
         best_obj_ = obj;
         best_phi_ = phi_so_far;
         best_moves_ = moves_;
@@ -423,7 +426,7 @@ class Search {
   bool stop_on_static_lb_ = true;
   bool symmetric_ = true;
   double best_phi_ = std::numeric_limits<double>::infinity();
-  double best_obj_ = std::numeric_limits<double>::infinity();
+  double best_obj_;  ///< the incumbent's objective, or the caller's bound
   int moves_ = 0;
   int disturbed_ = 0;
   int best_moves_ = 0;
@@ -441,8 +444,10 @@ PackingResult reference_pack(const Problem& problem,
                              const std::vector<int>& totals, PackingMode mode,
                              Budget& budget,
                              const StabilityOptions* stability,
-                             CountBounds bounds) {
+                             CountBounds bounds, double bound) {
   MFA_ASSERT(totals.size() == problem.num_kernels());
+  MFA_ASSERT(mode == PackingMode::kMinSpreading ||
+             bound == std::numeric_limits<double>::infinity());
   for (int n : totals) MFA_ASSERT_MSG(n >= 0, "negative CU total");
   if (stability != nullptr) {
     MFA_ASSERT_MSG(stability->reference.size() == totals.size(),
@@ -451,7 +456,7 @@ PackingResult reference_pack(const Problem& problem,
                        stability->group_of.size() == totals.size(),
                    "stability group map not aligned to the kernel set");
   }
-  Search search(problem, totals, mode, budget, stability, bounds);
+  Search search(problem, totals, mode, budget, stability, bounds, bound);
   return search.run();
 }
 

@@ -17,6 +17,7 @@
 // fewer nodes; --packing-parity checks that too.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -29,12 +30,15 @@ namespace mfa::oracles {
 enum class CountBounds { kOn, kOff };
 
 /// Packs `totals` like PackingSolver(problem).pack(totals, mode, budget,
-/// stability), one Budget::tick() per node. `bounds` = kOff is the
-/// search without rules A and B.
+/// stability, bound), one Budget::tick() per node. `bounds` = kOff is
+/// the search without rules A and B. `bound` is the min-spreading
+/// search's initial objective bound, held as an incumbent's objective
+/// until a placement beats it.
 [[nodiscard]] solver::PackingResult reference_pack(
     const core::Problem& problem, const std::vector<int>& totals,
     solver::PackingMode mode, solver::Budget& budget,
     const solver::StabilityOptions* stability = nullptr,
-    CountBounds bounds = CountBounds::kOn);
+    CountBounds bounds = CountBounds::kOn,
+    double bound = std::numeric_limits<double>::infinity());
 
 }  // namespace mfa::oracles

@@ -377,14 +377,16 @@ TEST(Portfolio, HeuristicOnlyPortfolioNeverClaimsInfeasibilityProof) {
 }
 
 TEST(Portfolio, DeadlineStopsExactSolver) {
-  // VGG-16 on eight FPGAs at fraction 0.93: the exact lane's seventh
-  // pack runs to its 500,000-node cap, nearly all of the solve's nodes
-  // and time. A deadline an eighth of the way into the unbudgeted solve
-  // must stop that pack part-way: a deadline honoured only between
-  // packs would let it finish. Timing it by the faster of two
-  // unbudgeted runs keeps a slow first run from pushing it late.
+  // VGG-16 on eight FPGAs at fraction 0.93 with β = 0 (the paper's
+  // MINLP): one feasibility pack of the exact lane's binary search runs
+  // to its 500,000-node cap, nearly all of the solve's nodes and time.
+  // A deadline an eighth of the way into the unbudgeted solve must stop
+  // that pack part-way: a deadline honoured only between packs would
+  // let it finish. Timing it by the faster of two unbudgeted runs keeps
+  // a slow first run from pushing it late.
   core::Problem problem = hls::paper::case_vgg_8fpga();
   problem.resource_fraction = 0.93;
+  problem.beta = 0.0;
   PortfolioOptions o;
   o.gpa_t_max.clear();
   o.run_exact = true;
@@ -475,16 +477,18 @@ TEST(BatchRunner, FourThreadsFasterThanOneOnMulticore) {
   if (std::thread::hardware_concurrency() < 4) {
     GTEST_SKIP() << "needs ≥ 4 hardware threads for a meaningful timing";
   }
-  // 16 budget-capped exact solves on the paper's VGG case, at the
-  // fractions where a pack still runs to its node cap (the Alex cases
-  // and the other VGG fractions prove optimality in microseconds — too
-  // light to time): coarse, CPU-bound, independent — the shape
-  // BatchRunner parallelizes.
+  // 18 budget-capped exact solves on the paper's VGG case with β = 0,
+  // at the fractions where a feasibility pack still runs to its node cap
+  // (the Alex cases, the other VGG fractions and every point at the
+  // Table-4 weights prove optimality in under a millisecond — too light
+  // to time): coarse, CPU-bound, independent — the shape BatchRunner
+  // parallelizes.
   std::vector<core::Problem> grid;
-  for (int round = 0; round < 2; ++round) {
-    for (const double rc : {0.63, 0.64, 0.65, 0.75, 0.90, 0.93, 0.94, 0.95}) {
+  for (int round = 0; round < 6; ++round) {
+    for (const double rc : {0.75, 0.90, 0.93}) {
       core::Problem p = hls::paper::case_vgg_8fpga();
       p.resource_fraction = rc;
+      p.beta = 0.0;
       grid.push_back(std::move(p));
     }
   }
