@@ -40,8 +40,7 @@ class Search {
  public:
   Search(const Problem& problem, const std::vector<int>& totals,
          PackingMode mode, Budget& budget,
-         const StabilityOptions* stability, CountBounds bounds,
-         double bound)
+         const StabilityOptions* stability, CountBounds bounds, double bound)
       : p_(problem),
         totals_(totals),
         mode_(mode),
@@ -442,8 +441,7 @@ class Search {
 
 PackingResult reference_pack(const Problem& problem,
                              const std::vector<int>& totals, PackingMode mode,
-                             Budget& budget,
-                             const StabilityOptions* stability,
+                             Budget& budget, const StabilityOptions* stability,
                              CountBounds bounds, double bound) {
   MFA_ASSERT(totals.size() == problem.num_kernels());
   MFA_ASSERT(mode == PackingMode::kMinSpreading ||
