@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <utility>
 
 #include "solver/candidates.hpp"
 #include "solver/packing.hpp"
@@ -119,7 +120,9 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
     // ---- β > 0: one scan from the top candidate down, each pack
     // bounded by the incumbent's goal (see the file comment).
     double best_g = best.goal();
+    bool placed = true;  // a placement was found at candidates[idx + 1]
     for (std::size_t idx = candidates.size() - 1; idx-- > 0;) {
+      const bool placed_above = std::exchange(placed, false);
       const double t = candidates[idx];
       const std::vector<int> totals = minimal_totals(problem, t);
       if (!pooled_feasible(problem, totals)) break;
@@ -131,16 +134,29 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
       }
       const double cut = phi_cutoff(problem, best_g, t);
       if (phi_lb >= cut) continue;
+      const bool proved_above = all_proved;
       PackingResult r = pack(totals, PackingMode::kMinSpreading, cut);
       if (out_of_budget) break;
       if (r.feasible) {
+        placed = true;
         const double g = r.allocation->goal();
         if (g <= best_g) {
           best_g = g;
           best = std::move(*r.allocation);
         }
       } else if (cut - kPackingEps > 0.5 * most) {
-        break;  // no placement at t, so none at any smaller t
+        if (r.proved_optimal) break;  // no placement at t nor below it
+        // Undecided at its node cap. The candidate above, where no
+        // placement was found, may be easier to prove infeasible,
+        // which decides t and everything below as well.
+        if (!placed_above) {
+          const PackingResult above = feasibility(idx + 1);
+          if (out_of_budget) break;
+          if (!above.feasible && above.proved_optimal) {
+            all_proved = proved_above;
+            break;
+          }
+        }
       }
     }
   }

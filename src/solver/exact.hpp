@@ -31,8 +31,13 @@
 //        included, made the pack a pure feasibility question.
 //    Either fact holds for every smaller t too, whose minimal totals are
 //    componentwise at least as large, so no placement exists below. A
-//    pack that stops at its node cap without a placement leaves the
-//    result unproved, as a capped binary-search probe does.
+//    pack that stops at its node cap without a placement proves
+//    neither: it leaves the result unproved and the scan goes on. When
+//    such a pack had an out-of-reach cutoff and no placement was found
+//    at the candidate just above t, a feasibility pack runs there; if it
+//    proves that candidate infeasible, which decides t and everything
+//    below, the scan stops and the capped pack no longer counts against
+//    the proof.
 //
 // Every result states whether optimality was *proved* within the budget.
 #pragma once

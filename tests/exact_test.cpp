@@ -1,3 +1,4 @@
+#include <cstdint>
 #include <functional>
 #include <random>
 #include <utility>
@@ -6,6 +7,7 @@
 
 #include "hls/paper.hpp"
 #include "oracles/reference_exact.hpp"
+#include "scenario/generate.hpp"
 #include "solver/candidates.hpp"
 #include "solver/exact.hpp"
 #include "solver/naive.hpp"
@@ -169,6 +171,47 @@ TEST(ExactSolver, ProvesVggAtTableFourWeights) {
     EXPECT_TRUE(r.value().proved_optimal) << fraction;
     EXPECT_NEAR(r.value().goal, goal, 1e-6) << fraction;
     EXPECT_LE(r.value().nodes, 2'000) << fraction;
+  }
+}
+
+TEST(ExactSolver, UndecidedBoundaryPackDoesNotEndTheScan) {
+  // Three differential_fuzz --exact-parity scenarios (6-12 kernels on
+  // 4-8 FPGAs) where a pack whose cutoff no placement can reach stops
+  // undecided at its node cap. Ending the scan there returned a higher
+  // goal than the reference search at seed 104045, and left unproved the
+  // optima it proves at 1002011 and 8003981; there a feasibility pack
+  // one candidate up proves that candidate infeasible.
+  struct Case {
+    std::uint64_t seed;
+    double max_beta;
+    std::int64_t max_nodes;
+  };
+  for (const Case& c : {Case{104045, 10.0, 3'000'000},
+                        Case{1002011, 10.0, 3'000'000},
+                        Case{8003981, 2.0, 50'000'000}}) {
+    scenario::ScenarioSpec spec;
+    spec.min_kernels = 6;
+    spec.max_kernels = 12;
+    spec.min_fpgas = 4;
+    spec.max_fpgas = 8;
+    spec.max_classes = 2;
+    spec.class_skew = 0.4;
+    spec.tightness = 0.8;
+    spec.max_cu_per_kernel = 4;
+    spec.beta_probability = 0.8;
+    spec.max_beta = c.max_beta;
+    const Problem p = scenario::generate(spec, c.seed);
+    ExactOptions options;
+    options.max_nodes = c.max_nodes;
+    options.max_seconds = 1e9;
+    const auto want = oracles::reference_exact(p, options);
+    const auto got = ExactSolver(options).solve(p);
+    ASSERT_TRUE(want.is_ok() && got.is_ok()) << c.seed;
+    EXPECT_LE(got.value().goal, want.value().goal) << c.seed;
+    if (want.value().proved_optimal) {
+      EXPECT_TRUE(got.value().proved_optimal) << c.seed;
+      EXPECT_EQ(got.value().goal, want.value().goal) << c.seed;
+    }
   }
 }
 
