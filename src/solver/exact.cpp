@@ -82,8 +82,6 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
     if (!r.proved_optimal) all_proved = false;
     return r;
   };
-  // "Unknown" (budget-aborted) feasibility packs are treated as
-  // infeasible but poison the optimality proof.
   auto feasibility = [&](std::size_t idx) -> PackingResult {
     return pack(minimal_totals(problem, candidates[idx]),
                 PackingMode::kFeasibility,
@@ -103,7 +101,9 @@ StatusOr<ExactResult> ExactSolver::solve(const Problem& problem) const {
 
   if (problem.beta == 0.0) {
     // ---- β = 0: binary search for the smallest candidate II whose
-    // minimal totals admit a feasible packing.
+    // minimal totals admit a feasible packing. An "unknown"
+    // (budget-aborted) probe counts as infeasible but poisons the
+    // optimality proof.
     std::size_t lo = 0;
     std::size_t hi = candidates.size() - 1;
     while (lo < hi) {
